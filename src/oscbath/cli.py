@@ -17,6 +17,7 @@ import argparse
 import difflib
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -150,6 +151,16 @@ def _require_number(value, name: str, *, positive=False, non_negative=False):
     return value
 
 
+def _require_finite(value, name: str) -> None:
+    # Numbers anywhere in a section value, lists included; profile mappings
+    # are checked field by field by profile_from_dict.
+    if isinstance(value, list):
+        for item in value:
+            _require_finite(item, name)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}", field=name)
+
+
 def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
     if raw is None:
         return {}
@@ -161,6 +172,7 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
     for key, value in raw.items():
         if key not in allowed:
             _reject_unknown(str(key), tuple(sorted(allowed)), f"section {name!r}")
+        _require_finite(value, key)
         if key == "omega0":
             _require_number(value, "omega0", positive=True)
         elif key == "temperature":

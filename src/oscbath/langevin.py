@@ -27,9 +27,11 @@ delta' distributional, hence discontinuous gamma profiles are rejected
 whenever y != 0; callers must smooth them (finite rise times).
 
 Moment and amplitude integrators are classical fixed-step Runge-Kutta coded
-on scalars; the trajectory sampler is Euler-Maruyama driven by counter-based
-random substreams, one per trajectory, so results are bit-reproducible for a
-given seed regardless of batching.
+on scalars.  They tabulate the model's coefficients on the stage nodes of
+a block of steps at a time, with the profiles' vectorized closed forms,
+and step through the tables.  The trajectory sampler is Euler-Maruyama
+driven by counter-based random substreams, one per trajectory, so results
+are bit-reproducible for a given seed regardless of batching.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ MomentState = CentralGaussian
 _COMMUTATOR_TOL = 1e-10
 _WRONSKIAN_TOL = 1e-8
 _STEPS_PER_TIMESCALE = 400
+# Runge-Kutta steps whose coefficients are tabulated together.  Bounds the
+# tables held as Python floats, so memory does not grow with the run.
+_BLOCK_STEPS = 256
 # Trajectory sums are grouped into blocks of this size before the final
 # sequential reduction; fixed grouping keeps the result independent of the
 # chunk partition and of thread scheduling.
@@ -244,10 +249,12 @@ def integrate_moments(
     grid: np.ndarray,
     dt: float | None = None,
 ) -> MomentTrajectory:
-    """Runge-Kutta on the moment equations with callable coefficients."""
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("grid must be 1-d and strictly increasing")
+    """Runge-Kutta on the moment equations with callable coefficients.
+
+    Calls the coefficients at every stage node; kept as the scalar
+    reference for the tabulated :func:`evolve_moments`.
+    """
+    ts = _check_grid(grid)
 
     def ad_at(t: float) -> tuple:
         return _pack_ad(drift_fn(t), diffusion_fn(t))
@@ -294,23 +301,99 @@ def _default_model_step(model: LangevinModel, grid: np.ndarray) -> float:
     return scale / _STEPS_PER_TIMESCALE
 
 
+def _rk4_blocks(ts: np.ndarray, dt: float):
+    """Runge-Kutta steps over the grid, in blocks of at most _BLOCK_STEPS.
+
+    Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
+    steps of length h.  Each block is yielded as (hs, nodes, ends): the
+    step lengths, the stage nodes (t, t + h/2, t + h) of every step
+    flattened in step order, and per step the index of the grid point it
+    ends on, or -1 when it ends inside an interval.
+    """
+    hs: list[float] = []
+    starts: list[float] = []
+    ends: list[int] = []
+    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1].tolist(), ts[1:].tolist())):
+        span = t_hi - t_lo
+        n_sub = max(1, math.ceil(span / dt))
+        h = span / n_sub
+        t = t_lo
+        for k in range(n_sub):
+            hs.append(h)
+            starts.append(t)
+            ends.append(i + 1 if k == n_sub - 1 else -1)
+            t += h
+            if len(hs) == _BLOCK_STEPS:
+                yield hs, _stage_nodes(hs, starts), ends
+                hs, starts, ends = [], [], []
+    if hs:
+        yield hs, _stage_nodes(hs, starts), ends
+
+
+def _stage_nodes(hs: list[float], starts: list[float]) -> np.ndarray:
+    h = np.array(hs)
+    t = np.array(starts)
+    return np.column_stack((t, t + 0.5 * h, t + h)).ravel()
+
+
+def _check_grid(grid) -> np.ndarray:
+    ts = np.asarray(grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
+        raise ValueError("grid must be 1-d and strictly increasing")
+    return ts
+
+
 def evolve_moments(
     model: LangevinModel,
     initial: CentralGaussian,
     grid: np.ndarray,
     dt: float | None = None,
 ) -> MomentTrajectory:
-    """Moment trajectory of the local model on a grid."""
-    ts = np.asarray(grid, dtype=float)
+    """Moment trajectory of the local model on a grid.
+
+    Takes the steps of :func:`integrate_moments` fed ``drift_matrix`` and
+    ``diffusion_matrix``, with the coefficients tabulated per step block.
+    """
+    ts = _check_grid(grid)
     if dt is None:
         dt = _default_model_step(model, ts)
-    return integrate_moments(
-        lambda t: drift_matrix(model, t),
-        lambda t: diffusion_matrix(model, t),
-        initial,
-        ts,
-        dt=dt,
+    y = model.y
+    state = (
+        float(initial.mean[0]), float(initial.mean[1]),
+        float(initial.cov[0, 0]), float(initial.cov[0, 1]),
+        float(initial.cov[1, 1]),
     )
+    states = [initial]
+    for hs, nodes, ends in _rk4_blocks(ts, dt):
+        w = model.omega.values(nodes)
+        g = model.gamma.values(nodes)
+        d_pp, d_xx = model.chi.diffusion_diagonal(nodes)
+        n = nodes.size
+        # _pack_ad(drift_matrix, diffusion_matrix) at every node
+        ad = list(zip(
+            (-((1.0 + y) * g)).tolist(), (-w * w).tolist(), [1.0] * n,
+            (-((1.0 - y) * g)).tolist(), d_pp.tolist(), [0.0] * n,
+            d_xx.tolist(),
+        ))
+        for j, (h, end) in enumerate(zip(hs, ends)):
+            state = _rk4_moments(
+                state, h, ad[3 * j], ad[3 * j + 1], ad[3 * j + 2]
+            )
+            if end < 0:
+                continue
+            if not all(map(math.isfinite, state)):
+                raise IntegrationError(
+                    f"moments became non-finite at t={ts[end]:.6g}",
+                    t=float(ts[end]),
+                )
+            mp, mx, cpp, cpx, cxx = state
+            states.append(
+                CentralGaussian(
+                    mean=np.array([mp, mx]),
+                    cov=np.array([[cpp, cpx], [cpx, cxx]]),
+                )
+            )
+    return MomentTrajectory(ts=ts, states=states)
 
 
 def evolve_moments_tabulated(
@@ -359,21 +442,13 @@ def evolve_moments_tabulated(
     return MomentTrajectory(ts=ts_fine[::2].copy(), states=states)
 
 
-def _gamma_derivative(gamma: TimeProfile, t: float) -> float:
-    try:
-        return gamma.derivative(t)
-    except NotImplementedError:
-        h = 1e-4
-        return (gamma.value(t + h) - gamma.value(t - h)) / (2.0 * h)
-
-
 def effective_frequency_terms(
     model: LangevinModel, t: float
 ) -> tuple[float, float, float]:
     """(omega^2, delta', delta^2) entering the effective frequency."""
     w = model.omega.value(t)
     delta = -model.y * model.gamma.value(t)
-    delta_dot = -model.y * _gamma_derivative(model.gamma, t)
+    delta_dot = -model.y * model.gamma.derivative(t)
     return w * w, delta_dot, delta * delta
 
 
@@ -416,13 +491,10 @@ def epsilon_solver(
     grid point and a violation of ``wronskian_tol`` raises
     :class:`IntegrationError`.
     """
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("grid must be 1-d and strictly increasing")
+    ts = _check_grid(grid)
     if dt is None:
         dt = _default_model_step(model, ts)
 
-    w2_of = lambda t: effective_frequency_squared(model, t)
     e = 1.0 + 0.0j
     de = 1j * model.omega0
     w0 = de * e.conjugate() - de.conjugate() * e
@@ -431,33 +503,36 @@ def epsilon_solver(
     eps_out[0] = e
     deps_out[0] = de
     max_drift = 0.0
-    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1], ts[1:])):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt))
-        h = span / n_sub
-        t = t_lo
-        for _ in range(n_sub):
-            w2_0 = w2_of(t)
-            w2_h = w2_of(t + 0.5 * h)
-            w2_1 = w2_of(t + h)
+    for hs, nodes, ends in _rk4_blocks(ts, dt):
+        w = model.omega.values(nodes)
+        w2 = w * w
+        if model.y != 0.0:
+            # effective_frequency_squared, element by element
+            delta = -model.y * model.gamma.values(nodes)
+            delta_dot = -model.y * model.gamma.derivatives(nodes)
+            w2 = w2 + delta_dot - delta * delta
+        w2 = w2.tolist()
+        for j, (h, end) in enumerate(zip(hs, ends)):
+            w2_0, w2_h, w2_1 = w2[3 * j], w2[3 * j + 1], w2[3 * j + 2]
             k1e, k1d = de, -w2_0 * e
             k2e, k2d = de + 0.5 * h * k1d, -w2_h * (e + 0.5 * h * k1e)
             k3e, k3d = de + 0.5 * h * k2d, -w2_h * (e + 0.5 * h * k2e)
             k4e, k4d = de + h * k3d, -w2_1 * (e + h * k3e)
             e += (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
             de += (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            t += h
-        eps_out[i + 1] = e
-        deps_out[i + 1] = de
-        w = de * e.conjugate() - de.conjugate() * e
-        drift = abs(w - w0) / abs(w0)
-        if drift > wronskian_tol:
-            raise IntegrationError(
-                f"Wronskian drift {drift:.3e} exceeds {wronskian_tol:.1e}"
-                f" at t={t_hi:.6g}",
-                t=float(t_hi),
-            )
-        max_drift = max(max_drift, drift)
+            if end < 0:
+                continue
+            eps_out[end] = e
+            deps_out[end] = de
+            wr = de * e.conjugate() - de.conjugate() * e
+            drift = abs(wr - w0) / abs(w0)
+            if drift > wronskian_tol:
+                raise IntegrationError(
+                    f"Wronskian drift {drift:.3e} exceeds {wronskian_tol:.1e}"
+                    f" at t={ts[end]:.6g}",
+                    t=float(ts[end]),
+                )
+            max_drift = max(max_drift, drift)
     return EpsilonSolution(
         ts=ts, eps=eps_out, eps_dot=deps_out, wronskian_drift=max_drift
     )
@@ -508,9 +583,7 @@ def sample_trajectories(
     antisymmetric (commutator) part of the noise has no classical
     counterpart.
     """
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("grid must be 1-d and strictly increasing")
+    ts = _check_grid(grid)
     if count < 2:
         raise ValueError(f"need at least two trajectories, got {count}")
     n_steps = ts.size - 1

@@ -302,6 +302,16 @@ class NoiseSet:
             [[0.5 * self.chi_pp(t), 0.0], [0.0, 0.5 * self.chi_xx(t)]]
         )
 
+    def diffusion_diagonal(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(D_pp, D_xx) of :meth:`diffusion` at each time of ``ts``.
+
+        User callables are called once per time; a set built by
+        :meth:`with_asymmetry` tabulates its damping profile instead.
+        """
+        d_pp = np.array([0.5 * self.chi_pp(t) for t in ts.tolist()])
+        d_xx = np.array([0.5 * self.chi_xx(t) for t in ts.tolist()])
+        return d_pp, d_xx
+
     def noise(self, t: float) -> np.ndarray:
         """Complex noise kernel [[chi_pp, i chi_xp], [i chi_px, chi_xx]]."""
         return np.array(
@@ -331,7 +341,7 @@ class NoiseSet:
             raise ValueError(f"damping asymmetry must satisfy |y| <= 1, got {y}")
         gp = 1.0 + y
         gx = 1.0 - y
-        return cls(
+        return _ProfileNoiseSet(
             gamma_x=lambda t: gx * gamma.value(t),
             gamma_p=lambda t: gp * gamma.value(t),
             chi_xx=lambda t: gx * gamma.value(t) * G / omega0,
@@ -340,7 +350,25 @@ class NoiseSet:
             chi_px_imag=lambda t: -gamma.value(t),
             G=G,
             omega0=omega0,
+            profile=gamma,
+            y=y,
         )
+
+
+@dataclass(frozen=True)
+class _ProfileNoiseSet(NoiseSet):
+    """The set of :meth:`NoiseSet.with_asymmetry`: every entry is a fixed
+    multiple of one damping profile."""
+
+    profile: TimeProfile
+    y: float
+
+    def diffusion_diagonal(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The arithmetic of chi_pp / chi_xx, element by element.
+        g = self.profile.values(ts)
+        d_pp = 0.5 * ((1.0 + self.y) * g * self.G * self.omega0)
+        d_xx = 0.5 * ((1.0 - self.y) * g * self.G / self.omega0)
+        return d_pp, d_xx
 
 
 def min_noise_set(gamma: TimeProfile, omega0: float, G: float) -> NoiseSet:

@@ -16,6 +16,12 @@ Every kind implements
     the pointwise time derivative, used by the effective-frequency
     machinery.
 
+and ``values(ts)`` / ``derivatives(ts)`` on arrays of times.  The defaults
+loop over the scalar methods; the Gaussian and rise/decay pulses, trains
+and affine maps override them with closed forms that repeat the scalar
+arithmetic element by element, so the integrators can tabulate a profile
+on a whole block of stage nodes in one call.
+
 ``lambda_factor`` builds the memory factor nu(t) * int_0^t nu that controls
 every short-time damping and diffusion coefficient downstream.
 """
@@ -88,6 +94,9 @@ class TimeProfile:
     def values(self, ts: Sequence[float]) -> np.ndarray:
         return np.array([self.value(float(t)) for t in ts], dtype=float)
 
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        return np.array([self.derivative(float(t)) for t in ts], dtype=float)
+
     def _check_domain(self, t: float) -> None:
         lo, hi = self.domain
         if t < lo or t > hi:
@@ -149,6 +158,14 @@ class GaussianPulse(TimeProfile):
     def derivative(self, t: float) -> float:
         u = (t - self.center) / self.width
         return -self.amplitude * u / self.width * math.exp(-0.5 * u * u)
+
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        u = (np.asarray(ts, dtype=float) - self.center) / self.width
+        return self.amplitude * np.exp(-0.5 * u * u)
+
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        u = (np.asarray(ts, dtype=float) - self.center) / self.width
+        return -self.amplitude * u / self.width * np.exp(-0.5 * u * u)
 
     def support(self) -> tuple[float, float]:
         # exp(-800) underflows to zero; 40 widths is conservative.
@@ -221,6 +238,33 @@ class ExpPulse(TimeProfile):
         e_r = math.exp(-s / r)
         return self.amplitude * (e_r / r * e_d - (1.0 - e_r) / d * e_d)
 
+    def _onset_split(self, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        # Times since the onset, clamped at zero so that pre-onset times
+        # never reach exp with a large positive argument, and the mask of
+        # times at or after the onset.
+        s = np.asarray(ts, dtype=float) - self.center
+        on = s >= 0.0
+        return np.where(on, s, 0.0), on
+
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        s, on = self._onset_split(ts)
+        out = self.amplitude * np.exp(-s / self.decay)
+        if self.rise > 0.0:
+            out *= 1.0 - np.exp(-s / self.rise)
+        return np.where(on, out, 0.0)
+
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        s, on = self._onset_split(ts)
+        d = self.decay
+        if self.rise == 0.0:
+            out = -self.amplitude / d * np.exp(-s / d)
+        else:
+            r = self.rise
+            e_d = np.exp(-s / d)
+            e_r = np.exp(-s / r)
+            out = self.amplitude * (e_r / r * e_d - (1.0 - e_r) / d * e_d)
+        return np.where(on, out, 0.0)
+
     @property
     def is_continuous(self) -> bool:
         return self.rise > 0.0
@@ -281,6 +325,32 @@ class PulseTrain(TimeProfile):
         for k in self._pulse_range(t, t):
             out += self.base.derivative(t - k * self.period)
         return out
+
+    def _sum_pulses(self, ts: Sequence[float], evaluate) -> np.ndarray:
+        # The pulse ranges of _pulse_range, per time, summed in the same
+        # pulse order as the scalar methods.
+        ts = np.asarray(ts, dtype=float)
+        out = np.zeros(ts.shape)
+        if ts.size == 0:
+            return out
+        s_lo, s_hi = self.base.support()
+        if math.isfinite(s_lo) and math.isfinite(s_hi):
+            k_lo = np.maximum(0.0, np.ceil((ts - s_hi) / self.period))
+            k_hi = np.minimum(self.count - 1.0, np.floor((ts - s_lo) / self.period))
+        else:
+            k_lo = np.zeros(ts.shape)
+            k_hi = np.full(ts.shape, self.count - 1.0)
+        for k in range(int(k_lo.min()), int(k_hi.max()) + 1):
+            hit = (k_lo <= k) & (k <= k_hi)
+            if hit.any():
+                out[hit] += evaluate(ts[hit] - k * self.period)
+        return out
+
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        return self._sum_pulses(ts, self.base.values)
+
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        return self._sum_pulses(ts, self.base.derivatives)
 
     @property
     def is_continuous(self) -> bool:
@@ -391,6 +461,12 @@ class Affine(TimeProfile):
     def derivative(self, t: float) -> float:
         return self.scale * self.base.derivative(t)
 
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        return self.offset + self.scale * self.base.values(ts)
+
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        return self.scale * self.base.derivatives(ts)
+
     @property
     def is_continuous(self) -> bool:
         return self.base.is_continuous
@@ -450,30 +526,47 @@ def profile_from_dict(d: dict) -> TimeProfile:
             f"unknown parameter(s) {sorted(unknown)} for profile kind {kind!r};"
             f" expected from {sorted(allowed)}"
         )
+
+    def finite(key: str, value) -> float:
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"profile field {key!r} must be finite, got {x}")
+        return x
+
+    def number(key: str, default: float | None = None) -> float:
+        if default is None and key not in params:
+            raise ValueError(f"profile kind {kind!r} needs field {key!r}")
+        return finite(key, params.get(key, default))
+
     if kind == "constant":
-        return Constant(value_const=float(params.get("value", 0.0)))
+        return Constant(value_const=number("value", 0.0))
     if kind == "gaussian-pulse":
         return GaussianPulse(
-            amplitude=float(params["amplitude"]),
-            center=float(params.get("center", 0.0)),
-            width=float(params["width"]),
+            amplitude=number("amplitude"),
+            center=number("center", 0.0),
+            width=number("width"),
         )
     if kind == "exp-rise-decay-pulse":
         return ExpPulse(
-            amplitude=float(params["amplitude"]),
-            center=float(params.get("center", 0.0)),
-            decay=float(params.get("decay", 1.0)),
-            rise=float(params.get("rise", 0.0)),
+            amplitude=number("amplitude"),
+            center=number("center", 0.0),
+            decay=number("decay", 1.0),
+            rise=number("rise", 0.0),
         )
     if kind == "pulse-train":
+        if "base" not in params:
+            raise ValueError(f"profile kind {kind!r} needs field 'base'")
         return PulseTrain(
             base=profile_from_dict(params["base"]),
-            period=float(params["period"]),
-            count=int(params["count"]),
+            period=number("period"),
+            count=int(number("count")),
         )
+    for key in ("times", "values"):
+        if key not in params:
+            raise ValueError(f"profile kind {kind!r} needs field {key!r}")
     return PiecewiseLinear(
-        times=tuple(float(t) for t in params["times"]),
-        knot_values=tuple(float(v) for v in params["values"]),
+        times=tuple(finite("times", t) for t in params["times"]),
+        knot_values=tuple(finite("values", v) for v in params["values"]),
     )
 
 

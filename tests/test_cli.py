@@ -134,6 +134,37 @@ def test_negative_omega0_names_the_field(tmp_path):
     assert err.value.field == "omega0"
 
 
+def test_non_finite_numbers_name_the_field(tmp_path, capsys):
+    path = write(tmp_path, "scenario: closure\ngrid:\n  t_max: .inf\n")
+    with pytest.raises(ConfigError, match="t_max must be finite") as err:
+        parse_config(path)
+    assert err.value.field == "t_max"
+    assert main(["run", str(path), "--check"]) == 2
+    text = (
+        "scenario: mir-pulse-train\n"
+        "model:\n  omega: {kind: constant, value: .nan}\n"
+    )
+    path = write(tmp_path, text, "nan.yaml")
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "'omega'" in err and "'value' must be finite" in err
+    text = "scenario: mir-pulse-train\nparams:\n  depth: .nan\n"
+    path = write(tmp_path, text, "depth.yaml")
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "depth must be finite" in capsys.readouterr().err
+    text = "scenario: rwa-check\nparams:\n  rho_values: [[0.5, -.inf]]\n"
+    path = write(tmp_path, text, "rho.yaml")
+    with pytest.raises(ConfigError, match="rho_values must be finite"):
+        parse_config(path)
+
+
+def test_missing_profile_field_is_a_config_error(tmp_path, capsys):
+    text = "scenario: mir-pulse-train\nmodel:\n  omega: {kind: gaussian-pulse}\n"
+    path = write(tmp_path, text)
+    assert main(["run", str(path), "--check"]) == 2
+    assert "needs field 'amplitude'" in capsys.readouterr().err
+
+
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
     path = write(tmp_path, "scenario: closure\ngrid:\n  t_max: 5.0\n   steps: 801\n")
     with pytest.raises(ConfigError, match=r"line 4, column"):

@@ -30,10 +30,28 @@ from oscbath import (
     epsilon_solver,
     evolve_moments,
     evolve_moments_tabulated,
+    integrate_moments,
     photon_number,
     sample_trajectories,
     stationary_covariance,
 )
+from oscbath.scenarios import _unit_pulse_train
+
+
+def _mir_train(y: float) -> tuple[LangevinModel, np.ndarray]:
+    """The mir-pulse-train scenario's model at its defaults with six pulses,
+    and its grid of pulse boundaries."""
+    period = math.pi
+    onset = 0.5 * period
+    decay = 2.0 * math.pi * 30.0 / 400.0
+    train = _unit_pulse_train(period, 6, onset, decay, decay / 6.0)
+    model = LangevinModel(
+        omega=Affine(train, scale=-1e-2, offset=1.0),
+        gamma=Affine(train, scale=5e-3),
+        y=y,
+    )
+    grid = np.concatenate(([0.0], onset + period * np.arange(7)))
+    return model, grid
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +242,50 @@ def test_tabulated_grid_validation():
         evolve_moments_tabulated(np.linspace(0.0, 1.0, 5), A, D, init)
 
 
+def test_tabulated_moments_match_callable_reference():
+    # evolve_moments tabulates the coefficients per step block; the
+    # reference calls drift_matrix and diffusion_matrix at every stage node
+    model, grid = _mir_train(y=0.5)
+    init = CentralGaussian.vacuum()
+    got = evolve_moments(model, init, grid, dt=4e-3)
+    ref = integrate_moments(
+        lambda t: drift_matrix(model, t),
+        lambda t: diffusion_matrix(model, t),
+        init, grid, dt=4e-3,
+    )
+    np.testing.assert_array_equal(got.ts, ref.ts)
+    np.testing.assert_allclose(got.photons, ref.photons, rtol=1e-10)
+    np.testing.assert_allclose(got.covs, ref.covs, rtol=1e-10, atol=1e-15)
+
+
+def test_user_noise_callables_are_called_per_node():
+    gamma = GaussianPulse(0.4, 1.0, 0.3)
+    calls = []
+
+    def chi_pp(t):
+        calls.append(t)
+        return 1.3 * gamma.value(t)
+
+    user = NoiseSet(
+        gamma_x=gamma.value,
+        gamma_p=gamma.value,
+        chi_xx=lambda t: 1.3 * gamma.value(t),
+        chi_pp=chi_pp,
+        chi_xp_imag=gamma.value,
+        chi_px_imag=lambda t: -gamma.value(t),
+        G=1.3,
+        omega0=1.0,
+    )
+    built = LangevinModel(omega=Constant(1.0), gamma=gamma, G=1.3)
+    given = LangevinModel(omega=Constant(1.0), gamma=gamma, G=1.3, chi=user)
+    grid = np.array([0.0, 0.25, 1.0])
+    calls.clear()
+    a = evolve_moments(given, CentralGaussian.vacuum(), grid, dt=0.1)
+    assert len(calls) == 3 * 11  # three stage nodes for each of 3 + 8 steps
+    b = evolve_moments(built, CentralGaussian.vacuum(), grid, dt=0.1)
+    np.testing.assert_allclose(a.covs, b.covs, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # complex amplitude solution
 
@@ -248,6 +310,29 @@ def test_epsilon_matches_solve_ivp():
     oracle = real.y[0, -1] + 1j * imag.y[0, -1]
     sol = epsilon_solver(m, np.array([0.0, 4.0]))
     assert abs(sol.eps[-1] - oracle) < 1e-9
+
+
+def test_epsilon_on_mir_train_matches_solve_ivp():
+    # At y = 0 the effective frequency is omega^2, continuous with kinks at
+    # the pulse onsets; the oracle restarts at each grid point so that its
+    # steps never straddle one.  (At y != 0, delta' jumps at each onset and
+    # both schemes lose order there.)
+    model, grid = _mir_train(y=0.0)
+    om = model.omega
+
+    def rhs(t, v):
+        w2 = om.value(t) ** 2
+        return [v[2], v[3], -w2 * v[0], -w2 * v[1]]
+
+    v = [1.0, 0.0, 0.0, model.omega0]
+    for t_lo, t_hi in zip(grid[:-1], grid[1:]):
+        seg = solve_ivp(
+            rhs, (t_lo, t_hi), v, method="DOP853", rtol=1e-13, atol=1e-13
+        )
+        v = seg.y[:, -1]
+    oracle = v[0] + 1j * v[1]
+    sol = epsilon_solver(model, np.array([0.0, grid[-1]]), dt=4e-3)
+    assert abs(sol.eps[-1] - oracle) <= 1e-8
 
 
 def test_epsilon_wronskian_violation_raises():

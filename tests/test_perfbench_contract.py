@@ -1,0 +1,80 @@
+"""The benchmark under perfbench/ binds the package by name: keep it working.
+
+perfbench's tracer wraps oscbath functions at the names their callers bind
+and reads their arguments by parameter name; its counts check the
+Runge-Kutta sub-step rule against the package by counting profile
+evaluations.  A rename, a changed signature or a change in how often the
+integrators evaluate a profile breaks a traced benchmark run, so these
+checks run with the tests.
+"""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("counts"), importlib.import_module("tracer")
+
+
+def _bindings(tracer) -> dict:
+    """Every attribute the tracer may replace, by owner and name."""
+    from oscbath.perturb import NoiseSet
+    from oscbath.profiles import TimeProfile
+    from oscbath.scenarios import SCENARIOS
+
+    owners = [
+        importlib.import_module(f"oscbath.{name}")
+        for name in tracer.LAYER_MODULES
+    ]
+    pending = [TimeProfile, NoiseSet]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        # classes defined elsewhere (tests, counts.py) come and go with gc
+        if cls.__module__.startswith("oscbath."):
+            owners.append(cls)
+    out = {("SCENARIOS", k): v for k, v in SCENARIOS.items()}
+    for owner in owners:
+        for attr, value in vars(owner).items():
+            out[(owner.__qualname__ if isinstance(owner, type)
+                 else owner.__name__, attr)] = value
+    return out
+
+
+def test_counts_self_check(perfbench):
+    counts, _ = perfbench
+    assert counts.self_check() == []
+
+
+def test_tracer_install_round_trips(perfbench):
+    _, tracer = perfbench
+    from oscbath import langevin, scenarios
+
+    before = _bindings(tracer)
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert scenarios.evolve_moments is not langevin.evolve_moments
+        # one traced scenario: the hooks bind the integrators' arguments
+        tr.begin_iteration()
+        report = scenarios.SCENARIOS["mir-pulse-train"](count=1)
+        metrics = tr.end_iteration()
+    finally:
+        tr.uninstall()
+    assert report.passed
+    assert metrics["langevin.steps"] > 0
+    # the integrators evaluate profiles on whole arrays of stage nodes
+    assert metrics["profiles.points"] > metrics["profiles.calls"] > 0
+    assert metrics["langevin.max_wronskian_drift"] > 0.0
+    after = _bindings(tracer)
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert changed == []

@@ -215,11 +215,31 @@ def test_derivative_matches_central_difference():
 
 
 def test_values_matches_scalar_loop():
-    ts = np.linspace(0.0, 5.0, 17)
-    for p in _PROFILES:
-        np.testing.assert_allclose(
-            p.values(ts), [p.value(float(t)) for t in ts], atol=0.0
-        )
+    # The closed forms repeat the scalar arithmetic element by element;
+    # only numpy's exp may round differently from math.exp in the last bit.
+    kick = ExpPulse(1.7, center=1.0, decay=0.8)
+    rise_decay = ExpPulse(1.7, center=1.0, decay=0.8, rise=0.3)
+    # the base support ends at 0.5 + 60 * 0.05, the third pulse's at 5.5
+    train = PulseTrain(
+        ExpPulse(0.9, center=0.5, decay=0.05, rise=0.01), period=1.0, count=3
+    )
+    around_onset = 1.0 + np.array([-1e3, -1.0, -0.25, 0.0, 0.25, 1.0])
+    cases = [(p, np.linspace(0.0, 5.0, 17)) for p in _PROFILES] + [
+        (kick, around_onset),
+        (rise_decay, around_onset),
+        (train, np.array([-1.0, 0.75, 2.75, 3.6, 5.25, 5.6, 40.0, 1e3])),
+        (Affine(train, scale=-0.2, offset=1.0), np.linspace(-1.0, 8.0, 37)),
+    ]
+    with np.errstate(over="raise", invalid="raise"):
+        for p, ts in cases:
+            np.testing.assert_allclose(
+                p.values(ts), [p.value(float(t)) for t in ts],
+                rtol=1e-14, atol=0.0,
+            )
+            np.testing.assert_allclose(
+                p.derivatives(ts), [p.derivative(float(t)) for t in ts],
+                rtol=1e-14, atol=0.0,
+            )
 
 
 # ---------------------------------------------------------------------------
