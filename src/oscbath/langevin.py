@@ -47,6 +47,7 @@ import scipy.linalg
 from .errors import IntegrationError
 from .perturb import NoiseSet
 from .profiles import TimeProfile
+from .propagate import rk4_blocks
 from .reduced import CentralGaussian
 
 __all__ = [
@@ -76,6 +77,9 @@ _STEPS_PER_TIMESCALE = 400
 # Runge-Kutta steps whose coefficients are tabulated together.  Bounds the
 # tables held as Python floats, so memory does not grow with the run.
 _BLOCK_STEPS = 256
+# Stage nodes t, t + h/2, t + h of a step, as fractions of h; the two
+# midpoint stages share a node.
+_RK4_NODES = (0.0, 0.5, 1.0)
 # Trajectory sums are grouped into blocks of this size before the final
 # sequential reduction; fixed grouping keeps the result independent of the
 # chunk partition and of thread scheduling.
@@ -301,41 +305,6 @@ def _default_model_step(model: LangevinModel, grid: np.ndarray) -> float:
     return scale / _STEPS_PER_TIMESCALE
 
 
-def _rk4_blocks(ts: np.ndarray, dt: float):
-    """Runge-Kutta steps over the grid, in blocks of at most _BLOCK_STEPS.
-
-    Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
-    steps of length h.  Each block is yielded as (hs, nodes, ends): the
-    step lengths, the stage nodes (t, t + h/2, t + h) of every step
-    flattened in step order, and per step the index of the grid point it
-    ends on, or -1 when it ends inside an interval.
-    """
-    hs: list[float] = []
-    starts: list[float] = []
-    ends: list[int] = []
-    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1].tolist(), ts[1:].tolist())):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt))
-        h = span / n_sub
-        t = t_lo
-        for k in range(n_sub):
-            hs.append(h)
-            starts.append(t)
-            ends.append(i + 1 if k == n_sub - 1 else -1)
-            t += h
-            if len(hs) == _BLOCK_STEPS:
-                yield hs, _stage_nodes(hs, starts), ends
-                hs, starts, ends = [], [], []
-    if hs:
-        yield hs, _stage_nodes(hs, starts), ends
-
-
-def _stage_nodes(hs: list[float], starts: list[float]) -> np.ndarray:
-    h = np.array(hs)
-    t = np.array(starts)
-    return np.column_stack((t, t + 0.5 * h, t + h)).ravel()
-
-
 def _check_grid(grid) -> np.ndarray:
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
@@ -364,7 +333,7 @@ def evolve_moments(
         float(initial.cov[1, 1]),
     )
     states = [initial]
-    for hs, nodes, ends in _rk4_blocks(ts, dt):
+    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_NODES, _BLOCK_STEPS):
         w = model.omega.values(nodes)
         g = model.gamma.values(nodes)
         d_pp, d_xx = model.chi.diffusion_diagonal(nodes)
@@ -503,7 +472,7 @@ def epsilon_solver(
     eps_out[0] = e
     deps_out[0] = de
     max_drift = 0.0
-    for hs, nodes, ends in _rk4_blocks(ts, dt):
+    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_NODES, _BLOCK_STEPS):
         w = model.omega.values(nodes)
         w2 = w * w
         if model.y != 0.0:

@@ -205,7 +205,7 @@ class ExpPulse(TimeProfile):
             return 0.0
         out = self.amplitude * math.exp(-s / self.decay)
         if self.rise > 0.0:
-            out *= 1.0 - math.exp(-s / self.rise)
+            out *= -math.expm1(-s / self.rise)
         return out
 
     def _cumulative_from_onset(self, s: float) -> float:
@@ -250,7 +250,7 @@ class ExpPulse(TimeProfile):
         s, on = self._onset_split(ts)
         out = self.amplitude * np.exp(-s / self.decay)
         if self.rise > 0.0:
-            out *= 1.0 - np.exp(-s / self.rise)
+            out *= -np.expm1(-s / self.rise)
         return np.where(on, out, 0.0)
 
     def derivatives(self, ts: Sequence[float]) -> np.ndarray:
@@ -556,10 +556,13 @@ def profile_from_dict(d: dict) -> TimeProfile:
     if kind == "pulse-train":
         if "base" not in params:
             raise ValueError(f"profile kind {kind!r} needs field 'base'")
+        count = number("count")
+        if not count.is_integer():
+            raise ValueError(f"profile field 'count' must be an integer, got {count}")
         return PulseTrain(
             base=profile_from_dict(params["base"]),
             period=number("period"),
-            count=int(number("count")),
+            count=int(count),
         )
     for key in ("times", "values"):
         if key not in params:

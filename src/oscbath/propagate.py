@@ -2,12 +2,17 @@
 
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
 (2N+2)-dimensional generator.  Integration is fixed-step classical
-Runge-Kutta; the symplectic defect  || R^T J R - J ||_F  is monitored at
-every grid point rather than projected away, so a drifting integration
-fails loudly instead of being silently repaired.  With the coupling
-profile identically zero the off-diagonal blocks stay exactly zero,
-because every Runge-Kutta update of those blocks is a product of zero
-blocks; structure preservation is exact, not approximate.
+Runge-Kutta, taken a block of steps at a time: the frequency and coupling
+profiles are tabulated on the stage nodes of the whole block, the RK4
+increments Q = P - I of all its steps are built with stacked (B, d, d)
+products, and R then advances by one product per step, R <- R + Q R.
+The symplectic defect  || R^T J R - J ||_F  is monitored at every grid
+point rather than projected away, so a drifting integration fails loudly
+instead of being silently repaired.  With the coupling profile
+identically zero the off-diagonal blocks stay exactly zero, because every
+stage generator, hence every increment, is block diagonal and every
+update of those blocks is a product of zero blocks; structure
+preservation is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -36,6 +41,15 @@ DEFECT_HARD_LIMIT = 1e-6
 
 # Sub-steps per characteristic time in the default step heuristic.
 _STEPS_PER_TIMESCALE = 400
+
+# Stage nodes of a classical RK4 step, as fractions of the step: one node
+# per stage, so the profiles are evaluated four times per step.
+_RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
+# A block of steps is built in five (B, d, d) stacks of at most
+# _BLOCK_BYTES each.  That bounds memory at large d, where a block holds a
+# single step (d = 130), and _BLOCK_STEPS bounds the block at small d.
+_BLOCK_BYTES = 256 * 1024
+_BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -154,12 +168,100 @@ def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
     return ts
 
 
-def _rk4_matrix(R: np.ndarray, t: float, h: float, A_of_t) -> np.ndarray:
-    k1 = A_of_t(t) @ R
-    k2 = A_of_t(t + 0.5 * h) @ (R + 0.5 * h * k1)
-    k3 = A_of_t(t + 0.5 * h) @ (R + 0.5 * h * k2)
-    k4 = A_of_t(t + h) @ (R + h * k3)
-    return R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_blocks(
+    ts: np.ndarray, dt: float, fractions: tuple[float, ...], block_steps: int
+):
+    """Runge-Kutta steps over the grid, in blocks of at most block_steps.
+
+    Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
+    steps of length h.  Each block is yielded as (hs, nodes, ends): the
+    step lengths, the stage nodes t + f h for every f in ``fractions`` of
+    every step, flattened in step order, and per step the index of the grid
+    point it ends on, or -1 when it ends inside an interval.
+    """
+    hs: list[float] = []
+    starts: list[float] = []
+    ends: list[int] = []
+    frac = np.asarray(fractions, dtype=float)
+
+    def block():
+        h = np.array(hs)
+        nodes = np.array(starts)[:, None] + h[:, None] * frac
+        return hs, nodes.ravel(), ends
+
+    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1].tolist(), ts[1:].tolist())):
+        span = t_hi - t_lo
+        n_sub = max(1, math.ceil(span / dt))
+        h = span / n_sub
+        t = t_lo
+        for k in range(n_sub):
+            hs.append(h)
+            starts.append(t)
+            ends.append(i + 1 if k == n_sub - 1 else -1)
+            t += h
+            if len(hs) == block_steps:
+                yield block()
+                hs, starts, ends = [], [], []
+    if hs:
+        yield block()
+
+
+def _step_increments(
+    hs: list[float],
+    w: np.ndarray,
+    nu: np.ndarray,
+    T: np.ndarray,
+    L12: np.ndarray,
+    L21: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """Increments Q = P - I of the RK4 maps P of a block of B steps.
+
+    ``w`` and ``nu`` hold the frequency and the coupling at the four stage
+    nodes of each step, shape (B, 4); T is the constant part of the
+    generator, L12 and L21 the unit coupling layouts.  With the stage
+    generators hA_j = h A(t_j),
+
+        K1 = hA1,  K2 = hA2 (I + K1/2),  K3 = hA3 (I + K2/2),
+        K4 = hA4 (I + K3),  Q = (K1 + 2 K2 + 2 K3 + K4) / 6.
+
+    ``work`` holds five (B', d, d) stacks with B' >= B.  Every array is
+    computed in place there and the result is a (B, d, d) view of it, so
+    the allocator does not hand the memory back and fault it in again at
+    every block; at d = 130 that cost more than the elementwise work.
+    """
+    n_steps = len(hs)
+    K1, G, X, K, Q = (a[:n_steps] for a in work)
+    h = np.array(hs)
+    hnu = (h[:, None] * nu)[:, :, None, None]
+    hw2 = -h[:, None] * w * w
+    diag = np.arange(T.shape[0])
+
+    def generator(j: int, out: np.ndarray) -> np.ndarray:
+        # h A(t_j) = h T + the nu-scaled coupling blocks + the omega^2
+        # entry; ``out`` already holds h T outside those entries.
+        out[:, :2, 2:] = hnu[:, j] * L12
+        out[:, 2:, :2] = hnu[:, j] * L21
+        out[:, 0, 1] = hw2[:, j]
+        return out
+
+    def next_stage(j: int, prev: np.ndarray, c: float) -> np.ndarray:
+        # h A(t_j) (I + c prev), into K
+        np.multiply(prev, c, out=X)
+        X[:, diag, diag] += 1.0
+        return np.matmul(generator(j, G), X, out=K)
+
+    np.multiply(h[:, None, None], T, out=G)
+    np.copyto(K1, G)
+    generator(0, K1)
+    np.multiply(next_stage(1, K1, 0.5), 2.0, out=Q)
+    Q += K1
+    next_stage(2, K, 0.5)
+    Q += K
+    Q += K
+    Q += next_stage(3, K, 1.0)
+    Q /= 6.0
+    return Q
 
 
 def integrate_R(
@@ -190,57 +292,61 @@ def integrate_R(
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
 
+    # Steps are taken up to the first interval whose step underflows; the
+    # error is raised once the grid points before it have been checked.
+    spans = np.diff(ts)
+    h_grid = spans / np.maximum(1.0, np.ceil(spans / dt))
+    tiny = np.flatnonzero(h_grid < 1e-13 * np.maximum(1.0, np.abs(ts[1:])))
+    reach = int(tiny[0]) if tiny.size else ts.size - 1
+
     bath = spec.bath
     n = bath.n
     dim = 2 * n + 2
-    A22 = build_A22(bath)
+    T = np.zeros((dim, dim))
+    T[2:, 2:] = build_A22(bath)
+    T[1, 0] = 1.0
     L12 = coupling_layout_12(bath)
     L21 = coupling_layout_21(bath)
-    template = np.zeros((dim, dim))
-    template[2:, 2:] = A22
-    template[1, 0] = 1.0
-    omega = spec.omega
-    nu = bath.nu
-
-    def A_of_t(t: float) -> np.ndarray:
-        A = template.copy()
-        w = omega.value(t)
-        A[0, 1] = -w * w
-        nut = nu.value(t)
-        if nut != 0.0:
-            A[:2, 2:] = nut * L12
-            A[2:, :2] = nut * L21
-        return A
+    block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim * dim)))
+    work = np.empty((5, block_steps, dim, dim))
 
     J = symplectic_unit(n)
     R = np.eye(dim)
     states = [PropagatorState.from_full(ts[0], R)]
     defects = [symplectic_defect(R, J)]
-    for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt))
-        h = span / n_sub
-        if h < 1e-13 * max(1.0, abs(t_hi)):
-            raise IntegrationError(
-                f"step underflow ({h:.3e}) near t={t_hi:.6g}", t=float(t_hi)
-            )
-        t = t_lo
-        for _ in range(n_sub):
-            R = _rk4_matrix(R, t, h, A_of_t)
-            t += h
-        if not np.all(np.isfinite(R)):
-            raise IntegrationError(
-                f"propagator became non-finite at t={t_hi:.6g}", t=float(t_hi)
-            )
-        d = symplectic_defect(R, J)
-        if d > defect_limit:
-            raise IntegrationError(
-                f"symplectic defect {d:.3e} exceeds {defect_limit:.1e}"
-                f" at t={t_hi:.6g}",
-                t=float(t_hi),
-            )
-        states.append(PropagatorState.from_full(t_hi, R))
-        defects.append(d)
+    for hs, nodes, ends in rk4_blocks(
+        ts[: reach + 1], dt, _RK4_STAGES, block_steps
+    ):
+        w = spec.omega.values(nodes).reshape(len(hs), -1)
+        nu = bath.nu.values(nodes).reshape(len(hs), -1)
+        Q = _step_increments(hs, w, nu, T, L12, L21, work)
+        for k, end in enumerate(ends):
+            # R + Q R, not P R: adding the increment keeps the roundoff
+            # of each step relative to the change, not to R itself.
+            R += Q[k] @ R
+            if end < 0:
+                continue
+            t_hi = ts[end]
+            if not np.all(np.isfinite(R)):
+                raise IntegrationError(
+                    f"propagator became non-finite at t={t_hi:.6g}",
+                    t=float(t_hi),
+                )
+            d = symplectic_defect(R, J)
+            if d > defect_limit:
+                raise IntegrationError(
+                    f"symplectic defect {d:.3e} exceeds {defect_limit:.1e}"
+                    f" at t={t_hi:.6g}",
+                    t=float(t_hi),
+                )
+            states.append(PropagatorState.from_full(t_hi, R))
+            defects.append(d)
+    if tiny.size:
+        t_hi = ts[reach + 1]
+        raise IntegrationError(
+            f"step underflow ({h_grid[reach]:.3e}) near t={t_hi:.6g}",
+            t=float(t_hi),
+        )
     return PropagatorTrajectory(ts, states, np.array(defects), spec=spec)
 
 

@@ -20,13 +20,14 @@ part is what preserves the canonical commutator under the reduced flow.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .propagate import PropagatorState, PropagatorTrajectory
-from .system import SystemSpec, build_A11, build_A12
+from .system import SystemSpec, build_A11, coupling_layout_12
 
 __all__ = [
     "CentralGaussian",
@@ -112,8 +113,23 @@ def _inv_2x2(M: np.ndarray) -> np.ndarray:
     return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
 
 
+def _cond_2x2(M: np.ndarray) -> float:
+    """2-norm condition number of a 2x2 matrix; inf when det = 0.
+
+    The larger singular value is (p + q)/2 with p = |(a + d, b - c)| and
+    q = |(a - d, b + c)|, and the product of both is |det|.
+    """
+    (a, b), (c, d) = M.tolist()
+    det = a * d - b * c
+    if det == 0.0:
+        return math.inf
+    return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) ** 2 / (
+        4.0 * abs(det)
+    )
+
+
 def _usable(state: PropagatorState, cond_limit: float) -> bool:
-    c = float(np.linalg.cond(state.R11))
+    c = _cond_2x2(state.R11)
     if not np.isfinite(c) or c > cond_limit:
         warnings.warn(
             f"R11 near-singular at t={state.t:.6g} (cond={c:.3e}); point skipped",
@@ -124,16 +140,18 @@ def _usable(state: PropagatorState, cond_limit: float) -> bool:
     return True
 
 
-def _drift_at(state: PropagatorState, spec: SystemSpec) -> np.ndarray:
+def _drift_at(
+    state: PropagatorState, spec: SystemSpec, L12: np.ndarray
+) -> np.ndarray:
     A11 = build_A11(spec, state.t)
-    A12 = build_A12(spec.bath, state.t)
+    A12 = spec.bath.nu.value(state.t) * L12
     return A11 + A12 @ state.R21 @ _inv_2x2(state.R11)
 
 
 def _diffusion_at(
-    state: PropagatorState, F: np.ndarray, spec: SystemSpec
+    state: PropagatorState, F: np.ndarray, spec: SystemSpec, L12: np.ndarray
 ) -> np.ndarray:
-    A12 = build_A12(spec.bath, state.t)
+    A12 = spec.bath.nu.value(state.t) * L12
     core = state.R22 - state.R21 @ _inv_2x2(state.R11) @ state.R12
     # The two terms are transposes of each other algebraically; computing
     # both keeps the roundoff-skew check meaningful.
@@ -156,12 +174,13 @@ def drift_exact(
     Returns (times, drifts) keeping only points where R11 is invertible to
     within ``cond_limit``; skipped points are reported as warnings.
     """
+    L12 = coupling_layout_12(spec.bath)
     ts, As = [], []
     for state in traj:
         if not _usable(state, cond_limit):
             continue
         ts.append(state.t)
-        As.append(_drift_at(state, spec))
+        As.append(_drift_at(state, spec, L12))
     return np.array(ts), np.array(As)
 
 
@@ -172,12 +191,13 @@ def diffusion_exact(
     cond_limit: float = COND_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diffusion D(t) along a trajectory; same skipping rules as drift."""
+    L12 = coupling_layout_12(spec.bath)
     ts, Ds = [], []
     for state in traj:
         if not _usable(state, cond_limit):
             continue
         ts.append(state.t)
-        Ds.append(_diffusion_at(state, F, spec))
+        Ds.append(_diffusion_at(state, F, spec, L12))
     return np.array(ts), np.array(Ds)
 
 
@@ -208,12 +228,13 @@ def extract_reduced(
     cond_limit: float = COND_LIMIT,
 ) -> list[ReducedDynamics]:
     """Full local-generator extraction along a trajectory."""
+    L12 = coupling_layout_12(spec.bath)
     out = []
     for state in traj:
         if not _usable(state, cond_limit):
             continue
-        A = _drift_at(state, spec)
-        D = _diffusion_at(state, F, spec)
+        A = _drift_at(state, spec, L12)
+        D = _diffusion_at(state, F, spec, L12)
         gamma = damping_rate(A, build_A11(spec, state.t))
         out.append(
             ReducedDynamics(

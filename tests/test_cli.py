@@ -165,6 +165,19 @@ def test_missing_profile_field_is_a_config_error(tmp_path, capsys):
     assert "needs field 'amplitude'" in capsys.readouterr().err
 
 
+def test_fractional_pulse_count_is_a_config_error(tmp_path, capsys):
+    train = (
+        "scenario: mir-pulse-train\nmodel:\n  omega: {kind: pulse-train,"
+        " base: {kind: gaussian-pulse, amplitude: 0.1, width: 0.2},"
+        " period: 1.0, count: %s}\n"
+    )
+    path = write(tmp_path, train % "2.7")
+    assert main(["run", str(path), "--check"]) == 2
+    assert "'count' must be an integer, got 2.7" in capsys.readouterr().err
+    path = write(tmp_path, train % "6.0", "integral.yaml")
+    assert main(["run", str(path), "--check"]) == 0
+
+
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
     path = write(tmp_path, "scenario: closure\ngrid:\n  t_max: 5.0\n   steps: 801\n")
     with pytest.raises(ConfigError, match=r"line 4, column"):

@@ -10,6 +10,7 @@ checks run with the tests.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from pathlib import Path
 
@@ -74,6 +75,45 @@ def test_tracer_install_round_trips(perfbench):
     # the integrators evaluate profiles on whole arrays of stage nodes
     assert metrics["profiles.points"] > metrics["profiles.calls"] > 0
     assert metrics["langevin.max_wronskian_drift"] > 0.0
+    after = _bindings(tracer)
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert changed == []
+
+
+def test_traced_rwa_check_counts_propagator_steps(perfbench, monkeypatch):
+    # rwa-check propagates three times; the tracer's propagator hooks must
+    # bind each call's grid and step.
+    counts, tracer = perfbench
+    from oscbath import scenarios
+    from oscbath.propagate import default_time_step
+
+    calls = []
+    original = scenarios.integrate_R
+
+    def recording(spec, grid, dt=None, **kwargs):
+        calls.append((spec, grid, dt))
+        return original(spec, grid, dt=dt, **kwargs)
+
+    functools.update_wrapper(recording, original)
+    monkeypatch.setattr(scenarios, "integrate_R", recording)
+    before = _bindings(tracer)
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        tr.begin_iteration()
+        report = scenarios.SCENARIOS["rwa-check"]()
+        metrics = tr.end_iteration()
+    finally:
+        tr.uninstall()
+    assert report.passed
+    assert len(calls) == 3
+    steps = sum(
+        counts.rk4_steps(grid, default_time_step(spec) if dt is None else dt)
+        for spec, grid, dt in calls
+    )
+    assert metrics["propagate.steps"] == steps > 0
+    assert metrics["reduced.points"] > 0
     after = _bindings(tracer)
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]

@@ -240,6 +240,14 @@ def test_values_matches_scalar_loop():
                 p.derivatives(ts), [p.derivative(float(t)) for t in ts],
                 rtol=1e-14, atol=0.0,
             )
+    # Just after the onset the rise factor is small; both forms compute it
+    # without cancellation, so they agree to an ulp or two.
+    post_onset = 1.0 + np.geomspace(1e-12, 1.0, 2001)
+    np.testing.assert_allclose(
+        rise_decay.values(post_onset),
+        [rise_decay.value(float(t)) for t in post_onset],
+        rtol=1e-15, atol=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ from scipy.linalg import expm
 from oscbath import (
     Affine,
     BathSpec,
+    build_A22,
     Constant,
     GaussianPulse,
     IntegrationError,
     SystemSpec,
     assemble_generator,
+    coupling_layout_12,
+    coupling_layout_21,
     default_time_step,
     expm_bath,
     free_central_R11,
@@ -52,6 +55,49 @@ def _uncoupled_spec(omegas, omega=None, t_max=10.0):
     return SystemSpec(
         omega=omega if omega is not None else Constant(1.0), bath=bath, t_max=t_max
     )
+
+
+def _rk4_matrix(R, t, h, A_of_t):
+    k1 = A_of_t(t) @ R
+    k2 = A_of_t(t + 0.5 * h) @ (R + 0.5 * h * k1)
+    k3 = A_of_t(t + 0.5 * h) @ (R + 0.5 * h * k2)
+    k4 = A_of_t(t + h) @ (R + h * k3)
+    return R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_R(spec, grid, dt):
+    """R at every grid point from one RK4 map per step, with the generator
+    assembled at every stage: the stepping integrate_R must reproduce."""
+    bath = spec.bath
+    n = bath.n
+    dim = 2 * n + 2
+    template = np.zeros((dim, dim))
+    template[2:, 2:] = build_A22(bath)
+    template[1, 0] = 1.0
+    L12 = coupling_layout_12(bath)
+    L21 = coupling_layout_21(bath)
+
+    def A_of_t(t):
+        A = template.copy()
+        w = spec.omega.value(t)
+        A[0, 1] = -w * w
+        nut = bath.nu.value(t)
+        if nut != 0.0:
+            A[:2, 2:] = nut * L12
+            A[2:, :2] = nut * L21
+        return A
+
+    R = np.eye(dim)
+    out = [R]
+    for t_lo, t_hi in zip(grid[:-1], grid[1:]):
+        n_sub = max(1, math.ceil((t_hi - t_lo) / dt))
+        h = (t_hi - t_lo) / n_sub
+        t = t_lo
+        for _ in range(n_sub):
+            R = _rk4_matrix(R, t, h, A_of_t)
+            t += h
+        out.append(R)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +230,46 @@ def test_defect_limit_raises_with_failure_time():
         integrate_R(spec, np.array([0.0, 10.0]), dt=0.5)
     assert exc.value.t is not None
     assert 0.0 < exc.value.t <= 10.0
+
+
+def test_blocked_steps_match_per_step_reference():
+    # (a) time-dependent omega and nu on unequal intervals: blocks straddle
+    # interval ends and hold steps of different lengths; (b) N = 64, where
+    # a block holds a single step.
+    omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
+    cases = [
+        (_coupled_spec(omega=omega),
+         np.array([0.0, 0.013, 0.4, 1.75, 1.7501, 3.3, 6.0]), 3e-3),
+        (_coupled_spec(n=64, omega=omega), np.array([0.0, 0.05, 0.12]), 0.01),
+    ]
+    for spec, grid, dt in cases:
+        want = _reference_R(spec, grid, dt)
+        traj = integrate_R(spec, grid, dt=dt)
+        got = np.array([state.full() for state in traj])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_step_underflow_raises_with_failure_time():
+    spec = _coupled_spec()
+    grid = np.array([0.0, 1.0, 1.0 + 1e-14])
+    with pytest.raises(IntegrationError, match="step underflow") as exc:
+        integrate_R(spec, grid, dt=0.01)
+    assert exc.value.t == grid[2]
+
+
+def test_non_finite_propagator_raises_with_failure_time():
+    stiff = BathSpec(
+        omegas=[40.0], U=[0.5], V=[0.3], G=[0.2], Z=[0.1], nu=Constant(1.0)
+    )
+    spec = SystemSpec(omega=Constant(1.0), bath=stiff, t_max=100.0)
+    grid = np.linspace(0.0, 100.0, 101)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_R(spec, grid, 0.5)
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate_R(spec, grid, dt=0.5, defect_limit=math.inf)
+    first = np.flatnonzero(~np.isfinite(want).all(axis=(1, 2)))[0]
+    assert 0.0 < exc.value.t < 100.0
+    assert exc.value.t == grid[first]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,34 @@ def test_drift_reduces_to_free_block_without_coupling():
         np.testing.assert_allclose(D, 0.0, atol=1e-12)
 
 
+def test_closed_form_condition_number_matches_svd():
+    from oscbath.reduced import _cond_2x2
+
+    rng = np.random.default_rng(5)
+    mats = list(rng.normal(size=(200, 2, 2)))
+    # rank one plus a perturbation: cond from about 1e2 to 1e12
+    for u, v, e in zip(
+        rng.normal(size=(200, 2)), rng.normal(size=(200, 2)),
+        10.0 ** rng.uniform(-12.0, -2.0, 200),
+    ):
+        mats.append(np.outer(u, v) + e * rng.normal(size=(2, 2)))
+    for M in mats:
+        want = np.linalg.cond(M)
+        # both lose about cond * eps to roundoff
+        assert _cond_2x2(M) == pytest.approx(want, rel=1e-14 * want)
+    assert _cond_2x2(np.array([[1.0, 2.0], [2.0, 4.0]])) == math.inf
+    assert _cond_2x2(np.zeros((2, 2))) == math.inf
+
+
+def test_ill_conditioned_points_are_skipped_with_a_warning():
+    spec = _spec()
+    traj = integrate_R(spec, np.array([0.0, 0.5, 1.0]), dt=2e-3)
+    # every condition number is at least 1
+    with pytest.warns(RuntimeWarning, match="near-singular"):
+        ts, As = drift_exact(traj, spec, cond_limit=0.5)
+    assert ts.size == 0 and As.size == 0
+
+
 def test_diffusion_vanishes_at_start():
     spec = _spec()
     F = thermal_F(spec.bath)
