@@ -3,26 +3,36 @@
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
 (2N+2)-dimensional generator.  Integration is fixed-step classical
 Runge-Kutta, taken a block of steps at a time: the frequency and coupling
-profiles are tabulated on the stage nodes of the whole block, the RK4
-increments Q = P - I of all its steps are built with stacked (B, d, d)
-products, and R then advances by one product per step, R <- R + Q R.
-The symplectic defect  || R^T J R - J ||_F  is monitored at every grid
-point rather than projected away, so a drifting integration fails loudly
+profiles are tabulated on the stage nodes of the whole block, then every
+step adds its increment to R.  The same RK4 map is taken in one of two
+forms, chosen from the dimension d = 2N + 2 alone:
+
+- below ``_DIRECT_MIN_DIM`` (small baths) the increments Q = P - I of all
+  steps of a block are built with stacked (B, d, d) products, and R then
+  advances by one product per step, R <- R + Q R;
+- from ``_DIRECT_MIN_DIM`` on (wide baths) each stage generator is applied
+  directly to R through its arrow structure: two central rows, two central
+  columns and one 2x2 rotation per bath mode, so a stage costs O(N d)
+  instead of the d^3 of a dense product.
+
+The switch point is the measured crossover of the two forms.  The
+symplectic defect  || R^T J R - J ||_F  is monitored at every grid point
+rather than projected away, so a drifting integration fails loudly
 instead of being silently repaired.  With the coupling profile
-identically zero the off-diagonal blocks stay exactly zero, because every
-stage generator, hence every increment, is block diagonal and every
-update of those blocks is a product of zero blocks; structure
-preservation is exact, not approximate.
+identically zero the off-diagonal blocks stay exactly zero in both forms,
+because every coupling term is a product with an exactly zero block;
+structure preservation is exact, not approximate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, UnsupportedFormError
 from .system import SystemSpec, build_A22, coupling_layout_12, coupling_layout_21, symplectic_unit
 
 __all__ = [
@@ -46,10 +56,17 @@ _STEPS_PER_TIMESCALE = 400
 # per stage, so the profiles are evaluated four times per step.
 _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
 # A block of steps is built in five (B, d, d) stacks of at most
-# _BLOCK_BYTES each.  That bounds memory at large d, where a block holds a
-# single step (d = 130), and _BLOCK_STEPS bounds the block at small d.
+# _BLOCK_BYTES each.  That bounds memory at large d, and _BLOCK_STEPS
+# bounds the block at small d and on the direct path, which keeps no
+# stacks.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_STEPS = 256
+# From this dimension d = 2N + 2 on, steps apply the stage generators
+# directly to R (O(N d) per stage) instead of stacking dense increments
+# (four d^3 products per step).  On a 2-core host with OpenBLAS 0.3 the
+# two forms cross between d = 78 and 86: below it the stacked products
+# win, from d = 86 on the direct form won every timed run.
+_DIRECT_MIN_DIM = 86
 
 
 @dataclass(frozen=True)
@@ -111,9 +128,36 @@ class PropagatorTrajectory:
         return float(self.defects.max())
 
 
+def _signed_columns(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and value of the one non-zero of each column of J.
+
+    A symplectic unit is a signed permutation, so R^T J is the columns of
+    R^T picked by ``rows`` and scaled by ``vals``.
+    """
+    cols = np.arange(J.shape[1])
+    rows = np.argmax(J != 0.0, axis=0)
+    vals = J[rows, cols]
+    if np.count_nonzero(J) != np.count_nonzero(vals):
+        raise UnsupportedFormError(
+            "J must hold at most one non-zero entry per column"
+        )
+    return rows, vals
+
+
+def _defect(R: np.ndarray, J: np.ndarray, rows, vals) -> float:
+    # R^T J by picking and scaling columns: each entry of the dense
+    # product is the same single rounded product, so the norm is bitwise
+    # that of R.T @ J @ R - J, at one d x d product instead of two.
+    M = (R.T[:, rows] * vals) @ R
+    M -= J
+    return float(np.linalg.norm(M))
+
+
 def symplectic_defect(R: np.ndarray, J: np.ndarray) -> float:
-    """Frobenius norm of R^T J R - J."""
-    return float(np.linalg.norm(R.T @ J @ R - J))
+    """Frobenius norm of R^T J R - J, for J with one non-zero per column
+    (every symplectic unit); raises :class:`UnsupportedFormError` for any
+    other J."""
+    return _defect(R, J, *_signed_columns(J))
 
 
 def expm_bath(omegas: np.ndarray, t: float) -> np.ndarray:
@@ -228,7 +272,8 @@ def _step_increments(
     ``work`` holds five (B', d, d) stacks with B' >= B.  Every array is
     computed in place there and the result is a (B, d, d) view of it, so
     the allocator does not hand the memory back and fault it in again at
-    every block; at d = 130 that cost more than the elementwise work.
+    every block; at d = 130, one step per block, that cost more than the
+    elementwise work.
     """
     n_steps = len(hs)
     K1, G, X, K, Q = (a[:n_steps] for a in work)
@@ -262,6 +307,66 @@ def _step_increments(
     Q += next_stage(3, K, 1.0)
     Q /= 6.0
     return Q
+
+
+def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
+    """Advance R through a block of steps by its stacked increments,
+    yielding each step's grid index (see :func:`rk4_blocks`) after it."""
+    Q = _step_increments(hs, w, nu, T, L12, L21, work)
+    for k, end in enumerate(ends):
+        # R + Q R, not P R: adding the increment keeps the roundoff
+        # of each step relative to the change, not to R itself.
+        R += Q[k] @ R
+        yield end
+
+
+def _direct_steps(R, hs, w, nu, ends, *, omega2, L12, L21, work):
+    """Advance R through a block of steps stage by stage, yielding each
+    step's grid index after it.
+
+    The RK4 map is the one :func:`_step_increments` builds, applied to R:
+
+        K1 = hA1 R,  K2 = hA2 (R + K1/2),  K3 = hA3 (R + K2/2),
+        K4 = hA4 (R + K3),  R <- R + (K1 + 2 K2 + 2 K3 + K4) / 6.
+
+    Each product s A(t_j) X goes through the arrow structure of A, never a
+    dense d x d product.  2 K2 and 2 K3 are formed directly with s = 2h,
+    which scales every product by an exact power of two.  ``work`` holds
+    three (d, d) buffers and one (d - 2, d) buffer, reused every step.
+    """
+    K, X, acc, C = work
+    n = omega2.size
+    p, x = slice(2, 2 + n), slice(2 + n, None)
+    w2 = omega2[:, None]
+
+    def apply(s: float, wj: float, nuj: float, src, out):
+        # out = s A(t_j) src: bath rotations, the nu-scaled coupling
+        # rows and columns, then the central 2x2 block.
+        np.multiply(src[x], -s * w2, out=out[p])
+        np.multiply(src[p], s, out=out[x])
+        np.matmul((s * nuj) * L21, src[:2], out=C)
+        out[2:] += C
+        np.matmul((s * nuj) * L12, src[2:], out=out[:2])
+        out[0] -= (s * wj * wj) * src[1]
+        out[1] += s * src[0]
+
+    for h, wk, nuk, end in zip(hs, w.tolist(), nu.tolist(), ends):
+        apply(h, wk[0], nuk[0], R, acc)
+        np.multiply(acc, 0.5, out=X)
+        X += R
+        apply(2.0 * h, wk[1], nuk[1], X, K)
+        acc += K
+        np.multiply(K, 0.25, out=X)
+        X += R
+        apply(2.0 * h, wk[2], nuk[2], X, K)
+        acc += K
+        np.multiply(K, 0.5, out=X)
+        X += R
+        apply(h, wk[3], nuk[3], X, K)
+        acc += K
+        acc /= 6.0
+        R += acc
+        yield end
 
 
 def integrate_R(
@@ -302,28 +407,37 @@ def integrate_R(
     bath = spec.bath
     n = bath.n
     dim = 2 * n + 2
-    T = np.zeros((dim, dim))
-    T[2:, 2:] = build_A22(bath)
-    T[1, 0] = 1.0
     L12 = coupling_layout_12(bath)
     L21 = coupling_layout_21(bath)
-    block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim * dim)))
-    work = np.empty((5, block_steps, dim, dim))
+    if dim < _DIRECT_MIN_DIM:
+        T = np.zeros((dim, dim))
+        T[2:, 2:] = build_A22(bath)
+        T[1, 0] = 1.0
+        block_steps = max(
+            1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim * dim))
+        )
+        advance = functools.partial(
+            _stacked_steps, T=T, L12=L12, L21=L21,
+            work=np.empty((5, block_steps, dim, dim)),
+        )
+    else:
+        block_steps = _BLOCK_STEPS
+        advance = functools.partial(
+            _direct_steps, omega2=bath.omegas**2, L12=L12, L21=L21,
+            work=(*np.empty((3, dim, dim)), np.empty((dim - 2, dim))),
+        )
 
     J = symplectic_unit(n)
+    J_cols = _signed_columns(J)
     R = np.eye(dim)
     states = [PropagatorState.from_full(ts[0], R)]
-    defects = [symplectic_defect(R, J)]
+    defects = [_defect(R, J, *J_cols)]
     for hs, nodes, ends in rk4_blocks(
         ts[: reach + 1], dt, _RK4_STAGES, block_steps
     ):
         w = spec.omega.values(nodes).reshape(len(hs), -1)
         nu = bath.nu.values(nodes).reshape(len(hs), -1)
-        Q = _step_increments(hs, w, nu, T, L12, L21, work)
-        for k, end in enumerate(ends):
-            # R + Q R, not P R: adding the increment keeps the roundoff
-            # of each step relative to the change, not to R itself.
-            R += Q[k] @ R
+        for end in advance(R, hs, w, nu, ends):
             if end < 0:
                 continue
             t_hi = ts[end]
@@ -332,7 +446,7 @@ def integrate_R(
                     f"propagator became non-finite at t={t_hi:.6g}",
                     t=float(t_hi),
                 )
-            d = symplectic_defect(R, J)
+            d = _defect(R, J, *J_cols)
             if d > defect_limit:
                 raise IntegrationError(
                     f"symplectic defect {d:.3e} exceeds {defect_limit:.1e}"

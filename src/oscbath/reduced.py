@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagate import PropagatorState, PropagatorTrajectory
-from .system import SystemSpec, build_A11, coupling_layout_12
+from .errors import IntegrationError
+from .system import SystemSpec, coupling_layout_12
 
 __all__ = [
     "CentralGaussian",
@@ -134,24 +135,20 @@ def _usable(state: PropagatorState, cond_limit: float) -> bool:
         warnings.warn(
             f"R11 near-singular at t={state.t:.6g} (cond={c:.3e}); point skipped",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return False
     return True
 
 
-def _drift_at(
-    state: PropagatorState, spec: SystemSpec, L12: np.ndarray
-) -> np.ndarray:
-    A11 = build_A11(spec, state.t)
-    A12 = spec.bath.nu.value(state.t) * L12
+def _drift_at(state: PropagatorState, w: float, A12: np.ndarray) -> np.ndarray:
+    A11 = np.array([[0.0, -w * w], [1.0, 0.0]])  # build_A11 at omega = w
     return A11 + A12 @ state.R21 @ _inv_2x2(state.R11)
 
 
 def _diffusion_at(
-    state: PropagatorState, F: np.ndarray, spec: SystemSpec, L12: np.ndarray
+    state: PropagatorState, F: np.ndarray, A12: np.ndarray
 ) -> np.ndarray:
-    A12 = spec.bath.nu.value(state.t) * L12
     core = state.R22 - state.R21 @ _inv_2x2(state.R11) @ state.R12
     # The two terms are transposes of each other algebraically; computing
     # both keeps the roundoff-skew check meaningful.
@@ -160,8 +157,25 @@ def _diffusion_at(
     two_D = term1 + term2
     skew = float(np.abs(two_D - two_D.T).max())
     if skew > _SKEW_TOL * max(1.0, float(np.abs(two_D).max())):
-        raise RuntimeError(f"diffusion asymmetry {skew:.3e} beyond roundoff")
+        raise IntegrationError(
+            f"diffusion asymmetry {skew:.3e} beyond roundoff"
+            f" at t={state.t:.6g}",
+            t=float(state.t),
+        )
     return 0.25 * (two_D + two_D.T)
+
+
+def _usable_points(traj: PropagatorTrajectory, spec: SystemSpec, cond_limit):
+    """(state, omega, A12) at every point where R11 is invertible within
+    ``cond_limit``.  Each profile is evaluated once, on all the points'
+    times; A12 is built as ``build_A12`` does."""
+    ts = np.array([state.t for state in traj], dtype=float)
+    ws = spec.omega.values(ts).tolist()
+    nus = spec.bath.nu.values(ts).tolist()
+    L12 = coupling_layout_12(spec.bath)
+    for state, w, nu in zip(traj, ws, nus):
+        if _usable(state, cond_limit):
+            yield state, w, nu * L12
 
 
 def drift_exact(
@@ -174,13 +188,10 @@ def drift_exact(
     Returns (times, drifts) keeping only points where R11 is invertible to
     within ``cond_limit``; skipped points are reported as warnings.
     """
-    L12 = coupling_layout_12(spec.bath)
     ts, As = [], []
-    for state in traj:
-        if not _usable(state, cond_limit):
-            continue
+    for state, w, A12 in _usable_points(traj, spec, cond_limit):
         ts.append(state.t)
-        As.append(_drift_at(state, spec, L12))
+        As.append(_drift_at(state, w, A12))
     return np.array(ts), np.array(As)
 
 
@@ -190,14 +201,15 @@ def diffusion_exact(
     F: np.ndarray,
     cond_limit: float = COND_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion D(t) along a trajectory; same skipping rules as drift."""
-    L12 = coupling_layout_12(spec.bath)
+    """Diffusion D(t) along a trajectory; same skipping rules as drift.
+
+    Raises :class:`IntegrationError` naming the time of the first point
+    whose two diffusion terms disagree beyond roundoff.
+    """
     ts, Ds = [], []
-    for state in traj:
-        if not _usable(state, cond_limit):
-            continue
+    for state, _, A12 in _usable_points(traj, spec, cond_limit):
         ts.append(state.t)
-        Ds.append(_diffusion_at(state, F, spec, L12))
+        Ds.append(_diffusion_at(state, F, A12))
     return np.array(ts), np.array(Ds)
 
 
@@ -228,14 +240,12 @@ def extract_reduced(
     cond_limit: float = COND_LIMIT,
 ) -> list[ReducedDynamics]:
     """Full local-generator extraction along a trajectory."""
-    L12 = coupling_layout_12(spec.bath)
     out = []
-    for state in traj:
-        if not _usable(state, cond_limit):
-            continue
-        A = _drift_at(state, spec, L12)
-        D = _diffusion_at(state, F, spec, L12)
-        gamma = damping_rate(A, build_A11(spec, state.t))
+    for state, w, A12 in _usable_points(traj, spec, cond_limit):
+        A = _drift_at(state, w, A12)
+        D = _diffusion_at(state, F, A12)
+        # A11 is traceless, so leaving it out gives the same float
+        gamma = damping_rate(A)
         out.append(
             ReducedDynamics(
                 t=state.t,

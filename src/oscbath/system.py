@@ -144,11 +144,18 @@ class SystemSpec:
                 f"omega(0) = {w0!r} must match omega0 = {self.omega0!r}"
             )
         ts = np.linspace(0.0, self.t_max, _VALIDATION_SAMPLES)
-        for t in ts:
-            if self.omega.value(float(t)) <= 0.0:
-                raise ValueError(f"omega(t) must stay positive; fails near t={t}")
-            if self.bath.nu.value(float(t)) < 0.0:
-                raise ValueError(f"nu(t) must be non-negative; fails near t={t}")
+        # Name the first failing sample; at one sample omega is checked
+        # before nu.
+        bad_omega = self.omega.values(ts) <= 0.0
+        bad_nu = self.bath.nu.values(ts) < 0.0
+        failing = np.flatnonzero(bad_omega | bad_nu)
+        if failing.size:
+            i = failing[0]
+            if bad_omega[i]:
+                raise ValueError(
+                    f"omega(t) must stay positive; fails near t={ts[i]}"
+                )
+            raise ValueError(f"nu(t) must be non-negative; fails near t={ts[i]}")
 
     @property
     def n_bath(self) -> int:

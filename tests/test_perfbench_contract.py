@@ -118,3 +118,30 @@ def test_traced_rwa_check_counts_propagator_steps(perfbench, monkeypatch):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_wide_bath_steps_evaluate_profiles_four_times(perfbench):
+    # counts.self_check counts steps at N = 1; the benchmark's step counts
+    # must also hold at N = 64, where integrate_R takes its direct steps.
+    counts, _ = perfbench
+    import numpy as np
+
+    from oscbath.profiles import Constant
+    from oscbath.propagate import integrate_R
+    from oscbath.system import (
+        BathSpec, SystemSpec, random_couplings, uniform_bath_frequencies,
+    )
+
+    omega = counts._counting_constant(1.0)
+    U, V, G, Z = random_couplings(64, seed=3)
+    bath = BathSpec(
+        omegas=uniform_bath_frequencies(64), U=U, V=V, G=G, Z=Z,
+        nu=Constant(0.2),
+    )
+    spec = SystemSpec(omega=omega, bath=bath, t_max=1.0)
+    grid = np.array([0.0, 0.25, 0.3, 1.0])
+    type(omega).calls = 0
+    integrate_R(spec, grid, dt=2e-3)
+    steps = counts.rk4_steps(grid, 2e-3)
+    assert steps > 256  # more than one block of steps
+    assert type(omega).calls == 4 * steps

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from oscbath import propagate
 from oscbath import (
     Affine,
     BathSpec,
@@ -17,6 +18,7 @@ from oscbath import (
     GaussianPulse,
     IntegrationError,
     SystemSpec,
+    UnsupportedFormError,
     assemble_generator,
     coupling_layout_12,
     coupling_layout_21,
@@ -141,6 +143,21 @@ def test_expm_bath_is_symplectic_and_preserves_thermal_state():
         np.testing.assert_allclose(M @ F @ M.T, F, atol=1e-12)
 
 
+def test_symplectic_defect_equals_dense_formula_bitwise():
+    # R^T J is formed by picking and negating columns; the norm must be
+    # the very float the two dense products give.
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 64):
+        J = symplectic_unit(n)
+        for scale in (1e-6, 1.0, 1e6):
+            R = scale * rng.standard_normal((2 * n + 2, 2 * n + 2))
+            assert symplectic_defect(R, J) == float(
+                np.linalg.norm(R.T @ J @ R - J)
+            )
+    with pytest.raises(UnsupportedFormError):
+        symplectic_defect(np.eye(4), np.ones((4, 4)))
+
+
 # ---------------------------------------------------------------------------
 # full propagator
 
@@ -182,21 +199,23 @@ def test_grid_composition_consistency():
 
 
 def test_zero_coupling_blocks_stay_exactly_zero():
-    spec = _uncoupled_spec([0.7, 1.9])
-    traj = integrate_R(spec, np.linspace(0.0, 5.0, 11), dt=5e-3)
-    for state in traj:
-        assert np.all(state.R12 == 0.0)
-        assert np.all(state.R21 == 0.0)
-    final = traj[-1]
-    np.testing.assert_allclose(
-        final.R22, expm_bath(np.array([0.7, 1.9]), 5.0), atol=1e-11
-    )
-    # constant central frequency: plain rotation with momentum weighting
-    t = 5.0
-    want = np.array(
-        [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-    )
-    np.testing.assert_allclose(final.R11, want, atol=1e-11)
+    # N = 2 takes the stacked steps, N = 64 the direct ones.
+    for omegas in ([0.7, 1.9], np.linspace(0.7, 1.9, 64)):
+        spec = _uncoupled_spec(omegas)
+        traj = integrate_R(spec, np.linspace(0.0, 5.0, 11), dt=5e-3)
+        for state in traj:
+            assert np.all(state.R12 == 0.0)
+            assert np.all(state.R21 == 0.0)
+        final = traj[-1]
+        np.testing.assert_allclose(
+            final.R22, expm_bath(np.asarray(omegas), 5.0), atol=1e-11
+        )
+        # constant central frequency: plain rotation with momentum weighting
+        t = 5.0
+        want = np.array(
+            [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+        )
+        np.testing.assert_allclose(final.R11, want, atol=1e-11)
 
 
 def test_quarter_period_rotation_frozen():
@@ -232,44 +251,76 @@ def test_defect_limit_raises_with_failure_time():
     assert 0.0 < exc.value.t <= 10.0
 
 
-def test_blocked_steps_match_per_step_reference():
+def _step_forms(monkeypatch) -> list[str]:
+    """Record which step form each block of integrate_R takes."""
+    taken = []
+    for name in ("_stacked_steps", "_direct_steps"):
+        original = getattr(propagate, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            taken.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(propagate, name, recording)
+    return taken
+
+
+def _stacks(n: int) -> bool:
+    """True when a bath of n modes is stepped by stacked increments."""
+    return 2 * n + 2 < propagate._DIRECT_MIN_DIM
+
+
+def test_blocked_steps_match_per_step_reference(monkeypatch):
     # (a) time-dependent omega and nu on unequal intervals: blocks straddle
     # interval ends and hold steps of different lengths; (b) N = 64, where
-    # a block holds a single step.
+    # a stacked block would hold a single step; (c) and (d) the same kind
+    # of run just below and at the switch to the direct steps, over
+    # several blocks.
     omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
+    unequal = np.array([0.0, 0.013, 0.4, 1.75, 1.7501, 3.3, 6.0])
+    n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
+    assert _stacks(n_switch - 1) and not _stacks(n_switch)
     cases = [
-        (_coupled_spec(omega=omega),
-         np.array([0.0, 0.013, 0.4, 1.75, 1.7501, 3.3, 6.0]), 3e-3),
+        (_coupled_spec(omega=omega), unequal, 3e-3),
         (_coupled_spec(n=64, omega=omega), np.array([0.0, 0.05, 0.12]), 0.01),
+        (_coupled_spec(n=n_switch - 1, omega=omega), unequal[:4], 3e-3),
+        (_coupled_spec(n=n_switch, omega=omega), unequal[:4], 3e-3),
     ]
+    taken = _step_forms(monkeypatch)
     for spec, grid, dt in cases:
         want = _reference_R(spec, grid, dt)
+        taken.clear()
         traj = integrate_R(spec, grid, dt=dt)
+        form = "_stacked_steps" if _stacks(spec.n_bath) else "_direct_steps"
+        assert set(taken) == {form}
         got = np.array([state.full() for state in traj])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_step_underflow_raises_with_failure_time():
-    spec = _coupled_spec()
-    grid = np.array([0.0, 1.0, 1.0 + 1e-14])
-    with pytest.raises(IntegrationError, match="step underflow") as exc:
-        integrate_R(spec, grid, dt=0.01)
-    assert exc.value.t == grid[2]
+    for n in (3, 64):
+        spec = _coupled_spec(n=n)
+        grid = np.array([0.0, 1.0, 1.0 + 1e-14])
+        with pytest.raises(IntegrationError, match="step underflow") as exc:
+            integrate_R(spec, grid, dt=0.01)
+        assert exc.value.t == grid[2]
 
 
 def test_non_finite_propagator_raises_with_failure_time():
-    stiff = BathSpec(
-        omegas=[40.0], U=[0.5], V=[0.3], G=[0.2], Z=[0.1], nu=Constant(1.0)
-    )
-    spec = SystemSpec(omega=Constant(1.0), bath=stiff, t_max=100.0)
-    grid = np.linspace(0.0, 100.0, 101)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _reference_R(spec, grid, 0.5)
-        with pytest.raises(IntegrationError, match="non-finite") as exc:
-            integrate_R(spec, grid, dt=0.5, defect_limit=math.inf)
-    first = np.flatnonzero(~np.isfinite(want).all(axis=(1, 2)))[0]
-    assert 0.0 < exc.value.t < 100.0
-    assert exc.value.t == grid[first]
+    for n in (1, 64):
+        stiff = BathSpec(
+            omegas=np.linspace(40.0, 39.0, n), U=[0.5] * n, V=[0.3] * n,
+            G=[0.2] * n, Z=[0.1] * n, nu=Constant(1.0),
+        )
+        spec = SystemSpec(omega=Constant(1.0), bath=stiff, t_max=100.0)
+        grid = np.linspace(0.0, 100.0, 101)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_R(spec, grid, 0.5)
+            with pytest.raises(IntegrationError, match="non-finite") as exc:
+                integrate_R(spec, grid, dt=0.5, defect_limit=math.inf)
+        first = np.flatnonzero(~np.isfinite(want).all(axis=(1, 2)))[0]
+        assert 0.0 < exc.value.t < 100.0
+        assert exc.value.t == grid[first]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from oscbath import (
     CentralGaussian,
     Constant,
     GaussianPulse,
+    IntegrationError,
     SystemSpec,
     build_A11,
     damping_rate,
@@ -193,6 +194,19 @@ def test_ill_conditioned_points_are_skipped_with_a_warning():
     with pytest.warns(RuntimeWarning, match="near-singular"):
         ts, As = drift_exact(traj, spec, cond_limit=0.5)
     assert ts.size == 0 and As.size == 0
+
+
+def test_diffusion_asymmetry_raises_with_failure_time():
+    # A non-symmetric reservoir covariance makes the two diffusion terms
+    # disagree at the first point where R12 and nu are non-zero.
+    spec = _spec()
+    grid = np.array([0.0, 0.5, 1.0])
+    traj = integrate_R(spec, grid, dt=2e-3)
+    F = thermal_F(spec.bath)
+    F[0, 1] += 0.3
+    with pytest.raises(IntegrationError, match="diffusion asymmetry") as exc:
+        diffusion_exact(traj, spec, F)
+    assert exc.value.t == grid[1]
 
 
 def test_diffusion_vanishes_at_start():

@@ -271,6 +271,41 @@ def test_system_rejects_vanishing_frequency():
         SystemSpec(omega=omega, bath=bath, t_max=10.0)
 
 
+def _first_failing_sample(omega, nu, t_max):
+    """Scalar reference for the validation sweep: the first sample where
+    omega <= 0 or nu < 0, and which of the two fails there first."""
+    for t in np.linspace(0.0, t_max, 1001):
+        if omega.value(float(t)) <= 0.0:
+            return "omega", t
+        if nu.value(float(t)) < 0.0:
+            return "nu", t
+    return None
+
+
+def test_validation_names_first_failing_sample():
+    # omega vanishes near t = 5; nu dips below zero near t = 3 in the
+    # first case and at exactly omega's samples in the second, where
+    # omega is checked first.
+    omega = Affine(GaussianPulse(1.0, 5.0, 0.4), scale=-2.0, offset=1.0)
+    messages = {
+        "omega": "omega(t) must stay positive; fails near t=",
+        "nu": "nu(t) must be non-negative; fails near t=",
+    }
+    for nu, first in (
+        (Affine(GaussianPulse(1.0, 3.0, 0.4), scale=-2.0, offset=1.0), "nu"),
+        (Affine(GaussianPulse(1.0, 5.0, 0.4), scale=-2.0, offset=1.0),
+         "omega"),
+    ):
+        bath = BathSpec(
+            omegas=[1.0], U=[0.1], V=[0], G=[0], Z=[0], nu=nu,
+        )
+        which, t = _first_failing_sample(omega, nu, 10.0)
+        assert which == first
+        with pytest.raises(ValueError) as exc:
+            SystemSpec(omega=omega, bath=bath, t_max=10.0)
+        assert str(exc.value) == f"{messages[which]}{t}"
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
