@@ -87,7 +87,6 @@ from .perturb import (
 from .langevin import (
     EpsilonSolution,
     LangevinModel,
-    MomentState,
     MomentTrajectory,
     SampledMoments,
     diffusion_matrix,
@@ -97,7 +96,6 @@ from .langevin import (
     epsilon_solver,
     evolve_moments,
     evolve_moments_tabulated,
-    integrate_moments,
     sample_trajectories,
     stationary_covariance,
 )

@@ -240,8 +240,14 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
             field="scenario",
         )
     for n in names:
-        if n not in SCENARIOS:
+        if not isinstance(n, str) or n not in SCENARIOS:
             _reject_unknown(str(n), tuple(sorted(SCENARIOS)), "scenario")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(
+            f"scenario names must be distinct; repeated: {', '.join(repeated)}",
+            field="scenario",
+        )
     scenarios = tuple(names)
 
     seed = raw.get("seed")
@@ -524,17 +530,16 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         reports = run_scenarios(requests, threads=args.threads)
-    except IntegrationError as exc:
+    except (IntegrationError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught before
+        # the config-error branch below: a singular solve is numerical.
         wall = time.perf_counter() - t0
+        t = getattr(exc, "t", None)
         write_metadata(
             out_dir, [], seed, args.format, wall,
-            error={
-                "type": "numerical",
-                "message": str(exc),
-                "failure_time": exc.t,
-            },
+            error={"type": "numerical", "message": str(exc), "failure_time": t},
         )
-        print(f"numerical failure at t={exc.t}: {exc}", file=sys.stderr)
+        print(f"numerical failure at t={t}: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

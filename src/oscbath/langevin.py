@@ -26,12 +26,16 @@ delta' even when the mean damping is unchanged.  A jump in gamma would make
 delta' distributional, hence discontinuous gamma profiles are rejected
 whenever y != 0; callers must smooth them (finite rise times).
 
-Moment and amplitude integrators are classical fixed-step Runge-Kutta coded
-on scalars.  They tabulate the model's coefficients on the stage nodes of
-a block of steps at a time, with the profiles' vectorized closed forms,
-and step through the tables.  The trajectory sampler is Euler-Maruyama
-driven by counter-based random substreams, one per trajectory, so results
-are bit-reproducible for a given seed regardless of batching.
+Both are linear, z' = L(t) z, and are stepped by fixed-step classical
+Runge-Kutta through one core, :func:`oscbath.propagate.linear_flow`: the
+moments as z = (m_p, m_x, c_pp, c_px, c_xx, 1), whose 6x6 generator holds
+the diffusion 2 D in its last column (the augmented form of Van Loan, IEEE
+TAC 23:395, 1978), and the amplitude as the complex z = (eps, eps') under
+the real generator [[0, 1], [-omega_ef^2, 0]].  The coefficients are
+tabulated on the stage nodes of a block of steps, each profile once per
+node set.  The trajectory sampler is Euler-Maruyama driven by counter-based
+random substreams, one per trajectory, so results are bit-reproducible
+for a given seed regardless of batching.
 """
 
 from __future__ import annotations
@@ -39,19 +43,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .errors import IntegrationError
-from .perturb import NoiseSet
-from .profiles import TimeProfile
-from .propagate import rk4_blocks
+from .perturb import NoiseSet, _ProfileNoiseSet
+from .profiles import TimeProfile, tabulate
+from .propagate import _resolving_step, linear_flow
 from .reduced import CentralGaussian
 
 __all__ = [
-    "MomentState",
     "LangevinModel",
     "MomentTrajectory",
     "EpsilonSolution",
@@ -59,7 +61,6 @@ __all__ = [
     "drift_matrix",
     "diffusion_matrix",
     "evolve_moments",
-    "integrate_moments",
     "evolve_moments_tabulated",
     "effective_frequency_squared",
     "effective_frequency_terms",
@@ -68,18 +69,14 @@ __all__ = [
     "stationary_covariance",
 ]
 
-# The moment state is the same (mean, cov) pair as the reduced description.
-MomentState = CentralGaussian
-
 _COMMUTATOR_TOL = 1e-10
 _WRONSKIAN_TOL = 1e-8
-_STEPS_PER_TIMESCALE = 400
-# Runge-Kutta steps whose coefficients are tabulated together.  Bounds the
-# tables held as Python floats, so memory does not grow with the run.
-_BLOCK_STEPS = 256
-# Stage nodes t, t + h/2, t + h of a step, as fractions of h; the two
-# midpoint stages share a node.
-_RK4_NODES = (0.0, 0.5, 1.0)
+# Entries (rows, cols) of the moment generator set by :func:`_moment_run`,
+# for z = (m_p, m_x, c_pp, c_px, c_xx, 1).
+_MOMENT_ENTRIES = (
+    (0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4),
+    (0, 1, 0, 1, 2, 3, 5, 2, 3, 4, 5, 3, 4, 5),
+)
 # Trajectory sums are grouped into blocks of this size before the final
 # sequential reduction; fixed grouping keeps the result independent of the
 # chunk partition and of thread scheduling.
@@ -124,9 +121,10 @@ class LangevinModel:
                 " (finite rise time) first"
             )
         probes = _probe_times(self.gamma)
-        for t in probes:
-            if self.gamma.value(float(t)) < 0.0:
-                raise ValueError(f"gamma(t) must be non-negative; fails near t={t}")
+        g = self.gamma.values(probes)
+        if np.any(g < 0.0):
+            t = probes[np.argmax(g < 0.0)]
+            raise ValueError(f"gamma(t) must be non-negative; fails near t={t}")
         if self.chi is None:
             object.__setattr__(
                 self,
@@ -135,23 +133,20 @@ class LangevinModel:
                     self.gamma, y=self.y, omega0=self.omega0, G=self.G
                 ),
             )
-        chi = self.chi
-        scale = max(1.0, max(abs(self.gamma.value(float(t))) for t in probes))
-        for t in probes:
-            defect = abs(chi.commutator_defect(float(t)))
-            if defect > _COMMUTATOR_TOL * scale:
+        bound = _COMMUTATOR_TOL * max(1.0, float(np.max(np.abs(g))))
+        gamma_x, gamma_p, chi_xp, chi_px = self.chi.rates(probes)
+        # commutator_defect and the damping split at every probe
+        defects = np.abs(chi_xp - chi_px - 2.0 * (0.5 * (gamma_x + gamma_p)))
+        splits = np.abs(gamma_p - (1.0 + self.y) * g) + np.abs(
+            gamma_x - (1.0 - self.y) * g
+        )
+        for t, defect, split in zip(probes, defects, splits):
+            if defect > bound:
                 raise ValueError(
                     f"noise set breaks the commutator condition at t={t}:"
                     f" chi_xp - chi_px - 2 gamma = {defect:.3e}"
                 )
-            split = abs(
-                chi.gamma_p(float(t))
-                - (1.0 + self.y) * self.gamma.value(float(t))
-            ) + abs(
-                chi.gamma_x(float(t))
-                - (1.0 - self.y) * self.gamma.value(float(t))
-            )
-            if split > _COMMUTATOR_TOL * scale:
+            if split > bound:
                 raise ValueError(
                     f"noise set damping rates disagree with (gamma, y) at t={t}"
                 )
@@ -200,109 +195,39 @@ class MomentTrajectory:
         return np.array([photon_number(s) for s in self.states])
 
 
-def _moment_rhs(ad, mp, mx, cpp, cpx, cxx):
-    a11, a12, a21, a22, d11, d12, d22 = ad
-    return (
-        a11 * mp + a12 * mx,
-        a21 * mp + a22 * mx,
-        2.0 * (a11 * cpp + a12 * cpx) + 2.0 * d11,
-        a21 * cpp + (a11 + a22) * cpx + a12 * cxx + 2.0 * d12,
-        2.0 * (a21 * cpx + a22 * cxx) + 2.0 * d22,
-    )
-
-
-def _rk4_moments(state, h, ad0, ad_half, ad1):
-    mp, mx, cpp, cpx, cxx = state
-    k1 = _moment_rhs(ad0, mp, mx, cpp, cpx, cxx)
-    k2 = _moment_rhs(
-        ad_half,
-        mp + 0.5 * h * k1[0], mx + 0.5 * h * k1[1],
-        cpp + 0.5 * h * k1[2], cpx + 0.5 * h * k1[3], cxx + 0.5 * h * k1[4],
-    )
-    k3 = _moment_rhs(
-        ad_half,
-        mp + 0.5 * h * k2[0], mx + 0.5 * h * k2[1],
-        cpp + 0.5 * h * k2[2], cpx + 0.5 * h * k2[3], cxx + 0.5 * h * k2[4],
-    )
-    k4 = _moment_rhs(
-        ad1,
-        mp + h * k3[0], mx + h * k3[1],
-        cpp + h * k3[2], cpx + h * k3[3], cxx + h * k3[4],
-    )
-    s = h / 6.0
-    return (
-        mp + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        mx + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        cpp + s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        cpx + s * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-        cxx + s * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
-    )
-
-
-def _pack_ad(A: np.ndarray, D: np.ndarray) -> tuple:
-    return (
-        float(A[0, 0]), float(A[0, 1]), float(A[1, 0]), float(A[1, 1]),
-        float(D[0, 0]), float(D[0, 1]), float(D[1, 1]),
-    )
-
-
-def integrate_moments(
-    drift_fn: Callable[[float], np.ndarray],
-    diffusion_fn: Callable[[float], np.ndarray],
-    initial: CentralGaussian,
-    grid: np.ndarray,
-    dt: float | None = None,
+def _moment_run(
+    initial: CentralGaussian, ts: np.ndarray, dt: float, drift_diffusion
 ) -> MomentTrajectory:
-    """Runge-Kutta on the moment equations with callable coefficients.
+    """Moments on the grid, checked at every grid point.
+    ``drift_diffusion(nodes)`` gives (a11, a12, a21, a22, d11, d12, d22)
+    over the nodes: mean' = A mean and cov' = A cov + cov A^T + 2 D."""
 
-    Calls the coefficients at every stage node; kept as the scalar
-    reference for the tabulated :func:`evolve_moments`.
-    """
-    ts = _check_grid(grid)
+    def entries(nodes: np.ndarray) -> tuple:
+        a11, a12, a21, a22, d11, d12, d22 = drift_diffusion(nodes)
+        return (a11, a12, a21, a22, 2.0 * a11, 2.0 * a12, 2.0 * d11,
+                a21, a11 + a22, a12, 2.0 * d12, 2.0 * a21, 2.0 * a22,
+                2.0 * d22)
 
-    def ad_at(t: float) -> tuple:
-        return _pack_ad(drift_fn(t), diffusion_fn(t))
-
-    state = (
-        float(initial.mean[0]), float(initial.mean[1]),
-        float(initial.cov[0, 0]), float(initial.cov[0, 1]),
-        float(initial.cov[1, 1]),
-    )
+    C = initial.cov
+    z = np.array([*initial.mean, C[0, 0], C[0, 1], C[1, 1], 1.0], float)
     states = [initial]
-    for t_lo, t_hi in zip(ts[:-1], ts[1:]):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt)) if dt else 1
-        h = span / n_sub
-        t = t_lo
-        for _ in range(n_sub):
-            state = _rk4_moments(
-                state, h, ad_at(t), ad_at(t + 0.5 * h), ad_at(t + h)
-            )
-            t += h
-        mp, mx, cpp, cpx, cxx = state
-        if not all(map(math.isfinite, state)):
+    for end in linear_flow(
+        z, ts, dt, np.zeros((6, 6)), _MOMENT_ENTRIES, entries
+    ):
+        if not np.all(np.isfinite(z)):
             raise IntegrationError(
-                f"moments became non-finite at t={t_hi:.6g}", t=float(t_hi)
+                f"moments became non-finite at t={ts[end]:.6g}",
+                t=float(ts[end]),
             )
-        states.append(
-            CentralGaussian(
-                mean=np.array([mp, mx]),
-                cov=np.array([[cpp, cpx], [cpx, cxx]]),
-            )
-        )
+        states.append(CentralGaussian(
+            mean=z[:2].copy(), cov=np.array([[z[2], z[3]], [z[3], z[4]]])
+        ))
     return MomentTrajectory(ts=ts, states=states)
 
 
 def _default_model_step(model: LangevinModel, grid: np.ndarray) -> float:
-    w_max = max(
-        max(abs(model.omega.value(float(t))) for t in grid), model.omega0
-    )
-    scale = 2.0 * math.pi / w_max
-    for prof in (model.gamma, model.omega):
-        ts = prof.timescale()
-        if ts is not None and ts > 0.0:
-            scale = min(scale, ts)
-    return scale / _STEPS_PER_TIMESCALE
+    w_max = max(float(np.max(np.abs(model.omega.values(grid)))), model.omega0)
+    return _resolving_step(w_max, (model.gamma, model.omega))
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -318,51 +243,23 @@ def evolve_moments(
     grid: np.ndarray,
     dt: float | None = None,
 ) -> MomentTrajectory:
-    """Moment trajectory of the local model on a grid.
-
-    Takes the steps of :func:`integrate_moments` fed ``drift_matrix`` and
-    ``diffusion_matrix``, with the coefficients tabulated per step block.
-    """
+    """Moment trajectory of the local model on a grid, with the drift of
+    ``drift_matrix`` and the diffusion of ``diffusion_matrix``."""
     ts = _check_grid(grid)
     if dt is None:
         dt = _default_model_step(model, ts)
-    y = model.y
-    state = (
-        float(initial.mean[0]), float(initial.mean[1]),
-        float(initial.cov[0, 0]), float(initial.cov[0, 1]),
-        float(initial.cov[1, 1]),
-    )
-    states = [initial]
-    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_NODES, _BLOCK_STEPS):
-        w = model.omega.values(nodes)
-        g = model.gamma.values(nodes)
-        d_pp, d_xx = model.chi.diffusion_diagonal(nodes)
-        n = nodes.size
-        # _pack_ad(drift_matrix, diffusion_matrix) at every node
-        ad = list(zip(
-            (-((1.0 + y) * g)).tolist(), (-w * w).tolist(), [1.0] * n,
-            (-((1.0 - y) * g)).tolist(), d_pp.tolist(), [0.0] * n,
-            d_xx.tolist(),
-        ))
-        for j, (h, end) in enumerate(zip(hs, ends)):
-            state = _rk4_moments(
-                state, h, ad[3 * j], ad[3 * j + 1], ad[3 * j + 2]
-            )
-            if end < 0:
-                continue
-            if not all(map(math.isfinite, state)):
-                raise IntegrationError(
-                    f"moments became non-finite at t={ts[end]:.6g}",
-                    t=float(ts[end]),
-                )
-            mp, mx, cpp, cpx, cxx = state
-            states.append(
-                CentralGaussian(
-                    mean=np.array([mp, mx]),
-                    cov=np.array([[cpp, cpx], [cpx, cxx]]),
-                )
-            )
-    return MomentTrajectory(ts=ts, states=states)
+    y, chi = model.y, model.chi
+
+    def drift_diffusion(nodes: np.ndarray) -> tuple:
+        w, g = tabulate((model.omega, model.gamma), nodes)
+        if isinstance(chi, _ProfileNoiseSet) and chi.profile is model.gamma:
+            d_pp, d_xx = chi.diffusion_of(g)
+        else:
+            d_pp, d_xx = chi.diffusion_diagonal(nodes)
+        return (-((1.0 + y) * g), -w * w, np.ones_like(w),
+                -((1.0 - y) * g), d_pp, np.zeros_like(w), d_xx)
+
+    return _moment_run(initial, ts, dt, drift_diffusion)
 
 
 def evolve_moments_tabulated(
@@ -389,26 +286,16 @@ def evolve_moments_tabulated(
     D_fine = np.asarray(D_fine, dtype=float)
     if A_fine.shape != (ts_fine.size, 2, 2) or D_fine.shape != (ts_fine.size, 2, 2):
         raise ValueError("coefficient tables must match the fine grid length")
-    h = 2.0 * steps[0]
-    state = (
-        float(initial.mean[0]), float(initial.mean[1]),
-        float(initial.cov[0, 0]), float(initial.cov[0, 1]),
-        float(initial.cov[1, 1]),
-    )
-    states = [initial]
-    packed = [_pack_ad(A_fine[i], D_fine[i]) for i in range(ts_fine.size)]
-    for i in range((ts_fine.size - 1) // 2):
-        state = _rk4_moments(
-            state, h, packed[2 * i], packed[2 * i + 1], packed[2 * i + 2]
-        )
-        mp, mx, cpp, cpx, cxx = state
-        states.append(
-            CentralGaussian(
-                mean=np.array([mp, mx]),
-                cov=np.array([[cpp, cpx], [cpx, cxx]]),
-            )
-        )
-    return MomentTrajectory(ts=ts_fine[::2].copy(), states=states)
+
+    def drift_diffusion(nodes: np.ndarray) -> tuple:
+        # the tables at the fine point of each stage node
+        at = np.rint((nodes - ts_fine[0]) / steps[0]).astype(np.intp)
+        A, D = A_fine[at], D_fine[at]
+        return (A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1],
+                D[:, 0, 0], D[:, 0, 1], D[:, 1, 1])
+
+    # one step per coarse interval
+    return _moment_run(initial, ts_fine[::2].copy(), math.inf, drift_diffusion)
 
 
 def effective_frequency_terms(
@@ -463,45 +350,39 @@ def epsilon_solver(
     ts = _check_grid(grid)
     if dt is None:
         dt = _default_model_step(model, ts)
+    y = model.y
 
-    e = 1.0 + 0.0j
-    de = 1j * model.omega0
-    w0 = de * e.conjugate() - de.conjugate() * e
+    def coefficients(nodes: np.ndarray) -> tuple:
+        if y == 0.0:
+            w = model.omega.values(nodes)
+            return (-(w * w),)
+        # effective_frequency_squared, element by element
+        w, g = tabulate((model.omega, model.gamma), nodes)
+        delta = -y * g
+        delta_dot = -y * model.gamma.derivatives(nodes)
+        return (-(w * w + delta_dot - delta * delta),)
+
+    z = np.array([1.0 + 0.0j, 1j * model.omega0])
+    w0 = z[1] * z[0].conjugate() - z[1].conjugate() * z[0]
     eps_out = np.empty(ts.size, dtype=complex)
     deps_out = np.empty(ts.size, dtype=complex)
-    eps_out[0] = e
-    deps_out[0] = de
+    eps_out[0], deps_out[0] = z
     max_drift = 0.0
-    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_NODES, _BLOCK_STEPS):
-        w = model.omega.values(nodes)
-        w2 = w * w
-        if model.y != 0.0:
-            # effective_frequency_squared, element by element
-            delta = -model.y * model.gamma.values(nodes)
-            delta_dot = -model.y * model.gamma.derivatives(nodes)
-            w2 = w2 + delta_dot - delta * delta
-        w2 = w2.tolist()
-        for j, (h, end) in enumerate(zip(hs, ends)):
-            w2_0, w2_h, w2_1 = w2[3 * j], w2[3 * j + 1], w2[3 * j + 2]
-            k1e, k1d = de, -w2_0 * e
-            k2e, k2d = de + 0.5 * h * k1d, -w2_h * (e + 0.5 * h * k1e)
-            k3e, k3d = de + 0.5 * h * k2d, -w2_h * (e + 0.5 * h * k2e)
-            k4e, k4d = de + h * k3d, -w2_1 * (e + h * k3e)
-            e += (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-            de += (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            if end < 0:
-                continue
-            eps_out[end] = e
-            deps_out[end] = de
-            wr = de * e.conjugate() - de.conjugate() * e
-            drift = abs(wr - w0) / abs(w0)
-            if drift > wronskian_tol:
-                raise IntegrationError(
-                    f"Wronskian drift {drift:.3e} exceeds {wronskian_tol:.1e}"
-                    f" at t={ts[end]:.6g}",
-                    t=float(ts[end]),
-                )
-            max_drift = max(max_drift, drift)
+    for end in linear_flow(
+        z, ts, dt, np.array([[0.0, 1.0], [0.0, 0.0]]), ((1,), (0,)),
+        coefficients,
+    ):
+        e, de = z
+        eps_out[end], deps_out[end] = e, de
+        wr = de * e.conjugate() - de.conjugate() * e
+        drift = float(abs(wr - w0) / abs(w0))
+        if not drift <= wronskian_tol:
+            raise IntegrationError(
+                f"Wronskian drift {drift:.3e} exceeds {wronskian_tol:.1e}"
+                f" at t={ts[end]:.6g}",
+                t=float(ts[end]),
+            )
+        max_drift = max(max_drift, drift)
     return EpsilonSolution(
         ts=ts, eps=eps_out, eps_dot=deps_out, wronskian_drift=max_drift
     )

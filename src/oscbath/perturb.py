@@ -312,6 +312,11 @@ class NoiseSet:
         d_xx = np.array([0.5 * self.chi_xx(t) for t in ts.tolist()])
         return d_pp, d_xx
 
+    def rates(self, ts: np.ndarray) -> list[np.ndarray]:
+        """gamma_x, gamma_p, chi_xp_imag and chi_px_imag at each time."""
+        return [np.array([f(t) for t in ts.tolist()]) for f in (
+            self.gamma_x, self.gamma_p, self.chi_xp_imag, self.chi_px_imag)]
+
     def noise(self, t: float) -> np.ndarray:
         """Complex noise kernel [[chi_pp, i chi_xp], [i chi_px, chi_xx]]."""
         return np.array(
@@ -363,12 +368,19 @@ class _ProfileNoiseSet(NoiseSet):
     profile: TimeProfile
     y: float
 
+    # The arithmetic of the entries' closures, element by element.
+    # ``diffusion_of`` takes a table g of the damping profile, so a caller
+    # that has tabulated it already does not evaluate it again.
     def diffusion_diagonal(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The arithmetic of chi_pp / chi_xx, element by element.
-        g = self.profile.values(ts)
+        return self.diffusion_of(self.profile.values(ts))
+
+    def diffusion_of(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d_pp = 0.5 * ((1.0 + self.y) * g * self.G * self.omega0)
-        d_xx = 0.5 * ((1.0 - self.y) * g * self.G / self.omega0)
-        return d_pp, d_xx
+        return d_pp, 0.5 * ((1.0 - self.y) * g * self.G / self.omega0)
+
+    def rates(self, ts: np.ndarray) -> list[np.ndarray]:
+        g = self.profile.values(ts)
+        return [(1.0 - self.y) * g, (1.0 + self.y) * g, g, -g]
 
 
 def min_noise_set(gamma: TimeProfile, omega0: float, G: float) -> NoiseSet:

@@ -45,6 +45,7 @@ __all__ = [
     "PiecewiseLinear",
     "Affine",
     "lambda_factor",
+    "tabulate",
     "profile_from_dict",
     "profile_to_dict",
 ]
@@ -478,6 +479,22 @@ class Affine(TimeProfile):
 
     def timescale(self) -> float | None:
         return self.base.timescale()
+
+
+def tabulate(profiles: Sequence[TimeProfile], ts: np.ndarray) -> list:
+    """``values(ts)`` of each profile.  Each distinct profile (by identity)
+    is evaluated once, and an :class:`Affine` is formed from its base's
+    table as ``offset + scale * base``, the arithmetic of its ``values``:
+    profiles derived from one pulse train share one evaluation of it."""
+    tables: dict[int, np.ndarray] = {}
+
+    def table(p: TimeProfile) -> np.ndarray:
+        if id(p) not in tables:
+            tables[id(p)] = p.values(ts)
+        return tables[id(p)]
+
+    return [p.offset + p.scale * table(p.base) if isinstance(p, Affine)
+            else table(p) for p in profiles]
 
 
 def lambda_factor(nu: TimeProfile, t: float) -> float:

@@ -15,7 +15,9 @@ forms, chosen from the dimension d = 2N + 2 alone:
   columns and one 2x2 rotation per bath mode, so a stage costs O(N d)
   instead of the d^3 of a dense product.
 
-The switch point is the measured crossover of the two forms.  The
+The switch point is the measured crossover of the two forms.  The stacked
+increments, composed per grid interval, also step the small linear ODEs
+of the local model and the free central block (:func:`linear_flow`).  The
 symplectic defect  || R^T J R - J ||_F  is monitored at every grid point
 rather than projected away, so a drifting integration fails loudly
 instead of being silently repaired.  With the coupling profile
@@ -61,6 +63,9 @@ _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
 # stacks.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_STEPS = 256
+# Steps whose schedule :func:`rk4_blocks` forms in one pass (rounded to
+# whole blocks), so its fixed cost per pass is shared by many small blocks.
+_SCHEDULE_STEPS = 1024
 # From this dimension d = 2N + 2 on, steps apply the stage generators
 # directly to R (O(N d) per stage) instead of stacking dense increments
 # (four d^3 products per step).  On a 2-core host with OpenBLAS 0.3 the
@@ -181,22 +186,23 @@ def expm_bath(omegas: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _resolving_step(w_max: float, profiles) -> float:
+    """1/400 of the shortest of the period 2 pi / w_max and the profiles'
+    timescales."""
+    scales = [p.timescale() for p in profiles]
+    return min(
+        [2.0 * math.pi / w_max] + [s for s in scales if s is not None and s > 0.0]
+    ) / _STEPS_PER_TIMESCALE
+
+
 def default_time_step(spec: SystemSpec) -> float:
     """Fixed step resolving both the fastest bath rotation and the coupling
     pulse: 1/400 of the smaller of (shortest mode period, pulse timescale)."""
-    w_max = float(np.max(spec.bath.omegas))
-    w_central = max(
-        spec.omega.value(float(t)) for t in np.linspace(0.0, spec.t_max, 257)
+    w_central = spec.omega.values(np.linspace(0.0, spec.t_max, 257))
+    w_max = max(
+        float(np.max(spec.bath.omegas)), float(np.max(w_central)), spec.omega0
     )
-    w_max = max(w_max, w_central, spec.omega0)
-    scale = 2.0 * math.pi / w_max
-    ts = spec.bath.nu.timescale()
-    if ts is not None and ts > 0.0:
-        scale = min(scale, ts)
-    ts_omega = spec.omega.timescale()
-    if ts_omega is not None and ts_omega > 0.0:
-        scale = min(scale, ts_omega)
-    return scale / _STEPS_PER_TIMESCALE
+    return _resolving_step(w_max, (spec.bath.nu, spec.omega))
 
 
 def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
@@ -218,87 +224,81 @@ def rk4_blocks(
     """Runge-Kutta steps over the grid, in blocks of at most block_steps.
 
     Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
-    steps of length h.  Each block is yielded as (hs, nodes, ends): the
-    step lengths, the stage nodes t + f h for every f in ``fractions`` of
-    every step, flattened in step order, and per step the index of the grid
-    point it ends on, or -1 when it ends inside an interval.
+    steps of length h, whose starts advance by t += h.  Each block is
+    yielded as arrays (hs, nodes, ends): the step lengths, the stage nodes
+    t + f h for every f in ``fractions`` of every step, flattened in step
+    order, and per step the index of the grid point it ends on, or -1 when
+    it ends inside an interval.  The starts of about _SCHEDULE_STEPS steps
+    at a time come from one ``np.add.accumulate`` along rows [t, h, h, ...],
+    one row per interval: the float additions of a sequential loop.
     """
-    hs: list[float] = []
-    starts: list[float] = []
-    ends: list[int] = []
+    ts = np.asarray(ts, dtype=float)
+    n_sub = np.maximum(1.0, np.ceil(np.diff(ts) / dt))
+    if not n_sub.sum() < 2.0**53:
+        raise ValueError(f"dt={dt} needs too many steps over the grid")
+    h_int = np.diff(ts) / n_sub
+    n_sub = n_sub.astype(np.int64)
+    past = np.cumsum(n_sub)  # one past each interval's last step
+    total = int(past[-1]) if past.size else 0
     frac = np.asarray(fractions, dtype=float)
-
-    def block():
-        h = np.array(hs)
-        nodes = np.array(starts)[:, None] + h[:, None] * frac
-        return hs, nodes.ravel(), ends
-
-    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1].tolist(), ts[1:].tolist())):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt))
-        h = span / n_sub
-        t = t_lo
-        for k in range(n_sub):
-            hs.append(h)
-            starts.append(t)
-            ends.append(i + 1 if k == n_sub - 1 else -1)
-            t += h
-            if len(hs) == block_steps:
-                yield block()
-                hs, starts, ends = [], [], []
-    if hs:
-        yield block()
+    chunk = block_steps * max(1, _SCHEDULE_STEPS // block_steps)
+    t_next = 0.0  # start of the step after the previous chunk
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        i0 = int(np.searchsorted(past, lo, side="right"))
+        i1 = int(np.searchsorted(past, hi - 1, side="right")) + 1
+        first = past[i0:i1] - n_sub[i0:i1]
+        skip = np.maximum(first, lo) - first
+        m = np.minimum(past[i0:i1], hi) - first - skip
+        cols = np.arange(1, int(m.max()) + 1)
+        rows = np.zeros((m.size, cols.size + 1))
+        rows[:, 0] = ts[i0:i1]
+        if skip[0]:  # the first interval began in the previous chunk
+            rows[0, 0] = t_next
+        rows[:, 1:] = np.where(cols <= m[:, None], h_int[i0:i1, None], 0.0)
+        np.add.accumulate(rows, axis=1, out=rows)
+        t_next = rows[-1, m[-1]]
+        hs = np.repeat(h_int[i0:i1], m)
+        nodes = rows[:, :-1][cols <= m[:, None]][:, None] + hs[:, None] * frac
+        ends = np.full(hi - lo, -1)
+        done = skip + m == n_sub[i0:i1]
+        ends[np.cumsum(m)[done] - 1] = np.arange(i0 + 1, i1 + 1)[done]
+        for b in range(0, hi - lo, block_steps):
+            e = b + block_steps
+            yield hs[b:e], nodes[b:e].ravel(), ends[b:e]
 
 
 def _step_increments(
-    hs: list[float],
-    w: np.ndarray,
-    nu: np.ndarray,
-    T: np.ndarray,
-    L12: np.ndarray,
-    L21: np.ndarray,
-    work: np.ndarray,
+    h: np.ndarray, T: np.ndarray, fill, work: np.ndarray
 ) -> np.ndarray:
-    """Increments Q = P - I of the RK4 maps P of a block of B steps.
+    """Increments Q = P - I of the RK4 maps P of a block of B steps of
+    z' = A(t) z.
 
-    ``w`` and ``nu`` hold the frequency and the coupling at the four stage
-    nodes of each step, shape (B, 4); T is the constant part of the
-    generator, L12 and L21 the unit coupling layouts.  With the stage
-    generators hA_j = h A(t_j),
+    T is the constant part of A.  ``fill(j, out)`` writes the other entries
+    of the generator h A(t_j) of stage j = 0..3 into ``out``, a (B, n, n)
+    stack holding h T elsewhere; stages 1 to 3 share one stack.  Then
 
-        K1 = hA1,  K2 = hA2 (I + K1/2),  K3 = hA3 (I + K2/2),
-        K4 = hA4 (I + K3),  Q = (K1 + 2 K2 + 2 K3 + K4) / 6.
+        K1 = hA1,  K2 = hA2 + hA2 K1/2,  K3 = hA3 + hA3 K2/2,
+        K4 = hA4 + hA4 K3,  Q = (K1 + 2 K2 + 2 K3 + K4) / 6.
 
-    ``work`` holds five (B', d, d) stacks with B' >= B.  Every array is
-    computed in place there and the result is a (B, d, d) view of it, so
-    the allocator does not hand the memory back and fault it in again at
-    every block; at d = 130, one step per block, that cost more than the
-    elementwise work.
+    The identity never enters, so a vector that every hA_j annihilates
+    exactly is annihilated exactly by Q, however the products round.
+    ``work`` holds five (B', n, n) stacks with B' >= B, computed in place
+    so that the allocator does not hand the memory back and fault it in
+    again at every block; Q is a view of it.
     """
-    n_steps = len(hs)
-    K1, G, X, K, Q = (a[:n_steps] for a in work)
-    h = np.array(hs)
-    hnu = (h[:, None] * nu)[:, :, None, None]
-    hw2 = -h[:, None] * w * w
-    diag = np.arange(T.shape[0])
-
-    def generator(j: int, out: np.ndarray) -> np.ndarray:
-        # h A(t_j) = h T + the nu-scaled coupling blocks + the omega^2
-        # entry; ``out`` already holds h T outside those entries.
-        out[:, :2, 2:] = hnu[:, j] * L12
-        out[:, 2:, :2] = hnu[:, j] * L21
-        out[:, 0, 1] = hw2[:, j]
-        return out
+    K1, G, X, K, Q = (a[: h.size] for a in work)
 
     def next_stage(j: int, prev: np.ndarray, c: float) -> np.ndarray:
-        # h A(t_j) (I + c prev), into K
+        # h A(t_j) + h A(t_j) (c prev), into K
         np.multiply(prev, c, out=X)
-        X[:, diag, diag] += 1.0
-        return np.matmul(generator(j, G), X, out=K)
+        fill(j, G)
+        np.matmul(G, X, out=K)
+        return np.add(K, G, out=K)
 
     np.multiply(h[:, None, None], T, out=G)
     np.copyto(K1, G)
-    generator(0, K1)
+    fill(0, K1)
     np.multiply(next_stage(1, K1, 0.5), 2.0, out=Q)
     Q += K1
     next_stage(2, K, 0.5)
@@ -309,11 +309,71 @@ def _step_increments(
     return Q
 
 
+def _compose(Q: np.ndarray) -> np.ndarray:
+    """Increment of consecutive steps with increments Q[0], Q[1], ...,
+    merging neighbours a, b pairwise, Q_ab = (Q_a + Q_b) + Q_b Q_a."""
+    while len(Q) > 1:
+        even = len(Q) - len(Q) % 2
+        a, b = Q[0:even:2], Q[1:even:2]
+        ab = a + b
+        ab += b @ a
+        Q = ab if even == len(Q) else np.concatenate((ab, Q[-1:]))
+    return Q[0]
+
+
+def linear_flow(z, ts, dt, T, entries, coefficients):
+    """Advance z' = A(t) z in place over the grid by RK4 at target step dt
+    (the sub-steps of :func:`rk4_blocks`), yielding each grid index once z
+    has reached it.  z is a vector, or a matrix of such columns.
+
+    A(t) is T with the entries (rows, cols) = ``entries`` set from
+    ``coefficients(nodes)``, one array per entry over the nodes t, t + h/2,
+    t + h of every step of a block.  The block's RK4 increments are
+    composed per grid interval and z advances by z += Q z.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    rows, cols = entries
+    steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * T.size)))
+    work = np.empty((5, steps) + T.shape)
+    for h, nodes, ends in rk4_blocks(ts, dt, (0.0, 0.5, 1.0), steps):
+        E = np.stack(coefficients(nodes), axis=-1).reshape(h.size, 3, -1)
+        E *= h[:, None, None]
+
+        def fill(j: int, out: np.ndarray) -> None:
+            # the two midpoint stages share the middle node
+            out[:, rows, cols] = E[:, (0, 1, 1, 2)[j]]
+
+        Q = _step_increments(h, T, fill, work)
+        lo = 0
+        for hi in [*(np.flatnonzero(ends >= 0) + 1).tolist(), h.size]:
+            if hi == lo:
+                continue
+            z += _compose(Q[lo:hi]) @ z
+            lo = hi
+            if ends[hi - 1] >= 0:
+                yield int(ends[hi - 1])
+
+
 def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
     """Advance R through a block of steps by its stacked increments,
-    yielding each step's grid index (see :func:`rk4_blocks`) after it."""
-    Q = _step_increments(hs, w, nu, T, L12, L21, work)
-    for k, end in enumerate(ends):
+    yielding each step's grid index (see :func:`rk4_blocks`) after it.
+
+    ``w`` and ``nu`` hold the frequency and the coupling at the four stage
+    nodes of each step, shape (B, 4); T is the constant part of the
+    generator, L12 and L21 the unit coupling layouts.
+    """
+    hnu = (hs[:, None] * nu)[:, :, None, None]
+    hw2 = -hs[:, None] * w * w
+
+    def fill(j: int, out: np.ndarray) -> None:
+        # the nu-scaled coupling blocks and the omega^2 entry of h A(t_j)
+        out[:, :2, 2:] = hnu[:, j] * L12
+        out[:, 2:, :2] = hnu[:, j] * L21
+        out[:, 0, 1] = hw2[:, j]
+
+    Q = _step_increments(hs, T, fill, work)
+    for k, end in enumerate(ends.tolist()):
         # R + Q R, not P R: adding the increment keeps the roundoff
         # of each step relative to the change, not to R itself.
         R += Q[k] @ R
@@ -350,7 +410,9 @@ def _direct_steps(R, hs, w, nu, ends, *, omega2, L12, L21, work):
         out[0] -= (s * wj * wj) * src[1]
         out[1] += s * src[0]
 
-    for h, wk, nuk, end in zip(hs, w.tolist(), nu.tolist(), ends):
+    for h, wk, nuk, end in zip(
+        hs.tolist(), w.tolist(), nu.tolist(), ends.tolist()
+    ):
         apply(h, wk[0], nuk[0], R, acc)
         np.multiply(acc, 0.5, out=X)
         X += R
@@ -435,8 +497,8 @@ def integrate_R(
     for hs, nodes, ends in rk4_blocks(
         ts[: reach + 1], dt, _RK4_STAGES, block_steps
     ):
-        w = spec.omega.values(nodes).reshape(len(hs), -1)
-        nu = bath.nu.values(nodes).reshape(len(hs), -1)
+        w = spec.omega.values(nodes).reshape(hs.size, -1)
+        nu = bath.nu.values(nodes).reshape(hs.size, -1)
         for end in advance(R, hs, w, nu, ends):
             if end < 0:
                 continue
@@ -464,51 +526,6 @@ def integrate_R(
     return PropagatorTrajectory(ts, states, np.array(defects), spec=spec)
 
 
-def _free_R11_path(
-    omega_value, ts: np.ndarray, dt: float
-) -> np.ndarray:
-    """Scalar Runge-Kutta on the 2x2 central block with generator
-    [[0, -omega^2], [1, 0]]; returns an array of shape (len(ts), 2, 2)."""
-    r11, r12, r21, r22 = 1.0, 0.0, 0.0, 1.0
-    out = np.empty((len(ts), 2, 2))
-    out[0] = ((r11, r12), (r21, r22))
-
-    def rhs(t, a, b, c, d):
-        w = omega_value(t)
-        w2 = w * w
-        return (-w2 * c, -w2 * d, a, b)
-
-    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1], ts[1:])):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt))
-        h = span / n_sub
-        t = t_lo
-        for _ in range(n_sub):
-            a1, b1, c1, d1 = rhs(t, r11, r12, r21, r22)
-            a2, b2, c2, d2 = rhs(
-                t + 0.5 * h,
-                r11 + 0.5 * h * a1, r12 + 0.5 * h * b1,
-                r21 + 0.5 * h * c1, r22 + 0.5 * h * d1,
-            )
-            a3, b3, c3, d3 = rhs(
-                t + 0.5 * h,
-                r11 + 0.5 * h * a2, r12 + 0.5 * h * b2,
-                r21 + 0.5 * h * c2, r22 + 0.5 * h * d2,
-            )
-            a4, b4, c4, d4 = rhs(
-                t + h,
-                r11 + h * a3, r12 + h * b3, r21 + h * c3, r22 + h * d3,
-            )
-            s = h / 6.0
-            r11 += s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            r12 += s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            r21 += s * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            r22 += s * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            t += h
-        out[i + 1] = ((r11, r12), (r21, r22))
-    return out
-
-
 def free_central_R11(
     spec: SystemSpec, grid: np.ndarray, dt: float | None = None
 ) -> np.ndarray:
@@ -521,4 +538,13 @@ def free_central_R11(
     ts = _validate_grid(grid, spec.t_max)
     if dt is None:
         dt = default_time_step(spec)
-    return _free_R11_path(spec.omega.value, ts, dt)
+    # generator [[0, -omega^2], [1, 0]] on the columns of R11
+    R11 = np.eye(2)
+    out = np.empty((ts.size, 2, 2))
+    out[0] = R11
+    for end in linear_flow(
+        R11, ts, dt, np.array([[0.0, 0.0], [1.0, 0.0]]), ((0,), (1,)),
+        lambda nodes: (-spec.omega.values(nodes) ** 2,),
+    ):
+        out[end] = R11
+    return out

@@ -230,6 +230,43 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_singular_solve_exits_three(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it must not be reported as a
+    # config error
+    import numpy as np
+
+    from oscbath import scenarios
+
+    def singular(**kwargs):
+        np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "rwa-check", singular)
+    cfg = write(tmp_path, "scenario: rwa-check\n")
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"]["type"] == "numerical"
+    assert meta["error"]["failure_time"] is None
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "config error" not in err
+
+
+def test_scenario_list_must_hold_distinct_names(tmp_path, capsys):
+    cfg = write(tmp_path, "scenario: [rwa-check, closure, rwa-check]\n")
+    with pytest.raises(ConfigError, match="rwa-check") as exc:
+        parse_config(cfg)
+    assert exc.value.field == "scenario"
+    out = tmp_path / "never"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    # an entry that is not a name at all (unhashable) is no traceback
+    for text in ("scenario: [{a: 1}]\n", "scenario: [[closure]]\n"):
+        bad = write(tmp_path, text, "bad.yaml")
+        assert main(["run", str(bad), "--check"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_env_var_sets_default_output(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("OSCBATH_OUT", str(target))

@@ -30,12 +30,12 @@ from oscbath import (
     epsilon_solver,
     evolve_moments,
     evolve_moments_tabulated,
-    integrate_moments,
     photon_number,
     sample_trajectories,
     stationary_covariance,
 )
 from oscbath.scenarios import _unit_pulse_train
+from oracles import integrate_moments
 
 
 def _mir_train(y: float) -> tuple[LangevinModel, np.ndarray]:
