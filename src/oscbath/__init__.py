@@ -107,7 +107,6 @@ from .scenarios import (
     run_closure,
     run_mir_pulse_train,
     run_rwa_check,
-    run_scenarios,
     run_short_time_convergence,
 )
 

@@ -8,7 +8,8 @@ wall-clock timestamp lives only in the metadata file.
 
 Exit codes: 0 all verdicts passed, 1 at least one verdict failed,
 2 usage or configuration error, 3 numerical failure (the failure time
-is recorded in the metadata file).
+is recorded in the metadata file, and the scenarios that completed
+before it are written as usual).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import yaml
 
 from .errors import ConfigError, IntegrationError
 from .profiles import TimeProfile, profile_from_dict, profile_to_dict
-from .scenarios import SCENARIOS, ScenarioReport, run_scenarios
+from .scenarios import SCENARIOS, ScenarioReport
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -159,6 +160,8 @@ def _require_finite(value, name: str) -> None:
             _require_finite(item, name)
     elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}", field=name)
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is beyond the float range", field=name)
 
 
 def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
@@ -200,7 +203,7 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
         elif (name, key) in _PROFILE_KEYS:
             try:
                 profile_from_dict(value)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(
                     f"invalid profile for {key!r}: {exc}", field=key
                 ) from exc
@@ -307,7 +310,9 @@ def scenario_kwargs(cfg: RunConfig, name: str, seed: int | None) -> dict:
         vals = kwargs["y_values"]
         if not isinstance(vals, list):
             raise ConfigError("y must be a list of splits", field="y")
-        kwargs["y_values"] = tuple(float(v) for v in vals)
+        kwargs["y_values"] = tuple(
+            float(_require_number(v, "y")) for v in vals
+        )
     if seed is not None:
         kwargs["seed"] = seed
     return kwargs
@@ -468,10 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="validate the config and exit without running",
     )
-    run.add_argument(
-        "--threads", type=int,
-        help="cap on scenario fan-out workers (default sequential)",
-    )
     return parser
 
 
@@ -509,9 +510,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None and args.seed < 0:
         print("config error: seed must be non-negative", file=sys.stderr)
         return 2
-    if args.threads is not None and args.threads < 1:
-        print("config error: threads must be >= 1", file=sys.stderr)
-        return 2
 
     seed = args.seed if args.seed is not None else cfg.seed
     try:
@@ -528,24 +526,23 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = _resolve_out(args.out, cfg.out)
     t0 = time.perf_counter()
+    reports, error = [], None
     try:
-        reports = run_scenarios(requests, threads=args.threads)
+        for name, kwargs in requests:
+            reports.append(SCENARIOS[name](**kwargs))
     except (IntegrationError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught before
         # the config-error branch below: a singular solve is numerical.
-        wall = time.perf_counter() - t0
         t = getattr(exc, "t", None)
-        write_metadata(
-            out_dir, [], seed, args.format, wall,
-            error={"type": "numerical", "message": str(exc), "failure_time": t},
-        )
+        error = {"type": "numerical", "message": str(exc), "failure_time": t}
         print(f"numerical failure at t={t}: {exc}", file=sys.stderr)
-        return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0
 
+    # The scenarios that completed are written even after a failure.
+    reports.sort(key=lambda r: (r.scenario, r.digest))
     entries = []
     kwargs_by_name = dict(requests)
     for report in reports:
@@ -563,16 +560,18 @@ def main(argv: list[str] | None = None) -> int:
                 "details": _echo_value_dict(report.metadata),
             }
         )
-    write_metadata(out_dir, entries, seed, args.format, wall)
+    write_metadata(out_dir, entries, seed, args.format, wall, error=error)
 
-    failed = [
-        f"{r.scenario}:{v.name}"
-        for r in reports for v in r.verdicts if not v.passed
-    ]
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.scenario}: {status} ({len(r.verdicts)} verdicts,"
               f" {r.wall_time:.2f}s)")
+    if error is not None:
+        return 3
+    failed = [
+        f"{r.scenario}:{v.name}"
+        for r in reports for v in r.verdicts if not v.passed
+    ]
     if failed:
         print("failed verdicts: " + ", ".join(failed), file=sys.stderr)
         return 1

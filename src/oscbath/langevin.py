@@ -35,13 +35,12 @@ the real generator [[0, 1], [-omega_ef^2, 0]].  The coefficients are
 tabulated on the stage nodes of a block of steps, each profile once per
 node set.  The trajectory sampler is Euler-Maruyama driven by counter-based
 random substreams, one per trajectory, so results are bit-reproducible
-for a given seed regardless of batching.
+for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +76,8 @@ _MOMENT_ENTRIES = (
     (0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4),
     (0, 1, 0, 1, 2, 3, 5, 2, 3, 4, 5, 3, 4, 5),
 )
-# Trajectory sums are grouped into blocks of this size before the final
-# sequential reduction; fixed grouping keeps the result independent of the
-# chunk partition and of thread scheduling.
+# Trajectories are simulated and summed in blocks of this size, the block
+# sums added in trajectory order.
 _SUM_BLOCK = 64
 
 
@@ -420,18 +418,15 @@ def sample_trajectories(
     grid: np.ndarray,
     count: int,
     seed: int,
-    chunk_size: int = 256,
-    threads: int | None = None,
 ) -> SampledMoments:
     """Euler-Maruyama ensemble of the Langevin equations.
 
     Each trajectory draws from its own counter-based substream keyed by
     (seed, trajectory index), and sums are accumulated over fixed-size
     blocks in trajectory order, so the ensemble statistics are
-    bit-identical for a given seed regardless of chunk size or thread
-    count.  Only the symmetric diffusion enters the stochastic term; the
-    antisymmetric (commutator) part of the noise has no classical
-    counterpart.
+    bit-identical for a given seed.  Only the symmetric diffusion enters
+    the stochastic term; the antisymmetric (commutator) part of the noise
+    has no classical counterpart.
     """
     ts = _check_grid(grid)
     if count < 2:
@@ -448,13 +443,10 @@ def sample_trajectories(
     B0 = _chol_2x2(initial.cov)
     mean0 = initial.mean
 
-    # Threading units are whole multiples of the summation block, so chunk
-    # boundaries never split a block and the reduction tree is fixed.
-    eff = max(_SUM_BLOCK, _SUM_BLOCK * math.ceil(chunk_size / _SUM_BLOCK))
-    chunks = [(lo, min(lo + eff, count)) for lo in range(0, count, eff)]
-
-    def run_block(lo: int, hi: int):
-        m = hi - lo
+    sum_mean = np.zeros((ts.size, 2))
+    sum_outer = np.zeros((ts.size, 2, 2))
+    for lo in range(0, count, _SUM_BLOCK):
+        m = min(_SUM_BLOCK, count - lo)
         noise = np.empty((m, n_steps + 1, 2))
         for j in range(m):
             rng = np.random.Generator(
@@ -471,26 +463,8 @@ def sample_trajectories(
             Q = Q + h * (As[i] @ Q) + math.sqrt(h) * (Bs[i] @ noise[:, i + 1, :].T)
             s_mean[i + 1] = Q.sum(axis=1)
             s_outer[i + 1] = Q @ Q.T
-        return s_mean, s_outer
-
-    def run_chunk(bounds: tuple[int, int]):
-        lo, hi = bounds
-        return [
-            run_block(b, min(b + _SUM_BLOCK, hi)) for b in range(lo, hi, _SUM_BLOCK)
-        ]
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, chunks))
-    else:
-        partials = [run_chunk(c) for c in chunks]
-
-    sum_mean = np.zeros((ts.size, 2))
-    sum_outer = np.zeros((ts.size, 2, 2))
-    for blocks in partials:
-        for s_mean, s_outer in blocks:
-            sum_mean += s_mean
-            sum_outer += s_outer
+        sum_mean += s_mean
+        sum_outer += s_outer
 
     n = float(count)
     mean = sum_mean / n

@@ -76,57 +76,53 @@ _DIRECT_MIN_DIM = 86
 
 @dataclass(frozen=True)
 class PropagatorState:
-    """Propagator blocks at one time, ordering (p0, x0, p_k.., x_k..)."""
+    """Propagator R at one time, ordering (p0, x0, p_k.., x_k..); the four
+    blocks are views of R."""
 
     t: float
-    R11: np.ndarray  # (2, 2)     central-to-central
-    R12: np.ndarray  # (2, 2N)    bath-to-central
-    R21: np.ndarray  # (2N, 2)    central-to-bath
-    R22: np.ndarray  # (2N, 2N)   bath-to-bath
+    R: np.ndarray  # (d, d)
 
-    @classmethod
-    def from_full(cls, t: float, R: np.ndarray) -> "PropagatorState":
-        return cls(
-            t=t,
-            R11=R[:2, :2].copy(),
-            R12=R[:2, 2:].copy(),
-            R21=R[2:, :2].copy(),
-            R22=R[2:, 2:].copy(),
-        )
+    @property
+    def R11(self) -> np.ndarray:  # (2, 2)     central-to-central
+        return self.R[:2, :2]
+
+    @property
+    def R12(self) -> np.ndarray:  # (2, 2N)    bath-to-central
+        return self.R[:2, 2:]
+
+    @property
+    def R21(self) -> np.ndarray:  # (2N, 2)    central-to-bath
+        return self.R[2:, :2]
+
+    @property
+    def R22(self) -> np.ndarray:  # (2N, 2N)   bath-to-bath
+        return self.R[2:, 2:]
 
     def full(self) -> np.ndarray:
-        top = np.hstack([self.R11, self.R12])
-        bottom = np.hstack([self.R21, self.R22])
-        return np.vstack([top, bottom])
+        return self.R
 
     @property
     def n_bath(self) -> int:
-        return self.R22.shape[0] // 2
+        return self.R.shape[0] // 2 - 1
 
 
 class PropagatorTrajectory:
-    """Sequence of propagator states on a time grid, with defects."""
+    """Propagator on a time grid: R as one read-only (T, d, d) stack, with
+    the symplectic defect at every grid point."""
 
-    def __init__(
-        self,
-        ts: np.ndarray,
-        states: list[PropagatorState],
-        defects: np.ndarray,
-        spec: SystemSpec | None = None,
-    ):
+    def __init__(self, ts: np.ndarray, R: np.ndarray, defects: np.ndarray):
         self.ts = np.asarray(ts, dtype=float)
-        self.states = states
+        self.R = R
         self.defects = np.asarray(defects, dtype=float)
-        self.spec = spec
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.ts.size
 
     def __getitem__(self, i: int) -> PropagatorState:
-        return self.states[i]
+        return PropagatorState(self.ts[i], self.R[i])
 
     def __iter__(self):
-        return iter(self.states)
+        return map(PropagatorState, self.ts, self.R)
 
     @property
     def max_defect(self) -> float:
@@ -492,8 +488,10 @@ def integrate_R(
     J = symplectic_unit(n)
     J_cols = _signed_columns(J)
     R = np.eye(dim)
-    states = [PropagatorState.from_full(ts[0], R)]
-    defects = [_defect(R, J, *J_cols)]
+    Rs = np.empty((ts.size, dim, dim))
+    defects = np.empty(ts.size)
+    Rs[0] = R
+    defects[0] = _defect(R, J, *J_cols)
     for hs, nodes, ends in rk4_blocks(
         ts[: reach + 1], dt, _RK4_STAGES, block_steps
     ):
@@ -515,15 +513,16 @@ def integrate_R(
                     f" at t={t_hi:.6g}",
                     t=float(t_hi),
                 )
-            states.append(PropagatorState.from_full(t_hi, R))
-            defects.append(d)
+            Rs[end] = R
+            defects[end] = d
     if tiny.size:
         t_hi = ts[reach + 1]
         raise IntegrationError(
             f"step underflow ({h_grid[reach]:.3e}) near t={t_hi:.6g}",
             t=float(t_hi),
         )
-    return PropagatorTrajectory(ts, states, np.array(defects), spec=spec)
+    Rs.flags.writeable = False
+    return PropagatorTrajectory(ts, Rs, defects)
 
 
 def free_central_R11(

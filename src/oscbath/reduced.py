@@ -20,7 +20,6 @@ part is what preserves the canonical commutator under the reduced flow.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -109,73 +108,88 @@ def evolve_gaussian(
     return CentralGaussian(mean=mean, cov=cov)
 
 
-def _inv_2x2(M: np.ndarray) -> np.ndarray:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-
-
-def _cond_2x2(M: np.ndarray) -> float:
-    """2-norm condition number of a 2x2 matrix; inf when det = 0.
+def _condition_numbers(M: np.ndarray) -> np.ndarray:
+    """2-norm condition number of each 2x2 matrix of a (T, 2, 2) stack;
+    inf where det = 0.
 
     The larger singular value is (p + q)/2 with p = |(a + d, b - c)| and
     q = |(a - d, b + c)|, and the product of both is |det|.
     """
-    (a, b), (c, d) = M.tolist()
+    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
     det = a * d - b * c
-    if det == 0.0:
-        return math.inf
-    return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) ** 2 / (
-        4.0 * abs(det)
+    big = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) ** 2
+    return np.divide(
+        big, 4.0 * np.abs(det), out=np.full(det.shape, np.inf),
+        where=det != 0.0,
     )
 
 
-def _usable(state: PropagatorState, cond_limit: float) -> bool:
-    c = _cond_2x2(state.R11)
-    if not np.isfinite(c) or c > cond_limit:
+def _extract(
+    traj: PropagatorTrajectory,
+    spec: SystemSpec,
+    F: np.ndarray | None,
+    cond_limit: float,
+):
+    """Drift, and given F the diffusion, at every point of ``traj`` where
+    R11 is invertible within ``cond_limit``, as stacks over those points.
+
+    Returns (ts, A, D, Mstar); D and Mstar are None without F.  Each
+    skipped point warns once.  Each profile is evaluated once, on all the
+    trajectory's times, and A12 = nu L12 as ``build_A12`` builds it.  The
+    diffusion is formed from the 2 x 2N strip
+
+        M = A12 (R22 - R21 R11^{-1} R12) = A12 R22 - (A12 R21 R11^{-1}) R12,
+
+    never from the 2N x 2N core.
+    """
+    ts, R = traj.ts, traj.R
+    cond = _condition_numbers(R[:, :2, :2])
+    usable = np.isfinite(cond) & (cond <= cond_limit)
+    for k in np.flatnonzero(~usable).tolist():
         warnings.warn(
-            f"R11 near-singular at t={state.t:.6g} (cond={c:.3e}); point skipped",
+            f"R11 near-singular at t={ts[k]:.6g} (cond={cond[k]:.3e});"
+            " point skipped",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
-        return False
-    return True
+    w = spec.omega.values(ts)[usable]
+    nu = spec.bath.nu.values(ts)[usable]
+    if not usable.all():
+        ts, R = ts[usable], R[usable]
+    R11, R12, R21 = R[:, :2, :2], R[:, :2, 2:], R[:, 2:, :2]
+    adj = np.empty_like(R11)
+    adj[:, 0, 0], adj[:, 1, 1] = R11[:, 1, 1], R11[:, 0, 0]
+    adj[:, 0, 1], adj[:, 1, 0] = -R11[:, 0, 1], -R11[:, 1, 0]
+    det = R11[:, 0, 0] * R11[:, 1, 1] - R11[:, 0, 1] * R11[:, 1, 0]
+    A12 = nu[:, None, None] * coupling_layout_12(spec.bath)
+    B = A12 @ R21 @ (adj / det[:, None, None])  # A12 R21 R11^{-1}
+    A = np.zeros_like(B)  # A11 = [[0, -w^2], [1, 0]]
+    A[:, 0, 1] = -w * w
+    A[:, 1, 0] = 1.0
+    A += B
+    if F is None:
+        return ts, A, None, None
 
-
-def _drift_at(state: PropagatorState, w: float, A12: np.ndarray) -> np.ndarray:
-    A11 = np.array([[0.0, -w * w], [1.0, 0.0]])  # build_A11 at omega = w
-    return A11 + A12 @ state.R21 @ _inv_2x2(state.R11)
-
-
-def _diffusion_at(
-    state: PropagatorState, F: np.ndarray, A12: np.ndarray
-) -> np.ndarray:
-    core = state.R22 - state.R21 @ _inv_2x2(state.R11) @ state.R12
+    M = A12 @ R[:, 2:, 2:]
+    M -= B @ R12
+    R12F = R12 @ F
+    R12T = R12.transpose(0, 2, 1)
     # The two terms are transposes of each other algebraically; computing
     # both keeps the roundoff-skew check meaningful.
-    term1 = A12 @ core @ F @ state.R12.T
-    term2 = state.R12 @ F @ core.T @ A12.T
-    two_D = term1 + term2
-    skew = float(np.abs(two_D - two_D.T).max())
-    if skew > _SKEW_TOL * max(1.0, float(np.abs(two_D).max())):
+    two_D = M @ F @ R12T
+    two_D += R12F @ M.transpose(0, 2, 1)
+    skew = np.abs(two_D[:, 0, 1] - two_D[:, 1, 0])
+    scale = np.maximum(1.0, np.abs(two_D).max(axis=(1, 2)))
+    bad = np.flatnonzero(skew > _SKEW_TOL * scale)
+    if bad.size:
+        k = bad[0]
         raise IntegrationError(
-            f"diffusion asymmetry {skew:.3e} beyond roundoff"
-            f" at t={state.t:.6g}",
-            t=float(state.t),
+            f"diffusion asymmetry {skew[k]:.3e} beyond roundoff"
+            f" at t={ts[k]:.6g}",
+            t=float(ts[k]),
         )
-    return 0.25 * (two_D + two_D.T)
-
-
-def _usable_points(traj: PropagatorTrajectory, spec: SystemSpec, cond_limit):
-    """(state, omega, A12) at every point where R11 is invertible within
-    ``cond_limit``.  Each profile is evaluated once, on all the points'
-    times; A12 is built as ``build_A12`` does."""
-    ts = np.array([state.t for state in traj], dtype=float)
-    ws = spec.omega.values(ts).tolist()
-    nus = spec.bath.nu.values(ts).tolist()
-    L12 = coupling_layout_12(spec.bath)
-    for state, w, nu in zip(traj, ws, nus):
-        if _usable(state, cond_limit):
-            yield state, w, nu * L12
+    D = 0.25 * (two_D + two_D.transpose(0, 2, 1))
+    return ts, A, D, R12F @ R12T
 
 
 def drift_exact(
@@ -188,11 +202,8 @@ def drift_exact(
     Returns (times, drifts) keeping only points where R11 is invertible to
     within ``cond_limit``; skipped points are reported as warnings.
     """
-    ts, As = [], []
-    for state, w, A12 in _usable_points(traj, spec, cond_limit):
-        ts.append(state.t)
-        As.append(_drift_at(state, w, A12))
-    return np.array(ts), np.array(As)
+    ts, A, _, _ = _extract(traj, spec, None, cond_limit)
+    return ts, A
 
 
 def diffusion_exact(
@@ -206,11 +217,8 @@ def diffusion_exact(
     Raises :class:`IntegrationError` naming the time of the first point
     whose two diffusion terms disagree beyond roundoff.
     """
-    ts, Ds = [], []
-    for state, _, A12 in _usable_points(traj, spec, cond_limit):
-        ts.append(state.t)
-        Ds.append(_diffusion_at(state, F, A12))
-    return np.array(ts), np.array(Ds)
+    ts, _, D, _ = _extract(traj, spec, F, cond_limit)
+    return ts, D
 
 
 def damping_rate(A: np.ndarray, A11: np.ndarray | None = None) -> float:
@@ -240,23 +248,14 @@ def extract_reduced(
     cond_limit: float = COND_LIMIT,
 ) -> list[ReducedDynamics]:
     """Full local-generator extraction along a trajectory."""
-    out = []
-    for state, w, A12 in _usable_points(traj, spec, cond_limit):
-        A = _drift_at(state, w, A12)
-        D = _diffusion_at(state, F, A12)
-        # A11 is traceless, so leaving it out gives the same float
-        gamma = damping_rate(A)
-        out.append(
-            ReducedDynamics(
-                t=state.t,
-                A=A,
-                Mstar=reduced_covariance(state, F),
-                D=D,
-                X=noise_matrix(D, gamma),
-                gamma=gamma,
-            )
-        )
-    return out
+    ts, A, D, Mstar = _extract(traj, spec, F, cond_limit)
+    # A11 is traceless, so leaving it out gives the same float
+    gamma = -0.5 * (A[:, 0, 0] + A[:, 1, 1])
+    X = 2.0 * D + 1j * gamma[:, None, None] * ANTISYM_UNIT
+    return [
+        ReducedDynamics(t=t, A=a, Mstar=m, D=d, X=x, gamma=g)
+        for t, a, m, d, x, g in zip(ts, A, Mstar, D, X, gamma.tolist())
+    ]
 
 
 def photon_number(state: CentralGaussian) -> float:

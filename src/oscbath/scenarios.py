@@ -14,11 +14,11 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IntegrationError
 from .langevin import (
     LangevinModel,
     effective_frequency_terms,
@@ -55,7 +55,6 @@ from .system import (
     BathSpec,
     SystemSpec,
     bath_from_rwa,
-    build_A11,
     random_couplings,
     thermal_F,
     uniform_bath_frequencies,
@@ -70,7 +69,6 @@ __all__ = [
     "run_rwa_check",
     "run_mir_pulse_train",
     "run_closure",
-    "run_scenarios",
 ]
 
 
@@ -160,10 +158,9 @@ def _fitted_order(eps: np.ndarray, metric: np.ndarray) -> float:
 
 def _extracted_mu(traj, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Drift correction A(t) - A11(t) read off the exact propagator."""
-    ts, As = drift_exact(traj, spec)
-    mus = np.empty((len(ts), 2, 2))
-    for k, (t, A) in enumerate(zip(ts, As)):
-        mus[k] = A - build_A11(spec, float(t))
+    ts, mus = drift_exact(traj, spec)
+    mus[:, 0, 1] += spec.omega.values(ts) ** 2
+    mus[:, 1, 0] -= 1.0
     return ts, mus
 
 
@@ -740,7 +737,14 @@ def run_closure(
         spec = SystemSpec(omega=Constant(1.0), bath=bath, t_max=t_max)
         F = thermal_F(bath)
         traj = integrate_R(spec, fine, dt=dt)
-        _, As = drift_exact(traj, spec)
+        ts, As = drift_exact(traj, spec)
+        if ts.size < fine.size:
+            t = float(np.setdiff1d(fine, ts)[0])
+            raise IntegrationError(
+                f"closure needs the drift at every fine point; R11 is"
+                f" near-singular at t={t:.6g}",
+                t=t,
+            )
         _, Ds = diffusion_exact(traj, spec, F)
         tab = evolve_moments_tabulated(fine, As, Ds, vacuum)
         worst = 0.0
@@ -794,28 +798,3 @@ SCENARIOS = {
     "mir-pulse-train": run_mir_pulse_train,
     "closure": run_closure,
 }
-
-
-def run_scenarios(
-    requests: list[tuple[str, dict]],
-    threads: int | None = None,
-) -> list[ScenarioReport]:
-    """Run several scenarios, optionally in a thread pool.
-
-    The returned list is sorted by (scenario name, digest), so the merge
-    order never depends on completion order or worker count.
-    """
-    items = list(requests)
-    for name, _ in items:
-        if name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ValueError(f"unknown scenario {name!r}; known: {known}")
-    if threads is not None and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(SCENARIOS[name], **kwargs) for name, kwargs in items
-            ]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [SCENARIOS[name](**kwargs) for name, kwargs in items]
-    return sorted(reports, key=lambda r: (r.scenario, r.digest))

@@ -1,4 +1,6 @@
-"""Scalar Runge-Kutta loops: the per-step references of the stepping core.
+"""Per-step and per-point references of the package's stacked code.
+
+Scalar Runge-Kutta loops: the per-step references of the stepping core.
 
 Each loop takes the classical RK4 step of one equation on Python floats,
 one step at a time, with its coefficients called at every stage node, on
@@ -7,6 +9,11 @@ max(1, ceil(span / dt)) equal steps and the step start advances by t += h.
 The package steps the same equations as stacked increments composed per
 grid interval (:func:`oscbath.propagate.linear_flow`), so it must agree
 with these loops to roundoff.
+
+Per-point extraction: the reduced drift and diffusion read off the
+propagator one grid point at a time, with the 2x2 inverse and condition
+number of R11 in closed form.  The package extracts all points of a
+trajectory in one stacked pass (:mod:`oscbath.reduced`).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 import numpy as np
 
 from oscbath import CentralGaussian, IntegrationError, MomentTrajectory
+from oscbath.reduced import _SKEW_TOL
 
 
 def substeps(ts, dt):
@@ -185,3 +193,46 @@ def free_R11(omega_value, grid, dt):
         if end >= 0:
             out[end] = ((r11, r12), (r21, r22))
     return out
+
+
+def inv_2x2(M):
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+
+
+def cond_2x2(M):
+    """2-norm condition number of a 2x2 matrix; inf when det = 0.
+
+    The larger singular value is (p + q)/2 with p = |(a + d, b - c)| and
+    q = |(a - d, b + c)|, and the product of both is |det|.
+    """
+    (a, b), (c, d) = M.tolist()
+    det = a * d - b * c
+    if det == 0.0:
+        return math.inf
+    return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) ** 2 / (
+        4.0 * abs(det)
+    )
+
+
+def drift_at(state, w, A12):
+    """A = A11 + A12 R21 R11^{-1} at one propagator state, frequency w."""
+    A11 = np.array([[0.0, -w * w], [1.0, 0.0]])  # build_A11 at omega = w
+    return A11 + A12 @ state.R21 @ inv_2x2(state.R11)
+
+
+def diffusion_at(state, F, A12):
+    """D from 2 D = A12 core F R12^T + R12 F core^T A12^T with the 2N x 2N
+    core R22 - R21 R11^{-1} R12, raising at a skew beyond roundoff."""
+    core = state.R22 - state.R21 @ inv_2x2(state.R11) @ state.R12
+    term1 = A12 @ core @ F @ state.R12.T
+    term2 = state.R12 @ F @ core.T @ A12.T
+    two_D = term1 + term2
+    skew = float(np.abs(two_D - two_D.T).max())
+    if skew > _SKEW_TOL * max(1.0, float(np.abs(two_D).max())):
+        raise IntegrationError(
+            f"diffusion asymmetry {skew:.3e} beyond roundoff"
+            f" at t={state.t:.6g}",
+            t=float(state.t),
+        )
+    return 0.25 * (two_D + two_D.T)

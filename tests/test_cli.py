@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oscbath.cli import main, parse_config, scenario_kwargs
+from oscbath.cli import _SCHEMA, _SECTIONS, main, parse_config, scenario_kwargs
 from oscbath.errors import ConfigError
+from oscbath.profiles import _FIELDS
 
 SMALL_CLOSURE = """\
 scenario: closure
@@ -251,6 +255,58 @@ def test_singular_solve_exits_three(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in err and "config error" not in err
 
 
+def test_skipped_closure_point_exits_three(tmp_path, monkeypatch, capsys):
+    # closure feeds the drift at every fine point to the moment
+    # integrator; a skipped extraction point is a numerical failure
+    from oscbath import scenarios
+    from oscbath.reduced import drift_exact
+
+    monkeypatch.setattr(
+        scenarios, "drift_exact",
+        lambda traj, spec: drift_exact(traj, spec, cond_limit=0.5),
+    )
+    cfg = write(tmp_path, SMALL_CLOSURE)
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="near-singular"):
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["error"]["type"] == "numerical"
+    assert meta["error"]["failure_time"] == 0.0
+    err = capsys.readouterr().err
+    assert "near-singular at t=0" in err and "config error" not in err
+
+
+def test_completed_scenarios_survive_a_later_failure(
+    tmp_path, monkeypatch, capsys
+):
+    from oscbath import scenarios
+    from oscbath.errors import IntegrationError
+
+    def failing(**kwargs):
+        raise IntegrationError("defect too large at t=1.5", t=1.5)
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "rwa-check", failing)
+    text = SMALL_CLOSURE.replace(
+        "scenario: closure", "scenario: [closure, rwa-check]"
+    )
+    cfg = write(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    names = sorted(p.name for p in out.iterdir())
+    assert names == [
+        "closure__closure.csv",
+        "closure__ratios.csv",
+        "closure__uncoupled.csv",
+        "closure__verdicts.csv",
+        "metadata.json",
+    ]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert [e["scenario"] for e in meta["scenarios"]] == ["closure"]
+    assert meta["scenarios"][0]["passed"] is True
+    assert meta["error"]["failure_time"] == 1.5
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_scenario_list_must_hold_distinct_names(tmp_path, capsys):
     cfg = write(tmp_path, "scenario: [rwa-check, closure, rwa-check]\n")
     with pytest.raises(ConfigError, match="rwa-check") as exc:
@@ -278,12 +334,14 @@ def test_env_var_sets_default_output(tmp_path, monkeypatch):
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["run"]) == 2
+    # scenarios run in sequence; there is no worker-count option
+    assert main(["run", "run.yaml", "--threads", "2"]) == 2
     capsys.readouterr()
 
 
 def test_multi_scenario_fanout(tmp_path):
     text = (
-        "scenario: [closure, short-time-convergence]\n"
+        "scenario: [short-time-convergence, closure]\n"
         "grid:\n  steps: 401\n"
         "params:\n"
         "  coupling_scales: [0.1, 0.05]\n"
@@ -292,11 +350,12 @@ def test_multi_scenario_fanout(tmp_path):
     )
     cfg = write(tmp_path, text)
     out = tmp_path / "run"
-    assert main(["run", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
     names = sorted(p.name for p in out.iterdir())
     assert "closure__closure.csv" in names
     assert "short-time-convergence__asymmetry.csv" in names
     meta = json.loads((out / "metadata.json").read_text())
+    # entries are sorted by (scenario, digest), not by request order
     listed = [e["scenario"] for e in meta["scenarios"]]
     assert listed == ["closure", "short-time-convergence"]
 
@@ -315,3 +374,60 @@ def test_rho_values_parsing(tmp_path):
     )
     with pytest.raises(ConfigError, match="rho_values"):
         scenario_kwargs(parse_config(bad), "rwa-check", None)
+
+
+# Any YAML value: NaN and inf among the floats, integers beyond the float
+# range, lists and nested mappings.
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(-(10**400))
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_PROFILE = st.fixed_dictionaries(
+    {"kind": st.sampled_from(sorted(_FIELDS)) | _ANY},
+    optional={f: _ANY for fs in _FIELDS.values() for f in fs},
+)
+
+
+
+@st.composite
+def _configs(draw):
+    """Config mappings over the schema keys of the named scenarios, with
+    any values; one in four times a seed, an output path or a scenario
+    entry drawn from any values."""
+
+    def rarely():
+        return draw(st.sampled_from(range(4))) == 3
+
+    names = draw(st.lists(st.sampled_from(sorted(_SCHEMA)), min_size=1,
+                          max_size=3, unique=True))
+    config = {"scenario": draw(_ANY) if rarely() else names}
+    for key in ("seed", "out"):
+        if rarely():
+            config[key] = draw(_ANY)
+    for section in _SECTIONS:
+        keys = sorted({k for n in names for k in _SCHEMA[n][section]})
+        if not keys:
+            continue
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+        config[section] = {
+            key: draw(_PROFILE | _ANY if key in ("gamma", "omega") else _ANY)
+            for key in chosen
+        }
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_configs())
+@example(config={"scenario": "mir-pulse-train", "model": {"y": ["abc"]}})
+@example(config={"scenario": "mir-pulse-train", "model": {"y": [0.0, None]}})
+@example(config={"scenario": "mir-pulse-train", "model": {"y": [10**400]}})
+@example(config={"scenario": "closure", "grid": {"t_max": 10**400}})
+@example(config={"scenario": "mir-pulse-train",
+                 "model": {"gamma": {"kind": "constant", "value": 10**400}}})
+def test_check_exits_zero_or_two_on_any_config(config, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["run", str(path), "--check"]) in (0, 2)

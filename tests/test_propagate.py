@@ -389,7 +389,11 @@ def test_state_round_trip():
     full = state.full()
     from oscbath import PropagatorState
 
-    rebuilt = PropagatorState.from_full(state.t, full)
+    rebuilt = PropagatorState(state.t, full)
     np.testing.assert_array_equal(rebuilt.R11, state.R11)
     np.testing.assert_array_equal(rebuilt.R21, state.R21)
     assert rebuilt.n_bath == spec.n_bath
+    # the blocks are views of the trajectory's read-only stack
+    assert np.shares_memory(state.R11, traj.R)
+    with pytest.raises(ValueError):
+        traj[-1].R11[0, 0] = 2.0

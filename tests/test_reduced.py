@@ -14,11 +14,14 @@ extracted drift and diffusion to the same states.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from oscbath import (
+    Affine,
     BathSpec,
     CentralGaussian,
     Constant,
@@ -39,6 +42,8 @@ from oscbath import (
     thermal_F,
     uniform_bath_frequencies,
 )
+from oscbath.reduced import COND_LIMIT
+from oscbath.system import coupling_layout_12
 
 
 def _spec(nu=None, temperature=0.4, t_max=4.0, n=2, seed=2):
@@ -169,7 +174,7 @@ def test_drift_reduces_to_free_block_without_coupling():
 
 
 def test_closed_form_condition_number_matches_svd():
-    from oscbath.reduced import _cond_2x2
+    from oscbath.reduced import _condition_numbers
 
     rng = np.random.default_rng(5)
     mats = list(rng.normal(size=(200, 2, 2)))
@@ -179,12 +184,90 @@ def test_closed_form_condition_number_matches_svd():
         10.0 ** rng.uniform(-12.0, -2.0, 200),
     ):
         mats.append(np.outer(u, v) + e * rng.normal(size=(2, 2)))
-    for M in mats:
+    for M, got in zip(mats, _condition_numbers(np.array(mats))):
         want = np.linalg.cond(M)
         # both lose about cond * eps to roundoff
-        assert _cond_2x2(M) == pytest.approx(want, rel=1e-14 * want)
-    assert _cond_2x2(np.array([[1.0, 2.0], [2.0, 4.0]])) == math.inf
-    assert _cond_2x2(np.zeros((2, 2))) == math.inf
+        assert got == pytest.approx(want, rel=1e-14 * want)
+    singular = np.array([[[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 on the way to inf
+        assert _condition_numbers(singular).tolist() == [math.inf, math.inf]
+
+
+def _modulated_spec(n):
+    U, V, G, Z = random_couplings(n, scale=0.5, seed=n)
+    bath = BathSpec(
+        omegas=uniform_bath_frequencies(n, 0.6, 1.8), U=U, V=V, G=G, Z=Z,
+        nu=GaussianPulse(0.6, 1.5, 0.4), temperature=0.4,
+    )
+    omega = Affine(GaussianPulse(1.0, 1.0, 0.3), scale=-0.2, offset=1.0)
+    return SystemSpec(
+        omega=omega, bath=bath, omega0=omega.value(0.0), t_max=3.0
+    )
+
+
+def _per_point(traj, spec, F, cond_limit):
+    """(t, A, D) at every point the oracle keeps, one point at a time."""
+    ws = spec.omega.values(traj.ts).tolist()
+    nus = spec.bath.nu.values(traj.ts).tolist()
+    L12 = coupling_layout_12(spec.bath)
+    return [
+        (state.t, oracles.drift_at(state, w, nu * L12),
+         oracles.diffusion_at(state, F, nu * L12))
+        for state, w, nu in zip(traj, ws, nus)
+        if oracles.cond_2x2(state.R11) <= cond_limit
+    ]
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_stacked_extraction_matches_per_point_oracle(n):
+    spec = _modulated_spec(n)
+    F = thermal_F(spec.bath)
+    traj = integrate_R(spec, np.linspace(0.0, 3.0, 13))
+    want = _per_point(traj, spec, F, COND_LIMIT)
+    assert len(want) == len(traj)
+    ts, As = drift_exact(traj, spec)
+    ts_d, Ds = diffusion_exact(traj, spec, F)
+    np.testing.assert_array_equal(ts, traj.ts)
+    np.testing.assert_array_equal(ts_d, traj.ts)
+    _assert_close(As, np.array([w[1] for w in want]))
+    _assert_close(Ds, np.array([w[2] for w in want]))
+    red = extract_reduced(traj, spec, F)
+    np.testing.assert_array_equal([r.A for r in red], As)
+    np.testing.assert_array_equal([r.D for r in red], Ds)
+    for r, state in zip(red, traj):
+        np.testing.assert_array_equal(r.Mstar, reduced_covariance(state, F))
+
+    # one skipped point: the one with the largest cond(R11)
+    conds = [oracles.cond_2x2(state.R11) for state in traj]
+    k = int(np.argmax(conds))
+    limit = 0.5 * (conds[k] + max(c for c in conds if c < conds[k]))
+    with pytest.warns(RuntimeWarning, match="near-singular") as caught:
+        ts, As = drift_exact(traj, spec, cond_limit=limit)
+    assert [str(w.message) for w in caught] == [
+        f"R11 near-singular at t={traj.ts[k]:.6g} (cond={conds[k]:.3e});"
+        " point skipped"
+    ]
+    want = _per_point(traj, spec, F, limit)
+    np.testing.assert_array_equal(ts, [w[0] for w in want])
+    assert ts.size == len(traj) - 1 and traj.ts[k] not in ts
+    _assert_close(As, np.array([w[1] for w in want]))
+    with pytest.warns(RuntimeWarning, match="near-singular"):
+        _, Ds = diffusion_exact(traj, spec, F, cond_limit=limit)
+    _assert_close(Ds, np.array([w[2] for w in want]))
+
+    # a skew failure: both raise at the same, first failing time
+    F_skew = F.copy()
+    F_skew[0, 1] += 0.3
+    with pytest.raises(IntegrationError, match="diffusion asymmetry") as exc:
+        diffusion_exact(traj, spec, F_skew)
+    with pytest.raises(IntegrationError) as oracle_exc:
+        _per_point(traj, spec, F_skew, COND_LIMIT)
+    assert exc.value.t == oracle_exc.value.t > 0.0
 
 
 def test_ill_conditioned_points_are_skipped_with_a_warning():

@@ -1,4 +1,4 @@
-"""Scenario drivers: determinism, verdict grading, and fan-out."""
+"""Scenario drivers: determinism and verdict grading."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import pytest
 
 from oscbath import Constant
 from oscbath.scenarios import (
-    SCENARIOS,
     ScenarioReport,
     Verdict,
     config_digest,
     run_closure,
     run_mir_pulse_train,
     run_rwa_check,
-    run_scenarios,
     run_short_time_convergence,
 )
 
@@ -170,24 +168,3 @@ def test_closure_validation():
         run_closure(coupling_scales=(0.05, 0.1))
     with pytest.raises(ValueError, match="odd"):
         run_closure(coupling_scales=(0.1, 0.05), fine_points=400)
-
-
-def test_fanout_matches_sequential_and_sorts():
-    reqs = [
-        ("closure", {"coupling_scales": (0.1, 0.05), "fine_points": 401,
-                     "t_max": 4.0}),
-        ("short-time-convergence", {"ladder": (0.2, 0.1), "grid_points": 41}),
-    ]
-    seq = run_scenarios(reqs)
-    par = run_scenarios(reqs, threads=2)
-    assert [r.scenario for r in seq] == ["closure", "short-time-convergence"]
-    assert [r.digest for r in seq] == [r.digest for r in par]
-    assert all(s.tables == p.tables for s, p in zip(seq, par))
-
-
-def test_fanout_rejects_unknown_scenario():
-    with pytest.raises(ValueError, match="unknown scenario"):
-        run_scenarios([("warp-drive", {})])
-    assert set(SCENARIOS) == {
-        "short-time-convergence", "rwa-check", "mir-pulse-train", "closure",
-    }
