@@ -1,11 +1,15 @@
-"""Scenario drivers: determinism and verdict grading."""
+"""Scenario drivers: determinism, verdict grading, and fan-out."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+import yaml
 
 from oscbath import Constant
+from oscbath.cli import main
 from oscbath.scenarios import (
     ScenarioReport,
     Verdict,
@@ -168,3 +172,48 @@ def test_closure_validation():
         run_closure(coupling_scales=(0.05, 0.1))
     with pytest.raises(ValueError, match="odd"):
         run_closure(coupling_scales=(0.1, 0.05), fine_points=400)
+
+
+def test_fanout_matches_sequential_and_sorts(tmp_path, capsys):
+    # A multi-scenario run writes the same files and digests as running
+    # each scenario alone, and lists its entries by (scenario, digest)
+    # whatever the request order.
+    sections = {
+        "closure": {
+            "grid": {"t_max": 4.0, "steps": 401},
+            "params": {"coupling_scales": [0.1, 0.05]},
+        },
+        "short-time-convergence": {
+            "grid": {"steps": 401},
+            "params": {"ladder": [0.2, 0.1]},
+            "tolerances": {"diag_gap_limit": 0.25},
+        },
+    }
+
+    def run(scenarios, name):
+        config = {"scenario": list(scenarios)}
+        for scenario in scenarios:
+            for section, values in sections[scenario].items():
+                config.setdefault(section, {}).update(values)
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        out = tmp_path / name
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        files = {
+            p.name: p.read_bytes()
+            for p in out.iterdir() if p.name != "metadata.json"
+        }
+        return meta["scenarios"], files
+
+    both, both_files = run(["short-time-convergence", "closure"], "both")
+    alone, alone_files = [], {}
+    for scenario in ("closure", "short-time-convergence"):
+        entries, files = run([scenario], scenario)
+        alone += entries
+        alone_files.update(files)
+    capsys.readouterr()
+    assert [e["scenario"] for e in both] == ["closure", "short-time-convergence"]
+    assert [e["digest"] for e in both] == [e["digest"] for e in alone]
+    assert "closure__closure.csv" in both_files
+    assert both_files == alone_files
