@@ -62,8 +62,6 @@ from .reduced import (
     CentralGaussian,
     ReducedDynamics,
     damping_rate,
-    diffusion_exact,
-    drift_exact,
     evolve_gaussian,
     extract_reduced,
     noise_matrix,

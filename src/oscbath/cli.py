@@ -31,8 +31,8 @@ import scipy
 import yaml
 
 from .errors import ConfigError, IntegrationError
-from .profiles import TimeProfile, profile_from_dict, profile_to_dict
-from .scenarios import SCENARIOS, ScenarioReport
+from .profiles import profile_from_dict
+from .scenarios import SCENARIOS, ScenarioReport, _json_safe
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -120,6 +120,10 @@ _SCHEMA: dict[str, dict[str, dict[str, str]]] = {
 }
 
 _PROFILE_KEYS = {("model", "gamma"), ("model", "omega")}
+# Integer keys and their smallest allowed value.
+_INT_MIN = {"n_modes": 1, "steps": 3, "count": 1}
+# Number keys that may be null: the scenario then derives the value.
+_OPTIONAL_KEYS = {"period", "onset", "gamma_max", "rise"}
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,43 @@ def _require_number(value, name: str, *, positive=False, non_negative=False):
     return value
 
 
+def _require_seed(seed) -> None:
+    # Philox keys are unsigned 64-bit integers; bool is no seed
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}",
+            field="seed",
+        )
+
+
+def _require_list(value, name: str, size: int, exact: bool = False) -> list:
+    """A list of numbers: ``size`` of them if ``exact``, else at least."""
+    if not isinstance(value, list) or not (
+        len(value) == size if exact else len(value) >= size
+    ):
+        want = size if exact else f"at least {size}"
+        raise ConfigError(
+            f"{name} must be a list of {want} numbers, got {value!r}",
+            field=name,
+        )
+    for v in value:
+        _require_number(v, name)
+    return value
+
+
+def _to_complex(value, name: str) -> complex:
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) for v in value
+    ):
+        return complex(value[0], value[1])
+    raise ConfigError(
+        f"{name} entries must be numbers or [re, im] pairs, got {value!r}",
+        field=name,
+    )
+
+
 def _require_finite(value, name: str) -> None:
     # Numbers anywhere in a section value, lists included; profile mappings
     # are checked field by field by profile_from_dict.
@@ -180,23 +221,12 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
             _require_number(value, "omega0", positive=True)
         elif key == "temperature":
             _require_number(value, "temperature", non_negative=True)
-        elif key == "n_modes":
-            if not isinstance(value, int) or value < 1:
+        elif key in _INT_MIN:
+            if not isinstance(value, int) or value < _INT_MIN[key]:
                 raise ConfigError(
-                    f"n_modes must be a positive integer, got {value!r}",
-                    field="n_modes",
-                )
-        elif key == "steps":
-            if not isinstance(value, int) or value < 3:
-                raise ConfigError(
-                    f"steps must be an integer >= 3, got {value!r}",
-                    field="steps",
-                )
-        elif key == "count":
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(
-                    f"count must be a positive integer, got {value!r}",
-                    field="count",
+                    f"{key} must be an integer >= {_INT_MIN[key]},"
+                    f" got {value!r}",
+                    field=key,
                 )
         elif key in ("t_max", "dt", "coupling_scale", "omega_max"):
             _require_number(value, key, positive=True)
@@ -207,6 +237,36 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
                 raise ConfigError(
                     f"invalid profile for {key!r}: {exc}", field=key
                 ) from exc
+        elif key in ("ladder", "coupling_scales"):
+            vals = _require_list(value, key, 2)
+            if not all(a > b > 0 for a, b in zip(vals, vals[1:])):
+                raise ConfigError(
+                    f"{key} must be positive and descending, got {value}",
+                    field=key,
+                )
+        elif key in ("window", "ratio_band"):
+            lo, hi = _require_list(value, key, 2, exact=True)
+            if key == "window" and not 0 < lo < hi:
+                raise ConfigError(
+                    f"window must satisfy 0 < start < end, got {value}",
+                    field=key,
+                )
+        elif key == "y":
+            if any(abs(v) > 1 for v in _require_list(value, key, 2)):
+                raise ConfigError(
+                    f"y entries must satisfy |y| <= 1, got {value}", field=key
+                )
+        elif key == "rho_values":
+            if not isinstance(value, list) or not value or any(
+                _to_complex(v, key) == 0 for v in value
+            ):
+                raise ConfigError(
+                    f"rho_values must be a non-empty list of non-zero"
+                    f" amplitudes, got {value!r}",
+                    field=key,
+                )
+        elif not (value is None and key in _OPTIONAL_KEYS):
+            _require_number(value, key)
     return dict(raw)
 
 
@@ -255,11 +315,7 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {seed!r}",
-                field="seed",
-            )
+        _require_seed(seed)
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -270,19 +326,6 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
         for name in _SECTIONS
     }
     return RunConfig(scenarios=scenarios, seed=seed, out=out, **sections)
-
-
-def _to_complex(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(
-        f"{name} entries must be numbers or [re, im] pairs, got {value!r}",
-        field=name,
-    )
 
 
 def scenario_kwargs(cfg: RunConfig, name: str, seed: int | None) -> dict:
@@ -297,51 +340,25 @@ def scenario_kwargs(cfg: RunConfig, name: str, seed: int | None) -> dict:
             if (section, key) in _PROFILE_KEYS:
                 value = profile_from_dict(value)
             kwargs[mapping[key]] = value
-    if name == "rwa-check" and "rho_values" in kwargs:
-        vals = kwargs["rho_values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(
-                "rho_values must be a non-empty list", field="rho_values"
-            )
+    if "rho_values" in kwargs:
         kwargs["rho_values"] = tuple(
-            _to_complex(v, "rho_values") for v in vals
+            _to_complex(v, "rho_values") for v in kwargs["rho_values"]
         )
-    if name == "mir-pulse-train" and "y_values" in kwargs:
-        vals = kwargs["y_values"]
-        if not isinstance(vals, list):
-            raise ConfigError("y must be a list of splits", field="y")
-        kwargs["y_values"] = tuple(
-            float(_require_number(v, "y")) for v in vals
-        )
+    if "y_values" in kwargs:
+        kwargs["y_values"] = tuple(map(float, kwargs["y_values"]))
     if seed is not None:
         kwargs["seed"] = seed
     return kwargs
 
 
-def _echo_value(value):
-    if isinstance(value, TimeProfile):
-        return profile_to_dict(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, tuple):
-        return [_echo_value(v) for v in value]
-    if isinstance(value, list):
-        return [_echo_value(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def config_echo(name: str, kwargs: dict) -> dict:
-    """Scenario parameters with defaults filled in, JSON-ready."""
+    """Scenario parameters with defaults filled in."""
     sig = inspect.signature(SCENARIOS[name])
-    echo = {}
-    for pname, param in sig.parameters.items():
-        if pname in kwargs:
-            echo[pname] = _echo_value(kwargs[pname])
-        elif param.default is not inspect.Parameter.empty:
-            echo[pname] = _echo_value(param.default)
-    return echo
+    return {
+        pname: kwargs.get(pname, param.default)
+        for pname, param in sig.parameters.items()
+        if pname in kwargs or param.default is not inspect.Parameter.empty
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +460,9 @@ def write_metadata(
     if error is not None:
         doc["error"] = error
     path = out_dir / "metadata.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(doc, indent=2, sort_keys=True, default=_json_safe) + "\n"
+    )
     return path
 
 
@@ -507,12 +526,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None and args.seed < 0:
-        print("config error: seed must be non-negative", file=sys.stderr)
-        return 2
-
     seed = args.seed if args.seed is not None else cfg.seed
     try:
+        if args.seed is not None:
+            _require_seed(args.seed)
         requests = [
             (name, scenario_kwargs(cfg, name, seed)) for name in cfg.scenarios
         ]
@@ -557,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
                 "config_echo": config_echo(
                     report.scenario, kwargs_by_name[report.scenario]
                 ),
-                "details": _echo_value_dict(report.metadata),
+                "details": report.metadata,
             }
         )
     write_metadata(out_dir, entries, seed, args.format, wall, error=error)
@@ -576,12 +593,6 @@ def main(argv: list[str] | None = None) -> int:
         print("failed verdicts: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
-
-
-def _echo_value_dict(obj):
-    if isinstance(obj, dict):
-        return {k: _echo_value_dict(v) for k, v in obj.items()}
-    return _echo_value(obj)
 
 
 if __name__ == "__main__":

@@ -169,28 +169,27 @@ def diffusion_matrix(model: LangevinModel, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentTrajectory:
+    """Moments on a grid, stacked: ``means`` (T, 2) and ``covs`` (T, 2, 2).
+    Indexing and iteration give the :class:`CentralGaussian` at a time."""
+
     ts: np.ndarray
-    states: list[CentralGaussian]
+    means: np.ndarray
+    covs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.ts.size
 
     def __getitem__(self, i: int) -> CentralGaussian:
-        return self.states[i]
-
-    @property
-    def covs(self) -> np.ndarray:
-        return np.array([s.cov for s in self.states])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([s.mean for s in self.states])
+        return CentralGaussian(mean=self.means[i], cov=self.covs[i])
 
     @property
     def photons(self) -> np.ndarray:
-        from .reduced import photon_number
-
-        return np.array([photon_number(s) for s in self.states])
+        """:func:`oscbath.reduced.photon_number` at each time."""
+        m, c = self.means, self.covs
+        return 0.5 * (
+            c[:, 0, 0] + c[:, 1, 1] + (m[:, 0] * m[:, 0] + m[:, 1] * m[:, 1])
+            - 1.0
+        )
 
 
 def _moment_run(
@@ -208,7 +207,9 @@ def _moment_run(
 
     C = initial.cov
     z = np.array([*initial.mean, C[0, 0], C[0, 1], C[1, 1], 1.0], float)
-    states = [initial]
+    means = np.empty((ts.size, 2))
+    covs = np.empty((ts.size, 2, 2))
+    means[0], covs[0] = initial.mean, C
     for end in linear_flow(
         z, ts, dt, np.zeros((6, 6)), _MOMENT_ENTRIES, entries
     ):
@@ -217,10 +218,22 @@ def _moment_run(
                 f"moments became non-finite at t={ts[end]:.6g}",
                 t=float(ts[end]),
             )
-        states.append(CentralGaussian(
-            mean=z[:2].copy(), cov=np.array([[z[2], z[3]], [z[3], z[4]]])
-        ))
-    return MomentTrajectory(ts=ts, states=states)
+        means[end] = z[:2]
+        covs[end] = ((z[2], z[3]), (z[3], z[4]))
+    return MomentTrajectory(ts=ts, means=means, covs=covs)
+
+
+def _drift_diffusion(model: LangevinModel, nodes: np.ndarray) -> tuple:
+    """(a11, a12, a21, a22, d11, d12, d22) of ``drift_matrix`` and
+    ``diffusion_matrix`` at each node, each profile tabulated once."""
+    w, g = tabulate((model.omega, model.gamma), nodes)
+    chi = model.chi
+    if isinstance(chi, _ProfileNoiseSet) and chi.profile is model.gamma:
+        d_pp, d_xx = chi.diffusion_of(g)
+    else:
+        d_pp, d_xx = chi.diffusion_diagonal(nodes)
+    return (-((1.0 + model.y) * g), -w * w, np.ones_like(w),
+            -((1.0 - model.y) * g), d_pp, np.zeros_like(w), d_xx)
 
 
 def _default_model_step(model: LangevinModel, grid: np.ndarray) -> float:
@@ -246,18 +259,9 @@ def evolve_moments(
     ts = _check_grid(grid)
     if dt is None:
         dt = _default_model_step(model, ts)
-    y, chi = model.y, model.chi
-
-    def drift_diffusion(nodes: np.ndarray) -> tuple:
-        w, g = tabulate((model.omega, model.gamma), nodes)
-        if isinstance(chi, _ProfileNoiseSet) and chi.profile is model.gamma:
-            d_pp, d_xx = chi.diffusion_of(g)
-        else:
-            d_pp, d_xx = chi.diffusion_diagonal(nodes)
-        return (-((1.0 + y) * g), -w * w, np.ones_like(w),
-                -((1.0 - y) * g), d_pp, np.zeros_like(w), d_xx)
-
-    return _moment_run(initial, ts, dt, drift_diffusion)
+    return _moment_run(
+        initial, ts, dt, lambda nodes: _drift_diffusion(model, nodes)
+    )
 
 
 def evolve_moments_tabulated(
@@ -297,12 +301,14 @@ def evolve_moments_tabulated(
 
 
 def effective_frequency_terms(
-    model: LangevinModel, t: float
-) -> tuple[float, float, float]:
-    """(omega^2, delta', delta^2) entering the effective frequency."""
-    w = model.omega.value(t)
-    delta = -model.y * model.gamma.value(t)
-    delta_dot = -model.y * model.gamma.derivative(t)
+    model: LangevinModel, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega^2, delta', delta^2) entering the effective frequency, at each
+    time of ``ts`` (a scalar counts as one time)."""
+    ts = np.atleast_1d(ts)
+    w, g = tabulate((model.omega, model.gamma), ts)
+    delta = -model.y * g
+    delta_dot = -model.y * model.gamma.derivatives(ts)
     return w * w, delta_dot, delta * delta
 
 
@@ -315,7 +321,7 @@ def effective_frequency_squared(model: LangevinModel, t: float) -> float:
         w = model.omega.value(t)
         return w * w
     w2, delta_dot, delta2 = effective_frequency_terms(model, t)
-    return w2 + delta_dot - delta2
+    return float(w2[0] + delta_dot[0] - delta2[0])
 
 
 @dataclass(frozen=True)
@@ -348,17 +354,13 @@ def epsilon_solver(
     ts = _check_grid(grid)
     if dt is None:
         dt = _default_model_step(model, ts)
-    y = model.y
 
     def coefficients(nodes: np.ndarray) -> tuple:
-        if y == 0.0:
+        if model.y == 0.0:
             w = model.omega.values(nodes)
             return (-(w * w),)
-        # effective_frequency_squared, element by element
-        w, g = tabulate((model.omega, model.gamma), nodes)
-        delta = -y * g
-        delta_dot = -y * model.gamma.derivatives(nodes)
-        return (-(w * w + delta_dot - delta * delta),)
+        w2, delta_dot, delta2 = effective_frequency_terms(model, nodes)
+        return (-(w2 + delta_dot - delta2),)
 
     z = np.array([1.0 + 0.0j, 1j * model.omega0])
     w0 = z[1] * z[0].conjugate() - z[1].conjugate() * z[0]
@@ -434,12 +436,13 @@ def sample_trajectories(
     n_steps = ts.size - 1
     hs = np.diff(ts)
 
-    # Per-step drift and noise amplitude, precomputed once.
-    As = [drift_matrix(model, float(t)) for t in ts[:-1]]
-    Bs = []
-    for t in ts[:-1]:
-        D2 = 2.0 * diffusion_matrix(model, float(t))
-        Bs.append(_chol_2x2(D2))
+    # Per-step drift and noise amplitude, tabulated once; D is diagonal,
+    # so its Cholesky factor is sqrt(2 D) on the diagonal.
+    a11, a12, a21, a22, d11, _, d22 = _drift_diffusion(model, ts[:-1])
+    As = np.stack((a11, a12, a21, a22), axis=-1).reshape(-1, 2, 2)
+    Bs = np.zeros_like(As)
+    Bs[:, 0, 0] = np.sqrt(np.maximum(2.0 * d11, 0.0))
+    Bs[:, 1, 1] = np.sqrt(np.maximum(2.0 * d22, 0.0))
     B0 = _chol_2x2(initial.cov)
     mean0 = initial.mean
 

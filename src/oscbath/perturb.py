@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import UnsupportedFormError
 from .profiles import Affine, TimeProfile, lambda_factor
-from .propagate import expm_bath
+from .propagate import default_time_step, expm_bath, free_central_R11
 from .system import (
     BathSpec,
     SystemSpec,
@@ -143,46 +143,35 @@ def mu_single_factor(bath: BathSpec, t: float) -> MuMatrix:
     return MuMatrix(t=t, mu_pp=d, mu_px=0.0, mu_xp=0.0, mu_xx=d)
 
 
-def R21_first_order(spec: SystemSpec, t: float, steps: int = 2000) -> np.ndarray:
+def R21_first_order(spec: SystemSpec, t: float) -> np.ndarray:
     """First-order bath response block (2N x 2).
 
-    Co-integrates the free central propagator and the response integral
-    with fixed-step Runge-Kutta on ``steps`` sub-intervals, then applies
-    the closed-form bath rotation.  For a pure quadrature the scheme
-    reduces to composite Simpson, adequate to reach 1e-10 with the default
-    resolution on unit windows.
+    Composite Simpson on the response integral at the step of
+    :func:`default_time_step`, with the free central propagator from
+    :func:`free_central_R11` at the nodes.  exp(-A22 tau) rotates mode k
+    by [[c, w s], [-s / w, c]], c, s = cos, sin(w_k tau), so the weighted
+    sum over nodes folds into two 2x2 sums per mode, C_k and S_k, before
+    the coupling rows are applied; the closed-form bath rotation follows.
     """
-    if t == 0.0:
-        return np.zeros((2 * spec.bath.n, 2))
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
     bath = spec.bath
-    n = bath.n
-    L21 = coupling_layout_21(bath)
-    omega_value = spec.omega.value
-    nu_value = bath.nu.value
-    omegas = bath.omegas
-
-    # Fine grid for the co-integration; R11free is advanced alongside Y.
-    ts = np.linspace(0.0, t, steps + 1)
-    h = ts[1] - ts[0]
-
-    def f_pair(tau: float, R11: np.ndarray, _Y: np.ndarray):
-        w = omega_value(tau)
-        dR11 = np.array([[0.0, -w * w], [1.0, 0.0]]) @ R11
-        dY = expm_bath(omegas, -tau) @ (nu_value(tau) * L21) @ R11
-        return dR11, dY
-
-    R11 = np.eye(2)
-    Y = np.zeros((2 * n, 2))
-    for tau in ts[:-1]:
-        k1R, k1Y = f_pair(tau, R11, Y)
-        k2R, k2Y = f_pair(tau + 0.5 * h, R11 + 0.5 * h * k1R, Y + 0.5 * h * k1Y)
-        k3R, k3Y = f_pair(tau + 0.5 * h, R11 + 0.5 * h * k2R, Y + 0.5 * h * k2Y)
-        k4R, k4Y = f_pair(tau + h, R11 + h * k3R, Y + h * k3Y)
-        R11 = R11 + (h / 6.0) * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
-        Y = Y + (h / 6.0) * (k1Y + 2.0 * k2Y + 2.0 * k3Y + k4Y)
-    return expm_bath(omegas, t) @ Y
+    if t == 0.0:
+        return np.zeros((2 * bath.n, 2))
+    dt = default_time_step(spec)
+    m = math.ceil(t / dt)
+    nodes = np.linspace(0.0, t, 2 * m + 1)
+    R11 = free_central_R11(spec, nodes, dt).reshape(-1, 4)
+    # Simpson weights (1, 4, 2, ..., 4, 1) h / 6 on panels of width h = t/m
+    a = bath.nu.values(nodes) * (t / (6.0 * m))
+    a[1::2] *= 4.0
+    a[2:-1:2] *= 2.0
+    wt = nodes[:, None] * bath.omegas
+    C = ((np.cos(wt) * a[:, None]).T @ R11).reshape(-1, 2, 2)
+    S = ((np.sin(wt) * a[:, None]).T @ R11).reshape(-1, 2, 2)
+    L21 = coupling_layout_21(bath)[:, None, :]
+    up, lo = L21[: bath.n], L21[bath.n :]  # (-U_k, -G_k) and (Z_k, V_k)
+    w = bath.omegas[:, None, None]
+    Y = np.concatenate((up @ C + w * (lo @ S), lo @ C - (up @ S) / w))
+    return expm_bath(bath.omegas, t) @ Y[:, 0, :]
 
 
 def R12_first_order(spec: SystemSpec, t: float) -> np.ndarray:

@@ -34,8 +34,6 @@ __all__ = [
     "ReducedDynamics",
     "reduced_covariance",
     "evolve_gaussian",
-    "drift_exact",
-    "diffusion_exact",
     "noise_matrix",
     "damping_rate",
     "extract_reduced",
@@ -83,14 +81,21 @@ class CentralGaussian:
 
 @dataclass(frozen=True)
 class ReducedDynamics:
-    """Local generator data of the reduced evolution at one time."""
+    """Local generator data of the reduced evolution, stacked over the
+    points of a trajectory that extraction kept: ``ts`` (T,), the drift
+    ``A`` (T, 2, 2) and damping rate ``gamma`` (T,), and when a reservoir
+    covariance was given the diffusion ``D``, the accumulated reservoir
+    covariance ``Mstar`` (T, 2, 2) and the complex noise kernel ``X``."""
 
-    t: float
-    A: np.ndarray        # (2, 2) drift
-    Mstar: np.ndarray    # (2, 2) accumulated reservoir covariance
-    D: np.ndarray        # (2, 2) symmetric diffusion
-    X: np.ndarray        # (2, 2) complex noise kernel
-    gamma: float         # damping rate
+    ts: np.ndarray
+    A: np.ndarray
+    gamma: np.ndarray
+    D: np.ndarray | None = None
+    Mstar: np.ndarray | None = None
+    X: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.ts.size
 
 
 def reduced_covariance(state: PropagatorState, F: np.ndarray) -> np.ndarray:
@@ -124,103 +129,6 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     )
 
 
-def _extract(
-    traj: PropagatorTrajectory,
-    spec: SystemSpec,
-    F: np.ndarray | None,
-    cond_limit: float,
-):
-    """Drift, and given F the diffusion, at every point of ``traj`` where
-    R11 is invertible within ``cond_limit``, as stacks over those points.
-
-    Returns (ts, A, D, Mstar); D and Mstar are None without F.  Each
-    skipped point warns once.  Each profile is evaluated once, on all the
-    trajectory's times, and A12 = nu L12 as ``build_A12`` builds it.  The
-    diffusion is formed from the 2 x 2N strip
-
-        M = A12 (R22 - R21 R11^{-1} R12) = A12 R22 - (A12 R21 R11^{-1}) R12,
-
-    never from the 2N x 2N core.
-    """
-    ts, R = traj.ts, traj.R
-    cond = _condition_numbers(R[:, :2, :2])
-    usable = np.isfinite(cond) & (cond <= cond_limit)
-    for k in np.flatnonzero(~usable).tolist():
-        warnings.warn(
-            f"R11 near-singular at t={ts[k]:.6g} (cond={cond[k]:.3e});"
-            " point skipped",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    w = spec.omega.values(ts)[usable]
-    nu = spec.bath.nu.values(ts)[usable]
-    if not usable.all():
-        ts, R = ts[usable], R[usable]
-    R11, R12, R21 = R[:, :2, :2], R[:, :2, 2:], R[:, 2:, :2]
-    adj = np.empty_like(R11)
-    adj[:, 0, 0], adj[:, 1, 1] = R11[:, 1, 1], R11[:, 0, 0]
-    adj[:, 0, 1], adj[:, 1, 0] = -R11[:, 0, 1], -R11[:, 1, 0]
-    det = R11[:, 0, 0] * R11[:, 1, 1] - R11[:, 0, 1] * R11[:, 1, 0]
-    A12 = nu[:, None, None] * coupling_layout_12(spec.bath)
-    B = A12 @ R21 @ (adj / det[:, None, None])  # A12 R21 R11^{-1}
-    A = np.zeros_like(B)  # A11 = [[0, -w^2], [1, 0]]
-    A[:, 0, 1] = -w * w
-    A[:, 1, 0] = 1.0
-    A += B
-    if F is None:
-        return ts, A, None, None
-
-    M = A12 @ R[:, 2:, 2:]
-    M -= B @ R12
-    R12F = R12 @ F
-    R12T = R12.transpose(0, 2, 1)
-    # The two terms are transposes of each other algebraically; computing
-    # both keeps the roundoff-skew check meaningful.
-    two_D = M @ F @ R12T
-    two_D += R12F @ M.transpose(0, 2, 1)
-    skew = np.abs(two_D[:, 0, 1] - two_D[:, 1, 0])
-    scale = np.maximum(1.0, np.abs(two_D).max(axis=(1, 2)))
-    bad = np.flatnonzero(skew > _SKEW_TOL * scale)
-    if bad.size:
-        k = bad[0]
-        raise IntegrationError(
-            f"diffusion asymmetry {skew[k]:.3e} beyond roundoff"
-            f" at t={ts[k]:.6g}",
-            t=float(ts[k]),
-        )
-    D = 0.25 * (two_D + two_D.transpose(0, 2, 1))
-    return ts, A, D, R12F @ R12T
-
-
-def drift_exact(
-    traj: PropagatorTrajectory,
-    spec: SystemSpec,
-    cond_limit: float = COND_LIMIT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift A(t) along a trajectory.
-
-    Returns (times, drifts) keeping only points where R11 is invertible to
-    within ``cond_limit``; skipped points are reported as warnings.
-    """
-    ts, A, _, _ = _extract(traj, spec, None, cond_limit)
-    return ts, A
-
-
-def diffusion_exact(
-    traj: PropagatorTrajectory,
-    spec: SystemSpec,
-    F: np.ndarray,
-    cond_limit: float = COND_LIMIT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion D(t) along a trajectory; same skipping rules as drift.
-
-    Raises :class:`IntegrationError` naming the time of the first point
-    whose two diffusion terms disagree beyond roundoff.
-    """
-    ts, _, D, _ = _extract(traj, spec, F, cond_limit)
-    return ts, D
-
-
 def damping_rate(A: np.ndarray, A11: np.ndarray | None = None) -> float:
     """gamma = -tr(A - A11)/2; the free part is traceless, so this is
     just -(A_pp + A_xx)/2 when A11 is omitted."""
@@ -244,18 +152,75 @@ def noise_matrix(D: np.ndarray, gamma: float) -> np.ndarray:
 def extract_reduced(
     traj: PropagatorTrajectory,
     spec: SystemSpec,
-    F: np.ndarray,
-    cond_limit: float = COND_LIMIT,
-) -> list[ReducedDynamics]:
-    """Full local-generator extraction along a trajectory."""
-    ts, A, D, Mstar = _extract(traj, spec, F, cond_limit)
+    F: np.ndarray | None = None,
+) -> ReducedDynamics:
+    """Drift and damping rate, and given F the diffusion, at every point of
+    ``traj`` where R11 is invertible within ``COND_LIMIT`` (read at call
+    time), in one stacked pass.
+
+    Each skipped point warns once.  Each profile is evaluated once, on all
+    the trajectory's times, and A12 = nu L12 as ``build_A12`` builds it.
+    The diffusion is formed from the 2 x 2N strip
+
+        M = A12 (R22 - R21 R11^{-1} R12) = A12 R22 - (A12 R21 R11^{-1}) R12,
+
+    never from the 2N x 2N core.  Raises :class:`IntegrationError` naming
+    the time of the first point whose two diffusion terms disagree beyond
+    roundoff.
+    """
+    ts, R = traj.ts, traj.R
+    cond = _condition_numbers(R[:, :2, :2])
+    usable = np.isfinite(cond) & (cond <= COND_LIMIT)
+    for k in np.flatnonzero(~usable).tolist():
+        warnings.warn(
+            f"R11 near-singular at t={ts[k]:.6g} (cond={cond[k]:.3e});"
+            " point skipped",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    w = spec.omega.values(ts)[usable]
+    nu = spec.bath.nu.values(ts)[usable]
+    if not usable.all():
+        ts, R = ts[usable], R[usable]
+    R11, R12, R21 = R[:, :2, :2], R[:, :2, 2:], R[:, 2:, :2]
+    adj = np.empty_like(R11)
+    adj[:, 0, 0], adj[:, 1, 1] = R11[:, 1, 1], R11[:, 0, 0]
+    adj[:, 0, 1], adj[:, 1, 0] = -R11[:, 0, 1], -R11[:, 1, 0]
+    det = R11[:, 0, 0] * R11[:, 1, 1] - R11[:, 0, 1] * R11[:, 1, 0]
+    A12 = nu[:, None, None] * coupling_layout_12(spec.bath)
+    B = A12 @ R21 @ (adj / det[:, None, None])  # A12 R21 R11^{-1}
+    A = np.zeros_like(B)  # A11 = [[0, -w^2], [1, 0]]
+    A[:, 0, 1] = -w * w
+    A[:, 1, 0] = 1.0
+    A += B
     # A11 is traceless, so leaving it out gives the same float
     gamma = -0.5 * (A[:, 0, 0] + A[:, 1, 1])
-    X = 2.0 * D + 1j * gamma[:, None, None] * ANTISYM_UNIT
-    return [
-        ReducedDynamics(t=t, A=a, Mstar=m, D=d, X=x, gamma=g)
-        for t, a, m, d, x, g in zip(ts, A, Mstar, D, X, gamma.tolist())
-    ]
+    if F is None:
+        return ReducedDynamics(ts=ts, A=A, gamma=gamma)
+
+    M = A12 @ R[:, 2:, 2:]
+    M -= B @ R12
+    R12F = R12 @ F
+    R12T = R12.transpose(0, 2, 1)
+    # The two terms are transposes of each other algebraically; computing
+    # both keeps the roundoff-skew check meaningful.
+    two_D = M @ F @ R12T
+    two_D += R12F @ M.transpose(0, 2, 1)
+    skew = np.abs(two_D[:, 0, 1] - two_D[:, 1, 0])
+    scale = np.maximum(1.0, np.abs(two_D).max(axis=(1, 2)))
+    bad = np.flatnonzero(skew > _SKEW_TOL * scale)
+    if bad.size:
+        k = bad[0]
+        raise IntegrationError(
+            f"diffusion asymmetry {skew[k]:.3e} beyond roundoff"
+            f" at t={ts[k]:.6g}",
+            t=float(ts[k]),
+        )
+    D = 0.25 * (two_D + two_D.transpose(0, 2, 1))
+    return ReducedDynamics(
+        ts=ts, A=A, gamma=gamma, D=D, Mstar=R12F @ R12T,
+        X=2.0 * D + 1j * gamma[:, None, None] * ANTISYM_UNIT,
+    )
 
 
 def photon_number(state: CentralGaussian) -> float:

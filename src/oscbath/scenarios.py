@@ -44,13 +44,7 @@ from .profiles import (
     profile_to_dict,
 )
 from .propagate import integrate_R
-from .reduced import (
-    CentralGaussian,
-    diffusion_exact,
-    drift_exact,
-    evolve_gaussian,
-    extract_reduced,
-)
+from .reduced import CentralGaussian, evolve_gaussian, extract_reduced
 from .system import (
     BathSpec,
     SystemSpec,
@@ -100,13 +94,17 @@ def _check(name: str, value: float, threshold: float, comparator: str) -> Verdic
 
 
 def _json_safe(obj):
+    """JSON form of the values ``json`` does not know: profiles, complex
+    numbers and numpy scalars and arrays."""
+    if isinstance(obj, TimeProfile):
+        return profile_to_dict(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    raise TypeError(f"cannot digest object of type {type(obj).__name__}")
+    raise TypeError(f"cannot encode object of type {type(obj).__name__}")
 
 
 def config_digest(scenario: str, params: dict, seed: int) -> str:
@@ -158,7 +156,8 @@ def _fitted_order(eps: np.ndarray, metric: np.ndarray) -> float:
 
 def _extracted_mu(traj, spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Drift correction A(t) - A11(t) read off the exact propagator."""
-    ts, mus = drift_exact(traj, spec)
+    red = extract_reduced(traj, spec)
+    ts, mus = red.ts, red.A.copy()
     mus[:, 0, 1] += spec.omega.values(ts) ** 2
     mus[:, 1, 0] -= 1.0
     return ts, mus
@@ -414,8 +413,7 @@ def run_rwa_check(
         F = thermal_F(bath)
         grid = np.linspace(0.0, horizon, 61)
         traj = integrate_R(spec, grid, dt=dt)
-        _, Ds = diffusion_exact(traj, spec, F)
-        stack = np.asarray(Ds)
+        stack = extract_reduced(traj, spec, F).D
         norms = np.linalg.norm(stack, axis=(1, 2))
         k = int(np.argmax(norms))
         return float(abs(stack[k, 0, 1]) / norms[k])
@@ -447,13 +445,11 @@ def run_rwa_check(
     grid_b = np.linspace(window[0], window[1], 81)
     traj_b = integrate_R(spec_b, np.concatenate(([0.0], grid_b)))
     reduced = extract_reduced(traj_b, spec_b, F_b)
-    window_stats = [
-        (r.D[0, 0], r.D[1, 1], r.gamma) for r in reduced if r.t >= window[0]
-    ]
-    d_pp_avg = float(np.mean([s[0] for s in window_stats]))
-    d_xx_avg = float(np.mean([s[1] for s in window_stats]))
-    gamma_avg = float(np.mean([s[2] for s in window_stats]))
-    gamma_std = float(np.std([s[2] for s in window_stats]))
+    in_window = reduced.ts >= window[0]
+    d_pp_avg = float(np.mean(reduced.D[in_window, 0, 0]))
+    d_xx_avg = float(np.mean(reduced.D[in_window, 1, 1]))
+    gamma_avg = float(np.mean(reduced.gamma[in_window]))
+    gamma_std = float(np.std(reduced.gamma[in_window]))
     chi_ratio = d_pp_avg / (omega0**2 * d_xx_avg)
 
     # minimal commutator-preserving set at the bridged damping scale
@@ -575,10 +571,8 @@ def run_mir_pulse_train(
         "dt": dt,
         "asym_floor": asym_floor,
         "constancy_tol": constancy_tol,
-        "omega_profile": None if omega_profile is None
-        else profile_to_dict(omega_profile),
-        "gamma_profile": None if gamma_profile is None
-        else profile_to_dict(gamma_profile),
+        "omega_profile": omega_profile,
+        "gamma_profile": gamma_profile,
     }
 
     train = _unit_pulse_train(period, count, onset, decay, rise)
@@ -631,7 +625,7 @@ def run_mir_pulse_train(
         omega=omega, gamma=gamma, y=y_log, omega0=omega0, G=noise_scale
     )
     ts_eff = np.linspace(0.0, onset + 2.0 * period, 161)
-    eff_rows = [effective_frequency_terms(model_log, float(t)) for t in ts_eff]
+    omega_sq, delta_dot, delta_sq = effective_frequency_terms(model_log, ts_eff)
 
     asym_gap = abs(eps_final[1] - eps_final[0])
     verdicts = [
@@ -651,9 +645,9 @@ def run_mir_pulse_train(
         },
         "effective_frequency": {
             "time": list(map(float, ts_eff)),
-            "omega_sq": [float(r[0]) for r in eff_rows],
-            "delta_dot": [float(r[1]) for r in eff_rows],
-            "delta_sq": [float(r[2]) for r in eff_rows],
+            "omega_sq": omega_sq.tolist(),
+            "delta_dot": delta_dot.tolist(),
+            "delta_sq": delta_sq.tolist(),
         },
     }
     metadata = {
@@ -737,21 +731,20 @@ def run_closure(
         spec = SystemSpec(omega=Constant(1.0), bath=bath, t_max=t_max)
         F = thermal_F(bath)
         traj = integrate_R(spec, fine, dt=dt)
-        ts, As = drift_exact(traj, spec)
-        if ts.size < fine.size:
-            t = float(np.setdiff1d(fine, ts)[0])
+        red = extract_reduced(traj, spec, F)
+        if len(red) < fine.size:
+            t = float(np.setdiff1d(fine, red.ts)[0])
             raise IntegrationError(
                 f"closure needs the drift at every fine point; R11 is"
                 f" near-singular at t={t:.6g}",
                 t=t,
             )
-        _, Ds = diffusion_exact(traj, spec, F)
-        tab = evolve_moments_tabulated(fine, As, Ds, vacuum)
+        tab = evolve_moments_tabulated(fine, red.A, red.D, vacuum)
         worst = 0.0
         for k in range(0, fine_points, 100):
             exact = evolve_gaussian(vacuum, traj[k], F)
             gap = np.linalg.norm(
-                tab.states[k // 2].cov - exact.cov
+                tab.covs[k // 2] - exact.cov
             ) / np.linalg.norm(exact.cov)
             worst = max(worst, float(gap))
         return worst

@@ -14,6 +14,10 @@ Per-point extraction: the reduced drift and diffusion read off the
 propagator one grid point at a time, with the 2x2 inverse and condition
 number of R11 in closed form.  The package extracts all points of a
 trajectory in one stacked pass (:mod:`oscbath.reduced`).
+
+First-order bath response: the RK4 co-integration that builds the dense
+bath rotation at every stage; the package folds the rotation into a
+Simpson sum mode by mode (:func:`oscbath.perturb.R21_first_order`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import math
 
 import numpy as np
 
-from oscbath import CentralGaussian, IntegrationError, MomentTrajectory
+from oscbath import IntegrationError, MomentTrajectory
+from oscbath.propagate import expm_bath
 from oscbath.reduced import _SKEW_TOL
+from oscbath.system import coupling_layout_21
 
 
 def substeps(ts, dt):
@@ -101,7 +107,9 @@ def integrate_moments(drift_fn, diffusion_fn, initial, grid, dt):
         float(initial.cov[0, 0]), float(initial.cov[0, 1]),
         float(initial.cov[1, 1]),
     )
-    states = [initial]
+    means = np.empty((ts.size, 2))
+    covs = np.empty((ts.size, 2, 2))
+    means[0], covs[0] = initial.mean, initial.cov
     for t, h, end in substeps(ts, dt):
         state = _rk4_moments(
             state, h, ad_at(t), ad_at(t + 0.5 * h), ad_at(t + h)
@@ -114,13 +122,9 @@ def integrate_moments(drift_fn, diffusion_fn, initial, grid, dt):
                 t=float(ts[end]),
             )
         mp, mx, cpp, cpx, cxx = state
-        states.append(
-            CentralGaussian(
-                mean=np.array([mp, mx]),
-                cov=np.array([[cpp, cpx], [cpx, cxx]]),
-            )
-        )
-    return MomentTrajectory(ts=ts, states=states)
+        means[end] = mp, mx
+        covs[end] = ((cpp, cpx), (cpx, cxx))
+    return MomentTrajectory(ts=ts, means=means, covs=covs)
 
 
 def epsilon(w2_fn, omega0, grid, dt, wronskian_tol):
@@ -236,3 +240,29 @@ def diffusion_at(state, F, A12):
             t=float(state.t),
         )
     return 0.25 * (two_D + two_D.T)
+
+
+def R21_first_order(spec, t, steps=2000):
+    """First-order bath response block by RK4 co-integration of the free
+    central propagator and the response integral on ``steps`` equal steps,
+    with the dense bath rotation exp(-A22 tau) built at every stage."""
+    bath = spec.bath
+    L21 = coupling_layout_21(bath)
+    h = t / steps
+
+    def f_pair(tau, R11):
+        w = spec.omega.value(tau)
+        dR11 = np.array([[0.0, -w * w], [1.0, 0.0]]) @ R11
+        dY = expm_bath(bath.omegas, -tau) @ (bath.nu.value(tau) * L21) @ R11
+        return dR11, dY
+
+    R11 = np.eye(2)
+    Y = np.zeros((2 * bath.n, 2))
+    for tau in np.linspace(0.0, t, steps + 1)[:-1]:
+        k1R, k1Y = f_pair(tau, R11)
+        k2R, k2Y = f_pair(tau + 0.5 * h, R11 + 0.5 * h * k1R)
+        k3R, k3Y = f_pair(tau + 0.5 * h, R11 + 0.5 * h * k2R)
+        k4R, k4Y = f_pair(tau + h, R11 + h * k3R)
+        R11 = R11 + (h / 6.0) * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
+        Y = Y + (h / 6.0) * (k1Y + 2.0 * k2Y + 2.0 * k3Y + k4Y)
+    return expm_bath(bath.omegas, t) @ Y

@@ -242,7 +242,7 @@ def test_criterion_07_thermal_stationarity():
     out = evolve_moments(
         model, CentralGaussian.vacuum(), np.array([0.0, horizon])
     )
-    final = out.states[-1]
+    final = out[-1]
     target = 0.5 * G * np.eye(2)
     cov_gap = float(np.max(np.abs(final.cov - target)))
     photon_gap = abs(photon_number(final) - 0.5 * (G - 1.0))
@@ -334,7 +334,7 @@ def test_criterion_10_conservation_sanity():
         driven, CentralGaussian.vacuum(), grid, dt=4e-3
     )
     pure_drift = max(
-        abs(float(np.linalg.det(s.cov)) - 0.25) for s in out.states
+        abs(float(np.linalg.det(s.cov)) - 0.25) for s in out
     )
     damped = LangevinModel(
         omega=Affine(pulse, scale=-1e-2, offset=1.0),
@@ -342,7 +342,7 @@ def test_criterion_10_conservation_sanity():
     )
     out_d = evolve_moments(damped, CentralGaussian.vacuum(), grid, dt=4e-3)
     floor_margin = min(
-        float(np.linalg.det(s.cov)) - 0.25 for s in out_d.states
+        float(np.linalg.det(s.cov)) - 0.25 for s in out_d
     )
     heating_ok = train.tables["photons"]["photons_y=0"][-1] > 0.0
     ok = (

@@ -258,13 +258,9 @@ def test_singular_solve_exits_three(tmp_path, monkeypatch, capsys):
 def test_skipped_closure_point_exits_three(tmp_path, monkeypatch, capsys):
     # closure feeds the drift at every fine point to the moment
     # integrator; a skipped extraction point is a numerical failure
-    from oscbath import scenarios
-    from oscbath.reduced import drift_exact
+    from oscbath import reduced
 
-    monkeypatch.setattr(
-        scenarios, "drift_exact",
-        lambda traj, spec: drift_exact(traj, spec, cond_limit=0.5),
-    )
+    monkeypatch.setattr(reduced, "COND_LIMIT", 0.5)
     cfg = write(tmp_path, SMALL_CLOSURE)
     out = tmp_path / "run"
     with pytest.warns(RuntimeWarning, match="near-singular"):
@@ -374,6 +370,33 @@ def test_rho_values_parsing(tmp_path):
     )
     with pytest.raises(ConfigError, match="rho_values"):
         scenario_kwargs(parse_config(bad), "rwa-check", None)
+
+
+@pytest.mark.parametrize("text, args, field", [
+    ("scenario: rwa-check\nparams:\n  window: [5]\n", [], "window"),
+    ("scenario: closure\ntolerances:\n  ratio_band: [2]\n", [], "ratio_band"),
+    ("scenario: closure\nparams:\n  coupling_scales: 0.1\n", [],
+     "coupling_scales"),
+    ("scenario: rwa-check\nparams:\n  rho_values: [[0, 0], 0.5]\n", [],
+     "rho_values"),
+    ("scenario: closure\n", ["--seed", str(2**130)], "seed"),
+    (f"scenario: closure\nseed: {2**64}\n", [], "seed"),
+    ("scenario: closure\ntolerances:\n  weak_tol: [1.0e-6]\n", [],
+     "weak_tol"),
+    ("scenario: mir-pulse-train\nmodel:\n  y: [0.0, 2.0]\n", [], "y"),
+    ("scenario: rwa-check\nparams:\n  window: [40, 20]\n", [], "window"),
+], ids=["window", "ratio_band", "coupling_scales", "rho_values", "seed_flag",
+        "seed_key", "scalar_as_list", "y_range", "window_order"])
+def test_check_agrees_with_the_run(tmp_path, capsys, text, args, field):
+    # each of these passed --check and then failed in the run, the first
+    # four and the scalar given as a list with a traceback
+    cfg = write(tmp_path, text)
+    out = tmp_path / "never"
+    for extra in (["--check"], ["--out", str(out)]):
+        assert main(["run", str(cfg), *args, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+    assert not out.exists()
 
 
 # Any YAML value: NaN and inf among the floats, integers beyond the float

@@ -406,7 +406,20 @@ def test_photon_trajectory_consistent_with_states():
     m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.2), G=1.5)
     out = evolve_moments(m, CentralGaussian.vacuum(), np.linspace(0.0, 5.0, 6))
     np.testing.assert_allclose(
-        out.photons, [photon_number(s) for s in out.states], atol=0.0
+        out.photons, [photon_number(s) for s in out], atol=0.0
     )
     assert out.photons[0] == pytest.approx(0.0, abs=1e-15)
     assert np.all(np.diff(out.photons) > 0.0)  # heating toward G > 1
+
+
+def test_photons_count_the_displacement():
+    # the stacked photon numbers against photon_number state by state,
+    # with a mean that rotates and decays
+    m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.2), G=1.5)
+    init = CentralGaussian(np.array([0.8, -0.3]), 0.6 * np.eye(2))
+    out = evolve_moments(m, init, np.linspace(0.0, 5.0, 11))
+    assert len(out) == 11
+    assert np.abs(out.means).max() > 0.3
+    want = [photon_number(s) for s in out]
+    assert len(want) == 11
+    np.testing.assert_allclose(out.photons, want, rtol=1e-14, atol=0.0)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from oscbath import (
+    Affine,
     BathSpec,
     Constant,
     GaussianPulse,
@@ -153,6 +155,28 @@ def test_R21_first_order_error_scales_with_coupling_squared():
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_R21_first_order_matches_rk4_oracle(n):
+    # the Simpson sum with per-mode rotations against the RK4
+    # co-integration with the dense rotation at every stage, at a
+    # time-dependent frequency
+    U, V, G, Z = random_couplings(n, scale=0.1, seed=n)
+    bath = BathSpec(
+        omegas=uniform_bath_frequencies(n, 0.6, 3.0), U=U, V=V, G=G, Z=Z,
+        nu=GaussianPulse(1.0, 1.0, 0.3),
+    )
+    omega = Affine(GaussianPulse(1.0, 1.5, 0.2), scale=-0.1, offset=1.0)
+    spec = SystemSpec(
+        omega=omega, bath=bath, omega0=omega.value(0.0), t_max=4.0
+    )
+    for t in (0.5, 2.0):
+        want = oracles.R21_first_order(spec, t)
+        got = R21_first_order(spec, t)
+        assert got.shape == (2 * n, 2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.all(R21_first_order(spec, 0.0) == 0.0)
 
 
 def test_R12_bare_integral_layout():

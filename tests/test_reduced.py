@@ -30,8 +30,6 @@ from oscbath import (
     SystemSpec,
     build_A11,
     damping_rate,
-    diffusion_exact,
-    drift_exact,
     evolve_gaussian,
     extract_reduced,
     integrate_R,
@@ -42,6 +40,7 @@ from oscbath import (
     thermal_F,
     uniform_bath_frequencies,
 )
+from oscbath import reduced
 from oscbath.reduced import COND_LIMIT
 from oscbath.system import coupling_layout_12
 
@@ -165,11 +164,10 @@ def test_drift_reduces_to_free_block_without_coupling():
     F = thermal_F(spec.bath)
     grid = np.linspace(0.0, 4.0, 9)
     traj = integrate_R(spec, grid, dt=2e-3)
-    ts, As = drift_exact(traj, spec)
-    for t, A in zip(ts, As):
+    red = extract_reduced(traj, spec, F)
+    for t, A in zip(red.ts, red.A):
         np.testing.assert_allclose(A, build_A11(spec, t), atol=1e-11)
-    ts, Ds = diffusion_exact(traj, spec, F)
-    for D in Ds:
+    for D in red.D:
         np.testing.assert_allclose(D, 0.0, atol=1e-12)
 
 
@@ -224,30 +222,33 @@ def _assert_close(got, want):
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
-def test_stacked_extraction_matches_per_point_oracle(n):
+def test_stacked_extraction_matches_per_point_oracle(n, monkeypatch):
     spec = _modulated_spec(n)
     F = thermal_F(spec.bath)
     traj = integrate_R(spec, np.linspace(0.0, 3.0, 13))
     want = _per_point(traj, spec, F, COND_LIMIT)
     assert len(want) == len(traj)
-    ts, As = drift_exact(traj, spec)
-    ts_d, Ds = diffusion_exact(traj, spec, F)
+    drift = extract_reduced(traj, spec)
+    ts, As = drift.ts, drift.A
+    red = extract_reduced(traj, spec, F)
+    ts_d, Ds = red.ts, red.D
     np.testing.assert_array_equal(ts, traj.ts)
     np.testing.assert_array_equal(ts_d, traj.ts)
     _assert_close(As, np.array([w[1] for w in want]))
     _assert_close(Ds, np.array([w[2] for w in want]))
-    red = extract_reduced(traj, spec, F)
-    np.testing.assert_array_equal([r.A for r in red], As)
-    np.testing.assert_array_equal([r.D for r in red], Ds)
-    for r, state in zip(red, traj):
-        np.testing.assert_array_equal(r.Mstar, reduced_covariance(state, F))
+    np.testing.assert_array_equal(red.A, As)
+    np.testing.assert_array_equal(red.D, Ds)
+    for Mstar, state in zip(red.Mstar, traj):
+        np.testing.assert_array_equal(Mstar, reduced_covariance(state, F))
 
     # one skipped point: the one with the largest cond(R11)
     conds = [oracles.cond_2x2(state.R11) for state in traj]
     k = int(np.argmax(conds))
     limit = 0.5 * (conds[k] + max(c for c in conds if c < conds[k]))
+    monkeypatch.setattr(reduced, "COND_LIMIT", limit)
     with pytest.warns(RuntimeWarning, match="near-singular") as caught:
-        ts, As = drift_exact(traj, spec, cond_limit=limit)
+        drift = extract_reduced(traj, spec)
+    ts, As = drift.ts, drift.A
     assert [str(w.message) for w in caught] == [
         f"R11 near-singular at t={traj.ts[k]:.6g} (cond={conds[k]:.3e});"
         " point skipped"
@@ -257,25 +258,28 @@ def test_stacked_extraction_matches_per_point_oracle(n):
     assert ts.size == len(traj) - 1 and traj.ts[k] not in ts
     _assert_close(As, np.array([w[1] for w in want]))
     with pytest.warns(RuntimeWarning, match="near-singular"):
-        _, Ds = diffusion_exact(traj, spec, F, cond_limit=limit)
+        Ds = extract_reduced(traj, spec, F).D
     _assert_close(Ds, np.array([w[2] for w in want]))
+    monkeypatch.undo()
 
     # a skew failure: both raise at the same, first failing time
     F_skew = F.copy()
     F_skew[0, 1] += 0.3
     with pytest.raises(IntegrationError, match="diffusion asymmetry") as exc:
-        diffusion_exact(traj, spec, F_skew)
+        extract_reduced(traj, spec, F_skew)
     with pytest.raises(IntegrationError) as oracle_exc:
         _per_point(traj, spec, F_skew, COND_LIMIT)
     assert exc.value.t == oracle_exc.value.t > 0.0
 
 
-def test_ill_conditioned_points_are_skipped_with_a_warning():
+def test_ill_conditioned_points_are_skipped_with_a_warning(monkeypatch):
     spec = _spec()
     traj = integrate_R(spec, np.array([0.0, 0.5, 1.0]), dt=2e-3)
     # every condition number is at least 1
+    monkeypatch.setattr(reduced, "COND_LIMIT", 0.5)
     with pytest.warns(RuntimeWarning, match="near-singular"):
-        ts, As = drift_exact(traj, spec, cond_limit=0.5)
+        red = extract_reduced(traj, spec)
+    ts, As = red.ts, red.A
     assert ts.size == 0 and As.size == 0
 
 
@@ -288,7 +292,7 @@ def test_diffusion_asymmetry_raises_with_failure_time():
     F = thermal_F(spec.bath)
     F[0, 1] += 0.3
     with pytest.raises(IntegrationError, match="diffusion asymmetry") as exc:
-        diffusion_exact(traj, spec, F)
+        extract_reduced(traj, spec, F)
     assert exc.value.t == grid[1]
 
 
@@ -296,7 +300,7 @@ def test_diffusion_vanishes_at_start():
     spec = _spec()
     F = thermal_F(spec.bath)
     traj = integrate_R(spec, np.array([0.0, 1.0]), dt=2e-3)
-    _, Ds = diffusion_exact(traj, spec, F)
+    Ds = extract_reduced(traj, spec, F).D
     np.testing.assert_allclose(Ds[0], 0.0, atol=1e-14)
 
 
@@ -312,7 +316,7 @@ def test_extraction_satisfies_covariance_transport():
     h = fine[1] - fine[0]
     for k in range(5, 396, 40):
         dcov = (evo[k + 1].cov - evo[k - 1].cov) / (2.0 * h)
-        rhs = red[k].A @ evo[k].cov + evo[k].cov @ red[k].A.T + 2.0 * red[k].D
+        rhs = red.A[k] @ evo[k].cov + evo[k].cov @ red.A[k].T + 2.0 * red.D[k]
         np.testing.assert_allclose(dcov, rhs, atol=1e-4)
 
 
@@ -320,11 +324,12 @@ def test_extracted_gamma_consistent_with_drift():
     spec = _spec()
     F = thermal_F(spec.bath)
     traj = integrate_R(spec, np.linspace(0.0, 4.0, 9), dt=2e-3)
-    for r in extract_reduced(traj, spec, F):
-        assert r.gamma == pytest.approx(
-            damping_rate(r.A, build_A11(spec, r.t)), abs=1e-15
+    red = extract_reduced(traj, spec, F)
+    for t, A, D, X, gamma in zip(red.ts, red.A, red.D, red.X, red.gamma):
+        assert gamma == pytest.approx(
+            damping_rate(A, build_A11(spec, t)), abs=1e-15
         )
-        np.testing.assert_allclose(r.X, noise_matrix(r.D, r.gamma), atol=0.0)
+        np.testing.assert_allclose(X, noise_matrix(D, gamma), atol=0.0)
 
 
 # ---------------------------------------------------------------------------

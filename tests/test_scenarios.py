@@ -167,6 +167,30 @@ def test_closure_small():
     assert rep.tables["uncoupled"]["max_rel_cov_gap"][0] <= 1e-10
 
 
+def test_closure_extracts_each_trajectory_once(monkeypatch):
+    # drift and diffusion come from one extraction pass per propagated
+    # trajectory: three coupling scales plus the uncoupled run
+    from oscbath import scenarios
+
+    propagated, extracted = [], []
+
+    def propagating(*args, **kwargs):
+        propagated.append(integrate(*args, **kwargs))
+        return propagated[-1]
+
+    def extracting(traj, *args, **kwargs):
+        extracted.append(traj)
+        return extract(traj, *args, **kwargs)
+
+    integrate, extract = scenarios.integrate_R, scenarios.extract_reduced
+    monkeypatch.setattr(scenarios, "integrate_R", propagating)
+    monkeypatch.setattr(scenarios, "extract_reduced", extracting)
+    assert run_closure().passed
+    assert len(propagated) == 4
+    assert len(extracted) == 4
+    assert all(a is b for a, b in zip(extracted, propagated))
+
+
 def test_closure_validation():
     with pytest.raises(ValueError, match="descending"):
         run_closure(coupling_scales=(0.05, 0.1))
