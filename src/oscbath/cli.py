@@ -32,7 +32,7 @@ import yaml
 
 from .errors import ConfigError, IntegrationError
 from .profiles import profile_from_dict
-from .scenarios import SCENARIOS, ScenarioReport, _json_safe
+from .scenarios import BAND_LO, SCENARIOS, ScenarioReport, _json_safe
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -124,6 +124,15 @@ _PROFILE_KEYS = {("model", "gamma"), ("model", "omega")}
 _INT_MIN = {"n_modes": 1, "steps": 3, "count": 1}
 # Number keys that may be null: the scenario then derives the value.
 _OPTIONAL_KEYS = {"period", "onset", "gamma_max", "rise"}
+# Number keys with a lower bound, as (bound, inclusive).  The bath band of
+# short-time-convergence and rwa-check starts at BAND_LO (times omega0).
+_LOWER = {
+    "omega0": (0.0, False), "temperature": (0.0, True), "t_max": (0.0, False),
+    "dt": (0.0, False), "coupling_scale": (0.0, False), "epsilon": (0.0, False),
+    "omega_max": (BAND_LO, False), "G": (1.0, True), "period": (0.0, False),
+    "onset": (0.0, False), "gamma_max": (0.0, True), "decay": (0.0, False),
+    "rise": (0.0, False),
+}
 
 
 @dataclass(frozen=True)
@@ -146,13 +155,16 @@ def _reject_unknown(key: str, candidates: tuple[str, ...], where: str) -> None:
     raise ConfigError(f"unknown key {key!r} in {where}{hint}", field=key)
 
 
-def _require_number(value, name: str, *, positive=False, non_negative=False):
+def _require_number(value, name: str, lower: tuple[float, bool] | None = None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}", field=name)
-    if positive and not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value}", field=name)
-    if non_negative and value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value}", field=name)
+    if lower is not None:
+        bound, inclusive = lower
+        if not (value >= bound if inclusive else value > bound):
+            op = ">=" if inclusive else ">"
+            raise ConfigError(
+                f"{name} must be {op} {bound:g}, got {value}", field=name
+            )
     return value
 
 
@@ -217,19 +229,21 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
         if key not in allowed:
             _reject_unknown(str(key), tuple(sorted(allowed)), f"section {name!r}")
         _require_finite(value, key)
-        if key == "omega0":
-            _require_number(value, "omega0", positive=True)
-        elif key == "temperature":
-            _require_number(value, "temperature", non_negative=True)
-        elif key in _INT_MIN:
+        if value is None and key in _OPTIONAL_KEYS:
+            continue
+        if key in _INT_MIN:
             if not isinstance(value, int) or value < _INT_MIN[key]:
                 raise ConfigError(
                     f"{key} must be an integer >= {_INT_MIN[key]},"
                     f" got {value!r}",
                     field=key,
                 )
-        elif key in ("t_max", "dt", "coupling_scale", "omega_max"):
-            _require_number(value, key, positive=True)
+            if key == "steps" and "closure" in scenarios and value % 2 == 0:
+                raise ConfigError(
+                    f"steps must be odd for closure, got {value}", field=key
+                )
+        elif key in _LOWER:
+            _require_number(value, key, _LOWER[key])
         elif (name, key) in _PROFILE_KEYS:
             try:
                 profile_from_dict(value)
@@ -265,7 +279,7 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
                     f" amplitudes, got {value!r}",
                     field=key,
                 )
-        elif not (value is None and key in _OPTIONAL_KEYS):
+        else:
             _require_number(value, key)
     return dict(raw)
 

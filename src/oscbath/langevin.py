@@ -12,8 +12,8 @@ gamma_p = (1+y) gamma, gamma_x = (1-y) gamma.  First and second moments obey
     mean' = A mean,      cov' = A cov + cov A^T + 2 D,
 
 where D comes from the symmetric part of the noise correlations.  The model
-carries a NoiseSet whose commutator defect must vanish; sets violating
-chi_xp - chi_px = 2 i gamma are rejected at construction.
+derives its NoiseSet from (gamma, y, omega0, G), so the commutator
+condition chi_xp - chi_px = 2 i gamma holds by construction.
 
 The homogeneous dynamics reduces to a complex amplitude:  substituting
 x = eps(t) exp(-int gamma) turns the damped equation into
@@ -41,13 +41,13 @@ for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import IntegrationError
-from .perturb import NoiseSet, _ProfileNoiseSet
+from .perturb import NoiseSet
 from .profiles import TimeProfile, tabulate
 from .propagate import _resolving_step, linear_flow
 from .reduced import CentralGaussian
@@ -68,7 +68,6 @@ __all__ = [
     "stationary_covariance",
 ]
 
-_COMMUTATOR_TOL = 1e-10
 _WRONSKIAN_TOL = 1e-8
 # Entries (rows, cols) of the moment generator set by :func:`_moment_run`,
 # for z = (m_p, m_x, c_pp, c_px, c_xx, 1).
@@ -93,11 +92,12 @@ def _probe_times(profile: TimeProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LangevinModel:
-    """Frequency and damping profiles plus a commutator-preserving NoiseSet.
+    """Frequency and damping profiles, damping split y, oscillator frequency
+    omega0 and thermal factor G.
 
-    When ``chi`` is omitted, the default set couples the damping split to
-    the thermal factor G:  chi_pp = gamma_p omega0 G, chi_xx =
-    gamma_x G / omega0, chi_xp = -chi_px = i gamma.
+    ``chi`` is derived, not given: the minimum-noise set of the split,
+    chi_pp = gamma_p omega0 G, chi_xx = gamma_x G / omega0 and
+    chi_xp = -chi_px = i gamma (see :class:`oscbath.perturb.NoiseSet`).
     """
 
     omega: TimeProfile
@@ -105,13 +105,15 @@ class LangevinModel:
     y: float = 0.0
     omega0: float = 1.0
     G: float = 1.0
-    chi: NoiseSet | None = None
+    chi: NoiseSet = field(init=False)
 
     def __post_init__(self):
         if not self.omega0 > 0.0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if abs(self.y) > 1.0:
-            raise ValueError(f"damping asymmetry must satisfy |y| <= 1, got {self.y}")
+        # checks G >= 1 and |y| <= 1
+        object.__setattr__(
+            self, "chi", NoiseSet(self.gamma, self.y, self.omega0, self.G)
+        )
         if self.y != 0.0 and not self.gamma.is_continuous:
             raise ValueError(
                 "discontinuous gamma profile with y != 0 would make the"
@@ -123,37 +125,12 @@ class LangevinModel:
         if np.any(g < 0.0):
             t = probes[np.argmax(g < 0.0)]
             raise ValueError(f"gamma(t) must be non-negative; fails near t={t}")
-        if self.chi is None:
-            object.__setattr__(
-                self,
-                "chi",
-                NoiseSet.with_asymmetry(
-                    self.gamma, y=self.y, omega0=self.omega0, G=self.G
-                ),
-            )
-        bound = _COMMUTATOR_TOL * max(1.0, float(np.max(np.abs(g))))
-        gamma_x, gamma_p, chi_xp, chi_px = self.chi.rates(probes)
-        # commutator_defect and the damping split at every probe
-        defects = np.abs(chi_xp - chi_px - 2.0 * (0.5 * (gamma_x + gamma_p)))
-        splits = np.abs(gamma_p - (1.0 + self.y) * g) + np.abs(
-            gamma_x - (1.0 - self.y) * g
-        )
-        for t, defect, split in zip(probes, defects, splits):
-            if defect > bound:
-                raise ValueError(
-                    f"noise set breaks the commutator condition at t={t}:"
-                    f" chi_xp - chi_px - 2 gamma = {defect:.3e}"
-                )
-            if split > bound:
-                raise ValueError(
-                    f"noise set damping rates disagree with (gamma, y) at t={t}"
-                )
 
     def gamma_p(self, t: float) -> float:
-        return (1.0 + self.y) * self.gamma.value(t)
+        return self.chi.gamma_p(t)
 
     def gamma_x(self, t: float) -> float:
-        return (1.0 - self.y) * self.gamma.value(t)
+        return self.chi.gamma_x(t)
 
 
 def drift_matrix(model: LangevinModel, t: float) -> np.ndarray:
@@ -227,13 +204,10 @@ def _drift_diffusion(model: LangevinModel, nodes: np.ndarray) -> tuple:
     """(a11, a12, a21, a22, d11, d12, d22) of ``drift_matrix`` and
     ``diffusion_matrix`` at each node, each profile tabulated once."""
     w, g = tabulate((model.omega, model.gamma), nodes)
-    chi = model.chi
-    if isinstance(chi, _ProfileNoiseSet) and chi.profile is model.gamma:
-        d_pp, d_xx = chi.diffusion_of(g)
-    else:
-        d_pp, d_xx = chi.diffusion_diagonal(nodes)
-    return (-((1.0 + model.y) * g), -w * w, np.ones_like(w),
-            -((1.0 - model.y) * g), d_pp, np.zeros_like(w), d_xx)
+    gamma_p, gamma_x = model.chi.split(g)
+    d_pp, d_xx = model.chi.diffusion_of(g)
+    return (-gamma_p, -w * w, np.ones_like(w), -gamma_x, d_pp,
+            np.zeros_like(w), d_xx)
 
 
 def _default_model_step(model: LangevinModel, grid: np.ndarray) -> float:

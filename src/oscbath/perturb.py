@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -259,52 +259,74 @@ def thermal_G(omega0: float, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseSet:
-    """Damping rates and noise correlations of a local oscillator model.
+    """Damping rates and noise correlations of the local oscillator model.
 
-    All entries are real functions of time.  ``chi_xp_imag`` and
-    ``chi_px_imag`` are the imaginary parts of the cross correlations; the
-    commutator is preserved exactly when their difference equals twice the
-    mean damping rate at every instant.
+    Every entry is a fixed multiple of one damping profile gamma(t): the
+    split gamma_p = (1+y) gamma, gamma_x = (1-y) gamma, the noise
+    chi_pp = gamma_p omega0 G, chi_xx = gamma_x G / omega0 with the thermal
+    factor G >= 1, and the purely imaginary cross correlations
+    chi_xp = -chi_px = i gamma.  The commutator condition
+    chi_xp - chi_px = 2 i gamma therefore holds by construction.
     """
 
-    gamma_x: Callable[[float], float]
-    gamma_p: Callable[[float], float]
-    chi_xx: Callable[[float], float]
-    chi_pp: Callable[[float], float]
-    chi_xp_imag: Callable[[float], float]
-    chi_px_imag: Callable[[float], float]
-    G: float
-    omega0: float
+    profile: TimeProfile
+    y: float = 0.0
+    omega0: float = 1.0
+    G: float = 1.0
+
+    def __post_init__(self):
+        if self.G < 1.0:
+            raise ValueError(
+                f"noise factor G={self.G} below 1 corresponds to an unphysical"
+                " (negative) temperature"
+            )
+        if abs(self.y) > 1.0:
+            raise ValueError(
+                f"damping asymmetry must satisfy |y| <= 1, got {self.y}"
+            )
+
+    def split(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma_p, gamma_x) for a value or a table g of the profile."""
+        return (1.0 + self.y) * g, (1.0 - self.y) * g
+
+    def diffusion_of(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(D_pp, D_xx) = (chi_pp, chi_xx) / 2 for a value or a table g of
+        the profile, so a caller that has tabulated it does not evaluate it
+        again."""
+        gamma_p, gamma_x = self.split(g)
+        return (0.5 * (gamma_p * self.G * self.omega0),
+                0.5 * (gamma_x * self.G / self.omega0))
+
+    def gamma_p(self, t: float) -> float:
+        return self.split(self.profile.value(t))[0]
+
+    def gamma_x(self, t: float) -> float:
+        return self.split(self.profile.value(t))[1]
 
     def gamma(self, t: float) -> float:
-        return 0.5 * (self.gamma_x(t) + self.gamma_p(t))
+        return 0.5 * sum(self.split(self.profile.value(t)))
+
+    def chi_pp(self, t: float) -> float:
+        return 2.0 * self.diffusion_of(self.profile.value(t))[0]
+
+    def chi_xx(self, t: float) -> float:
+        return 2.0 * self.diffusion_of(self.profile.value(t))[1]
+
+    def chi_xp_imag(self, t: float) -> float:
+        return self.gamma(t)
+
+    def chi_px_imag(self, t: float) -> float:
+        return -self.gamma(t)
 
     def commutator_defect(self, t: float) -> float:
-        """chi_xp - chi_px - 2 gamma (imaginary parts); zero when the
-        canonical commutator is preserved."""
+        """chi_xp - chi_px - 2 gamma (imaginary parts); zero by
+        construction."""
         return self.chi_xp_imag(t) - self.chi_px_imag(t) - 2.0 * self.gamma(t)
 
     def diffusion(self, t: float) -> np.ndarray:
         """Symmetric diffusion matrix, (p, x) ordering.  The purely
         imaginary cross correlations contribute nothing here."""
-        return np.array(
-            [[0.5 * self.chi_pp(t), 0.0], [0.0, 0.5 * self.chi_xx(t)]]
-        )
-
-    def diffusion_diagonal(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(D_pp, D_xx) of :meth:`diffusion` at each time of ``ts``.
-
-        User callables are called once per time; a set built by
-        :meth:`with_asymmetry` tabulates its damping profile instead.
-        """
-        d_pp = np.array([0.5 * self.chi_pp(t) for t in ts.tolist()])
-        d_xx = np.array([0.5 * self.chi_xx(t) for t in ts.tolist()])
-        return d_pp, d_xx
-
-    def rates(self, ts: np.ndarray) -> list[np.ndarray]:
-        """gamma_x, gamma_p, chi_xp_imag and chi_px_imag at each time."""
-        return [np.array([f(t) for t in ts.tolist()]) for f in (
-            self.gamma_x, self.gamma_p, self.chi_xp_imag, self.chi_px_imag)]
+        return np.diag(self.diffusion_of(self.profile.value(t)))
 
     def noise(self, t: float) -> np.ndarray:
         """Complex noise kernel [[chi_pp, i chi_xp], [i chi_px, chi_xx]]."""
@@ -315,62 +337,6 @@ class NoiseSet:
             ]
         )
 
-    @classmethod
-    def with_asymmetry(
-        cls,
-        gamma: TimeProfile,
-        y: float,
-        omega0: float = 1.0,
-        G: float = 1.0,
-    ) -> "NoiseSet":
-        """Commutator-preserving set with damping split
-        gamma_p = (1+y) gamma, gamma_x = (1-y) gamma and noise scaled by
-        the thermal factor G."""
-        if G < 1.0:
-            raise ValueError(
-                f"noise factor G={G} below 1 corresponds to an unphysical"
-                " (negative) temperature"
-            )
-        if abs(y) > 1.0:
-            raise ValueError(f"damping asymmetry must satisfy |y| <= 1, got {y}")
-        gp = 1.0 + y
-        gx = 1.0 - y
-        return _ProfileNoiseSet(
-            gamma_x=lambda t: gx * gamma.value(t),
-            gamma_p=lambda t: gp * gamma.value(t),
-            chi_xx=lambda t: gx * gamma.value(t) * G / omega0,
-            chi_pp=lambda t: gp * gamma.value(t) * G * omega0,
-            chi_xp_imag=lambda t: gamma.value(t),
-            chi_px_imag=lambda t: -gamma.value(t),
-            G=G,
-            omega0=omega0,
-            profile=gamma,
-            y=y,
-        )
-
-
-@dataclass(frozen=True)
-class _ProfileNoiseSet(NoiseSet):
-    """The set of :meth:`NoiseSet.with_asymmetry`: every entry is a fixed
-    multiple of one damping profile."""
-
-    profile: TimeProfile
-    y: float
-
-    # The arithmetic of the entries' closures, element by element.
-    # ``diffusion_of`` takes a table g of the damping profile, so a caller
-    # that has tabulated it already does not evaluate it again.
-    def diffusion_diagonal(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.diffusion_of(self.profile.values(ts))
-
-    def diffusion_of(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d_pp = 0.5 * ((1.0 + self.y) * g * self.G * self.omega0)
-        return d_pp, 0.5 * ((1.0 - self.y) * g * self.G / self.omega0)
-
-    def rates(self, ts: np.ndarray) -> list[np.ndarray]:
-        g = self.profile.values(ts)
-        return [(1.0 - self.y) * g, (1.0 + self.y) * g, g, -g]
-
 
 def min_noise_set(gamma: TimeProfile, omega0: float, G: float) -> NoiseSet:
     """Smallest commutator-preserving noise set for symmetric damping.
@@ -380,9 +346,4 @@ def min_noise_set(gamma: TimeProfile, omega0: float, G: float) -> NoiseSet:
     X = [[chi_pp, i gamma], [-i gamma, chi_xx]] is positive semidefinite
     exactly when G >= 1; G = 1 (zero temperature) sits on the boundary.
     """
-    if G < 1.0:
-        raise ValueError(
-            f"noise factor G={G} below 1 corresponds to an unphysical"
-            " (negative) temperature"
-        )
-    return NoiseSet.with_asymmetry(gamma, y=0.0, omega0=omega0, G=G)
+    return NoiseSet(gamma, 0.0, omega0, G)

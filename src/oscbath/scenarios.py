@@ -65,6 +65,10 @@ __all__ = [
     "run_closure",
 ]
 
+# Lowest bath frequency of short-time-convergence and rwa-check, in units of
+# the oscillator frequency; omega_max must lie above it.
+BAND_LO = 0.2
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -179,7 +183,7 @@ def _short_pulse_spec(
     nu = GaussianPulse(1.0, center=0.5 * t_pulse, width=t_pulse / 6.0)
     U, V, G, Z = random_couplings(n_modes, scale=coupling_scale, seed=seed)
     bath = BathSpec(
-        omegas=uniform_bath_frequencies(n_modes, 0.2, omega_max),
+        omegas=uniform_bath_frequencies(n_modes, BAND_LO, omega_max),
         U=U, V=V, G=G, Z=Z, nu=nu, temperature=0.0,
     )
     spec = SystemSpec(omega=Constant(1.0), bath=bath, t_max=2.0 * t_pulse)
@@ -374,7 +378,9 @@ def run_rwa_check(
         "ratio_limit": ratio_limit,
         "psd_tol": psd_tol,
     }
-    omegas = uniform_bath_frequencies(n_modes, 0.2 * omega0, omega_max * omega0)
+    omegas = uniform_bath_frequencies(
+        n_modes, BAND_LO * omega0, omega_max * omega0
+    )
     t_pulse = epsilon / (omega_max * omega0)
     nu_pulse = GaussianPulse(1.0, center=0.5 * t_pulse, width=t_pulse / 6.0)
 
@@ -507,6 +513,10 @@ def _unit_pulse_train(
     period: float, count: int, onset: float, decay: float, rise: float
 ) -> TimeProfile:
     """Train of rise-then-decay pulses normalized to unit peak value."""
+    if not (rise > 0.0 and decay > 0.0):
+        raise ValueError(
+            f"pulse rise and decay must be > 0, got rise={rise}, decay={decay}"
+        )
     c = rise * decay / (rise + decay)
     s_star = (c * decay / (decay - c)) * math.log(decay / c)
     peak = math.exp(-s_star / decay) - math.exp(-s_star / c)

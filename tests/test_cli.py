@@ -385,11 +385,29 @@ def test_rho_values_parsing(tmp_path):
      "weak_tol"),
     ("scenario: mir-pulse-train\nmodel:\n  y: [0.0, 2.0]\n", [], "y"),
     ("scenario: rwa-check\nparams:\n  window: [40, 20]\n", [], "window"),
+    ("scenario: closure\ngrid:\n  steps: 400\n", [], "steps"),
+    ("scenario: mir-pulse-train\nmodel:\n  G: 0.5\n", [], "G"),
+    ("scenario: short-time-convergence\nsystem:\n  omega_max: 0.1\n", [],
+     "omega_max"),
+    ("scenario: rwa-check\nsystem:\n  omega_max: 0.1\n", [], "omega_max"),
+    ("scenario: mir-pulse-train\nparams:\n  decay: -1\n", [], "decay"),
+    ("scenario: mir-pulse-train\nparams:\n  rise: -1\n", [], "rise"),
+    ("scenario: mir-pulse-train\nparams:\n  period: 0\n", [], "period"),
+    ("scenario: mir-pulse-train\nparams:\n  gamma_max: -0.1\n", [],
+     "gamma_max"),
+    ("scenario: mir-pulse-train\nparams:\n  onset: -5\n", [], "onset"),
+    ("scenario: mir-pulse-train\nparams:\n  rise: 0\n", [], "rise"),
+    ("scenario: mir-pulse-train\nparams:\n  decay: 0\n", [], "decay"),
+    ("scenario: rwa-check\nparams:\n  epsilon: -0.05\n", [], "epsilon"),
 ], ids=["window", "ratio_band", "coupling_scales", "rho_values", "seed_flag",
-        "seed_key", "scalar_as_list", "y_range", "window_order"])
+        "seed_key", "scalar_as_list", "y_range", "window_order", "even_steps",
+        "G_below_one", "band_stc", "band_rwa", "decay_negative",
+        "rise_negative", "period_zero", "gamma_max_negative",
+        "onset_negative", "rise_zero", "decay_zero", "epsilon_negative"])
 def test_check_agrees_with_the_run(tmp_path, capsys, text, args, field):
-    # each of these passed --check and then failed in the run, the first
-    # four and the scalar given as a list with a traceback
+    # each of these passed --check and then failed in the run; the first
+    # four, the scalar given as a list and a zero rise or decay with a
+    # traceback
     cfg = write(tmp_path, text)
     out = tmp_path / "never"
     for extra in (["--check"], ["--out", str(out)]):

@@ -22,7 +22,6 @@ from oscbath import (
     GaussianPulse,
     IntegrationError,
     LangevinModel,
-    NoiseSet,
     diffusion_matrix,
     drift_matrix,
     effective_frequency_squared,
@@ -81,29 +80,6 @@ def test_diffusion_matrix_from_noise_set():
     np.testing.assert_allclose(
         diffusion_matrix(m, 0.0), np.diag([0.07, 0.07]), atol=1e-15
     )
-
-
-def test_commutator_violating_noise_rejected():
-    bad = NoiseSet(
-        gamma_x=lambda t: 0.1,
-        gamma_p=lambda t: 0.1,
-        chi_xx=lambda t: 0.1,
-        chi_pp=lambda t: 0.1,
-        chi_xp_imag=lambda t: 0.0,  # should be +gamma
-        chi_px_imag=lambda t: 0.0,  # should be -gamma
-        G=1.0,
-        omega0=1.0,
-    )
-    with pytest.raises(ValueError, match="commutator"):
-        LangevinModel(omega=Constant(1.0), gamma=Constant(0.1), chi=bad)
-
-
-def test_noise_set_damping_split_must_match_model():
-    mismatched = NoiseSet.with_asymmetry(Constant(0.1), y=0.0)
-    with pytest.raises(ValueError, match="damping rates"):
-        LangevinModel(
-            omega=Constant(1.0), gamma=Constant(0.1), y=0.5, chi=mismatched
-        )
 
 
 def test_discontinuous_gamma_with_asymmetry_rejected():
@@ -256,34 +232,6 @@ def test_tabulated_moments_match_callable_reference():
     np.testing.assert_array_equal(got.ts, ref.ts)
     np.testing.assert_allclose(got.photons, ref.photons, rtol=1e-10)
     np.testing.assert_allclose(got.covs, ref.covs, rtol=1e-10, atol=1e-15)
-
-
-def test_user_noise_callables_are_called_per_node():
-    gamma = GaussianPulse(0.4, 1.0, 0.3)
-    calls = []
-
-    def chi_pp(t):
-        calls.append(t)
-        return 1.3 * gamma.value(t)
-
-    user = NoiseSet(
-        gamma_x=gamma.value,
-        gamma_p=gamma.value,
-        chi_xx=lambda t: 1.3 * gamma.value(t),
-        chi_pp=chi_pp,
-        chi_xp_imag=gamma.value,
-        chi_px_imag=lambda t: -gamma.value(t),
-        G=1.3,
-        omega0=1.0,
-    )
-    built = LangevinModel(omega=Constant(1.0), gamma=gamma, G=1.3)
-    given = LangevinModel(omega=Constant(1.0), gamma=gamma, G=1.3, chi=user)
-    grid = np.array([0.0, 0.25, 1.0])
-    calls.clear()
-    a = evolve_moments(given, CentralGaussian.vacuum(), grid, dt=0.1)
-    assert len(calls) == 3 * 11  # three stage nodes for each of 3 + 8 steps
-    b = evolve_moments(built, CentralGaussian.vacuum(), grid, dt=0.1)
-    np.testing.assert_allclose(a.covs, b.covs, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ coefficients), and the factorized closed form against that general route.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +19,7 @@ from oscbath import (
     BathSpec,
     Constant,
     GaussianPulse,
+    LangevinModel,
     NoiseSet,
     PiecewiseLinear,
     R12_first_order,
@@ -362,18 +365,38 @@ def test_noise_factor_below_one_rejected():
     with pytest.raises(ValueError, match="unphysical"):
         min_noise_set(Constant(0.1), 1.0, 0.9)
     with pytest.raises(ValueError, match="unphysical"):
-        NoiseSet.with_asymmetry(Constant(0.1), y=0.0, G=0.5)
+        NoiseSet(Constant(0.1), y=0.0, G=0.5)
 
 
-def test_asymmetric_split_preserves_commutator():
-    ns = NoiseSet.with_asymmetry(Constant(0.2), y=0.5, omega0=1.0, G=1.1)
-    t = 0.0
-    assert ns.gamma_p(t) == pytest.approx(0.3)
-    assert ns.gamma_x(t) == pytest.approx(0.1)
-    assert ns.gamma(t) == pytest.approx(0.2)
-    assert ns.commutator_defect(t) == pytest.approx(0.0, abs=1e-15)
+_SPLITS = list(
+    itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), (1.0, 1.7), (0.5, 2.0))
+)
+
+
+@pytest.mark.parametrize(
+    "y, G, omega0", _SPLITS,
+    ids=[f"y={y:g},G={G:g},omega0={w:g}" for y, G, w in _SPLITS],
+)
+def test_asymmetric_split_preserves_commutator(y, G, omega0):
+    gamma = GaussianPulse(0.2, 1.0, 0.3)
+    ns = NoiseSet(gamma, y, omega0, G)
+    for t in (0.0, 0.6, 1.0, 1.45):
+        g = gamma.value(t)
+        assert ns.gamma_p(t) == pytest.approx((1.0 + y) * g)
+        assert ns.gamma_x(t) == pytest.approx((1.0 - y) * g)
+        assert ns.gamma(t) == pytest.approx(g)
+        # the invariants hold exactly, not to roundoff
+        assert ns.commutator_defect(t) == 0.0
+        assert ns.gamma_p(t) + ns.gamma_x(t) == 2.0 * ns.gamma(t)
+        np.testing.assert_array_equal(
+            ns.diffusion(t), np.diag([ns.chi_pp(t), ns.chi_xx(t)]) / 2.0
+        )
+    model = LangevinModel(
+        omega=Constant(1.0), gamma=gamma, y=y, omega0=omega0, G=G
+    )
+    assert model.chi == NoiseSet(gamma, y, omega0, G)
     with pytest.raises(ValueError, match="asymmetry"):
-        NoiseSet.with_asymmetry(Constant(0.2), y=1.5)
+        NoiseSet(gamma, y=1.5)
 
 
 def test_diffusion_from_noise_set_is_half_diagonal():

@@ -143,6 +143,13 @@ def test_mir_requires_two_splits():
         run_mir_pulse_train(y_values=(0.5,))
 
 
+def test_mir_rejects_instant_rise_or_decay():
+    # both divided by zero in the pulse normalisation
+    for kwargs in ({"rise": 0.0}, {"decay": 0.0}):
+        with pytest.raises(ValueError, match="rise and decay must be > 0"):
+            run_mir_pulse_train(**kwargs)
+
+
 def test_mir_profile_override_is_graded_honestly():
     # freezing the frequency removes the parametric drive, so the
     # growth verdict must fail rather than being skipped
