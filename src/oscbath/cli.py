@@ -32,7 +32,13 @@ import yaml
 
 from .errors import ConfigError, IntegrationError
 from .profiles import profile_from_dict
-from .scenarios import BAND_LO, SCENARIOS, ScenarioReport, _json_safe
+from .scenarios import (
+    BAND_LO,
+    SCENARIOS,
+    ScenarioReport,
+    _json_safe,
+    require_modulation_depth,
+)
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -131,7 +137,7 @@ _LOWER = {
     "dt": (0.0, False), "coupling_scale": (0.0, False), "epsilon": (0.0, False),
     "omega_max": (BAND_LO, False), "G": (1.0, True), "period": (0.0, False),
     "onset": (0.0, False), "gamma_max": (0.0, True), "decay": (0.0, False),
-    "rise": (0.0, False),
+    "rise": (0.0, False), "nu_bridge": (0.0, False),
 }
 
 
@@ -244,6 +250,11 @@ def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
                 )
         elif key in _LOWER:
             _require_number(value, key, _LOWER[key])
+        elif key == "modulation_depth":
+            try:
+                require_modulation_depth(_require_number(value, key))
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=key) from exc
         elif (name, key) in _PROFILE_KEYS:
             try:
                 profile_from_dict(value)

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IntegrationError
 from .perturb import NoiseSet
@@ -467,6 +466,14 @@ def sample_trajectories(
 def stationary_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Solve A C + C A^T + 2 D = 0 for the stationary covariance.
 
-    The drift must be Hurwitz for the result to be meaningful.
+    With column-major vec, vec(A C + C A^T) = (I (x) A + A (x) I) vec C, so
+    the n x n equation is one n^2 x n^2 linear solve (4 x 4 for the
+    central drift).  The drift must be Hurwitz for the result to be
+    meaningful.
     """
-    return scipy.linalg.solve_continuous_lyapunov(np.asarray(A, float), -2.0 * np.asarray(D, float))
+    A = np.asarray(A, float)
+    n = A.shape[0]
+    eye = np.eye(n)
+    K = np.kron(eye, A) + np.kron(A, eye)
+    vec_d = np.asarray(D, float).ravel(order="F")
+    return np.linalg.solve(K, -2.0 * vec_d).reshape((n, n), order="F")

@@ -46,6 +46,7 @@ from .profiles import (
 from .propagate import integrate_R
 from .reduced import CentralGaussian, evolve_gaussian, extract_reduced
 from .system import (
+    OMEGA0_REL_TOL,
     BathSpec,
     SystemSpec,
     bath_from_rwa,
@@ -68,6 +69,35 @@ __all__ = [
 # Lowest bath frequency of short-time-convergence and rwa-check, in units of
 # the oscillator frequency; omega_max must lie above it.
 BAND_LO = 0.2
+
+
+def _frequency_dip(omega0: float) -> GaussianPulse:
+    """Unit dip of rwa-check's modulated extraction, centred in its run of
+    6 / omega0."""
+    t_mod = 6.0 / omega0
+    return GaussianPulse(1.0, center=0.5 * t_mod, width=t_mod / 12.0)
+
+
+def _max_modulation_depth() -> float:
+    """Largest |depth| of rwa-check's frequency dip that keeps omega(0)
+    within ``OMEGA0_REL_TOL`` of omega0, as ``SystemSpec`` requires.
+
+    The dip's tail at t = 0 is exp(-18) of its peak whatever omega0 is; one
+    ulp of the tolerance is left for rounding omega(0).
+    """
+    tail = _frequency_dip(1.0).value(0.0)
+    return (OMEGA0_REL_TOL - math.ulp(1.0)) / tail
+
+
+def require_modulation_depth(depth: float) -> None:
+    """Raise ValueError naming the field if ``depth`` is out of range."""
+    bound = _max_modulation_depth()
+    if not abs(depth) <= bound:
+        raise ValueError(
+            f"params.modulation_depth must satisfy |modulation_depth| <="
+            f" {bound!r}, or the frequency dip's tail moves omega(0) off"
+            f" omega0; got {depth}"
+        )
 
 
 @dataclass(frozen=True)
@@ -362,6 +392,9 @@ def run_rwa_check(
     to the minimal commutator-preserving set, whose kernel must be
     positive semidefinite at the configured noise factor.
     """
+    if not nu_bridge > 0.0:
+        raise ValueError(f"nu_bridge must be > 0, got {nu_bridge}")
+    require_modulation_depth(modulation_depth)
     t0 = time.perf_counter()
     params = {
         "rho_values": list(rho_values),
@@ -431,7 +464,7 @@ def run_rwa_check(
     # moderate duration with a percent-level frequency dip: the identity
     # is only approximate, which is what gives the bound teeth
     t_mod = 6.0 / omega0
-    dip = GaussianPulse(1.0, center=0.5 * t_mod, width=t_mod / 12.0)
+    dip = _frequency_dip(omega0)
     nu_mod = GaussianPulse(0.3, center=0.5 * t_mod, width=t_mod / 9.0)
     cross_mod = extracted_cross(
         Affine(dip, scale=-modulation_depth * omega0, offset=omega0),

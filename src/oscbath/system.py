@@ -50,6 +50,8 @@ __all__ = [
 
 # Probe resolution for sampled positivity checks on profiles.
 _VALIDATION_SAMPLES = 1001
+# Relative tolerance within which omega(0) must equal omega0.
+OMEGA0_REL_TOL = 1e-9
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -139,7 +141,9 @@ class SystemSpec:
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
         w0 = self.omega.value(0.0)
-        if not math.isclose(w0, self.omega0, rel_tol=1e-9, abs_tol=1e-12):
+        if not math.isclose(
+            w0, self.omega0, rel_tol=OMEGA0_REL_TOL, abs_tol=1e-12
+        ):
             raise ValueError(
                 f"omega(0) = {w0!r} must match omega0 = {self.omega0!r}"
             )

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oscbath
 from oscbath.cli import _SCHEMA, _SECTIONS, main, parse_config, scenario_kwargs
 from oscbath.errors import ConfigError
 from oscbath.profiles import _FIELDS
@@ -45,6 +50,30 @@ def test_minimal_config_is_valid(tmp_path):
     assert cfg.scenarios == ("closure",)
     assert cfg.seed is None
     assert scenario_kwargs(cfg, "closure", None) == {}
+
+
+def test_import_and_parse_leave_scipy_linalg_unloaded(tmp_path):
+    # a fresh interpreter, because this one has loaded scipy.linalg through
+    # the test oracles
+    cfg = write(tmp_path, SMALL_CLOSURE)
+    code = (
+        "import json, sys\n"
+        "import oscbath, oscbath.cli\n"
+        "oscbath.cli.parse_config(sys.argv[1])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if 'scipy' in m)))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(oscbath.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert "scipy" in loaded   # the version recorded in metadata.json
+    assert not [m for m in loaded if m.startswith("scipy.linalg")]
 
 
 def test_run_writes_csv_and_metadata(tmp_path, capsys):
@@ -399,15 +428,25 @@ def test_rho_values_parsing(tmp_path):
     ("scenario: mir-pulse-train\nparams:\n  rise: 0\n", [], "rise"),
     ("scenario: mir-pulse-train\nparams:\n  decay: 0\n", [], "decay"),
     ("scenario: rwa-check\nparams:\n  epsilon: -0.05\n", [], "epsilon"),
+    ("scenario: rwa-check\nparams:\n  nu_bridge: 0\n", [], "nu_bridge"),
+    ("scenario: rwa-check\nparams:\n  nu_bridge: -0.08\n", [], "nu_bridge"),
+    ("scenario: rwa-check\nparams:\n  modulation_depth: 0.07\n", [],
+     "params.modulation_depth"),
+    ("scenario: rwa-check\nparams:\n  modulation_depth: 5\n", [],
+     "params.modulation_depth"),
+    ("scenario: rwa-check\nparams:\n  modulation_depth: -5\n", [],
+     "params.modulation_depth"),
 ], ids=["window", "ratio_band", "coupling_scales", "rho_values", "seed_flag",
         "seed_key", "scalar_as_list", "y_range", "window_order", "even_steps",
         "G_below_one", "band_stc", "band_rwa", "decay_negative",
         "rise_negative", "period_zero", "gamma_max_negative",
-        "onset_negative", "rise_zero", "decay_zero", "epsilon_negative"])
+        "onset_negative", "rise_zero", "decay_zero", "epsilon_negative",
+        "nu_bridge_zero", "nu_bridge_negative", "depth_above_bound",
+        "depth_five", "depth_minus_five"])
 def test_check_agrees_with_the_run(tmp_path, capsys, text, args, field):
     # each of these passed --check and then failed in the run; the first
-    # four, the scalar given as a list and a zero rise or decay with a
-    # traceback
+    # four, the scalar given as a list, a zero rise or decay and a zero
+    # nu_bridge with a traceback
     cfg = write(tmp_path, text)
     out = tmp_path / "never"
     for extra in (["--check"], ["--out", str(out)]):

@@ -1,6 +1,7 @@
 """Local damped-oscillator model: moments, amplitude solution, sampling.
 
-solve_ivp at tight tolerance is the oracle for the deterministic paths; the
+solve_ivp at tight tolerance is the oracle for the deterministic paths and
+scipy's Lyapunov solver for the stationary covariance; the
 stochastic ensemble is checked against the moment equations within its own
 standard errors and for exact reproducibility for a given seed.
 """
@@ -177,20 +178,33 @@ def test_stationary_state_minimal_noise():
 
 
 def test_stationary_covariance_solver():
-    G, w0, g = 1.8, 1.5, 0.3
-    m = LangevinModel(omega=Constant(w0), gamma=Constant(g), omega0=w0, G=G)
-    A = drift_matrix(m, 0.0)
-    D = diffusion_matrix(m, 0.0)
-    C = stationary_covariance(A, D)
-    # analytic point for the minimal set: diag(omega0 G / 2, G / (2 omega0))
-    np.testing.assert_allclose(
-        C, np.diag([0.5 * w0 * G, 0.5 * G / w0]), atol=1e-12
-    )
-    # independent residual check of the algebraic equation
-    np.testing.assert_allclose(A @ C + C @ A.T + 2.0 * D, 0.0, atol=1e-13)
-    np.testing.assert_allclose(
-        C, solve_continuous_lyapunov(A, -2.0 * D), atol=1e-12
-    )
+    # scipy's Bartels-Stewart solver is an independent oracle for the
+    # vectorised solve; the residual and the symmetry need none
+    def check(A, D):
+        C = stationary_covariance(A, D)
+        np.testing.assert_allclose(
+            C, solve_continuous_lyapunov(A, -2.0 * D), rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(A @ C + C @ A.T + 2.0 * D, 0.0, atol=1e-13)
+        np.testing.assert_allclose(C, C.T, rtol=0.0, atol=1e-12)
+        return C
+
+    for y in (-0.5, 0.0, 0.5):
+        for w0, G, g in ((1.0, 1.0, 0.2), (1.5, 1.8, 0.3), (0.6, 3.0, 0.05)):
+            m = LangevinModel(
+                omega=Constant(w0), gamma=Constant(g), y=y, omega0=w0, G=G
+            )
+            C = check(drift_matrix(m, 0.0), diffusion_matrix(m, 0.0))
+            # analytic point of the minimal set, whatever the split:
+            # diag(omega0 G / 2, G / (2 omega0))
+            np.testing.assert_allclose(
+                C, np.diag([0.5 * w0 * G, 0.5 * G / w0]), atol=1e-12
+            )
+    # a dense 3 x 3 Hurwitz drift: the vec ordering holds beyond 2 x 2
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 3))
+    check(M - (np.max(np.linalg.eigvals(M).real) + 0.5) * np.eye(3), B @ B.T)
 
 
 def test_tabulated_coefficients_match_parametric_run():

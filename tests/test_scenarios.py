@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 import yaml
 
-from oscbath import Constant
+from oscbath import (
+    Affine,
+    Constant,
+    SystemSpec,
+    bath_from_rwa,
+    uniform_bath_frequencies,
+)
 from oscbath.cli import main
 from oscbath.scenarios import (
     ScenarioReport,
     Verdict,
+    _frequency_dip,
+    _max_modulation_depth,
     config_digest,
+    require_modulation_depth,
     run_closure,
     run_mir_pulse_train,
     run_rwa_check,
@@ -136,6 +145,41 @@ def test_mir_pulse_train_small():
     units = rep.metadata["physical_units"]
     assert units["drive_period_ps"] == pytest.approx(200.0)
     assert units["recovery_time_ps"] == pytest.approx(30.0)
+
+
+def test_rwa_rejects_bridge_and_depth_before_running():
+    # a zero coupling left the bridged diffusion 0 and divided by it
+    for nu in (0.0, -0.08):
+        with pytest.raises(ValueError, match="nu_bridge must be > 0"):
+            run_rwa_check(nu_bridge=nu)
+    for depth in (0.07, 5.0, -5.0):
+        with pytest.raises(ValueError, match="params.modulation_depth"):
+            run_rwa_check(modulation_depth=depth)
+
+
+@pytest.mark.parametrize("omega0", [0.5, 1.0, 2.5])
+def test_rwa_depth_bound_is_the_one_system_spec_enforces(omega0):
+    bound = _max_modulation_depth()
+    omegas = uniform_bath_frequencies(2, 0.2 * omega0, 3.0 * omega0)
+    bath = bath_from_rwa(np.full(2, 0.3), omegas, Constant(0.1), omega0)
+
+    def spec(depth):
+        omega = Affine(
+            _frequency_dip(omega0), scale=-depth * omega0, offset=omega0
+        )
+        return SystemSpec(
+            omega=omega, bath=bath, omega0=omega0, t_max=6.0 / omega0
+        )
+
+    for depth in (bound, -bound):
+        require_modulation_depth(depth)
+        spec(depth)
+    # a millionth beyond the bound, SystemSpec rejects omega(0) as well
+    for depth in (1.000001 * bound, -1.000001 * bound):
+        with pytest.raises(ValueError, match="params.modulation_depth"):
+            require_modulation_depth(depth)
+        with pytest.raises(ValueError, match="must match omega0"):
+            spec(depth)
 
 
 def test_mir_requires_two_splits():
