@@ -1,28 +1,36 @@
 """Command-line front end: config ingestion, scenario dispatch, output.
 
-Configs are YAML mappings with a fixed schema; unknown keys are rejected
-with a close-match suggestion so typos fail loudly before any numerics
-run.  Data files are deterministic functions of (config, seed): every
-float is written as 17-significant-digit scientific notation and the
-wall-clock timestamp lives only in the metadata file.
+A config is a YAML mapping: ``scenario`` (a name or a list of names),
+optional ``seed`` and ``out``, and the sections ``system``, ``model``,
+``grid``, ``params`` and ``tolerances``.  Parsing, ``run --check`` and the
+run check every field through the parameter tables of
+:mod:`oscbath.scenarios`; a field that several named scenarios share is
+checked by each one's entry.  Unknown keys are rejected with a
+close-match suggestion, and every field error names its ``section.key``.
+PyYAML reads ``1e-3`` as a string: write ``1.0e-3``.
+
+Data files are deterministic functions of (config, seed): every float is
+written as 17-significant-digit scientific notation and the wall-clock
+timestamp lives only in the metadata file.
 
 Exit codes: 0 all verdicts passed, 1 at least one verdict failed,
-2 usage or configuration error, 3 numerical failure (the failure time
-is recorded in the metadata file, and the scenarios that completed
-before it are written as usual).
+2 usage or configuration error, 3 numerical failure.  A failure after the
+scenarios start still writes the scenarios that completed, and
+``metadata.json`` records it as ``error`` (type, message, failure time).
+
+The fields of each scenario, with their bounds and defaults:
+
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-import inspect
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,14 +39,17 @@ import scipy
 import yaml
 
 from .errors import ConfigError, IntegrationError
-from .profiles import profile_from_dict
 from .scenarios import (
-    BAND_LO,
+    PARAMS,
     SCENARIOS,
     ScenarioReport,
     _json_safe,
-    require_modulation_depth,
+    bind_params,
+    param_docs,
 )
+
+if __doc__:   # None under python -OO
+    __doc__ += param_docs() + "\n"
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -46,99 +57,7 @@ OUTPUT_DIR_ENV = "OSCBATH_OUT"
 
 _TOP_KEYS = ("scenario", "seed", "out", "system", "model", "grid", "params",
              "tolerances")
-_SECTIONS = ("system", "model", "grid", "params", "tolerances")
-
-# config key -> scenario keyword, per scenario and section
-_SCHEMA: dict[str, dict[str, dict[str, str]]] = {
-    "short-time-convergence": {
-        "system": {
-            "n_modes": "n_modes",
-            "coupling_scale": "coupling_scale",
-            "omega_max": "omega_max",
-        },
-        "model": {},
-        "grid": {"steps": "grid_points"},
-        "params": {"ladder": "ladder"},
-        "tolerances": {
-            "closed_form_tol": "closed_form_tol",
-            "order_floor": "order_floor",
-            "diag_gap_limit": "diag_gap_limit",
-            "control_floor": "control_floor",
-        },
-    },
-    "rwa-check": {
-        "system": {
-            "omega0": "omega0",
-            "temperature": "temperature",
-            "n_modes": "n_modes",
-            "omega_max": "omega_max",
-        },
-        "model": {},
-        "grid": {},
-        "params": {
-            "rho_values": "rho_values",
-            "epsilon": "epsilon",
-            "modulation_depth": "modulation_depth",
-            "nu_bridge": "nu_bridge",
-            "window": "window",
-        },
-        "tolerances": {
-            "structure_tol": "structure_tol",
-            "cross_limit": "cross_limit",
-            "ratio_limit": "ratio_limit",
-            "psd_tol": "psd_tol",
-        },
-    },
-    "mir-pulse-train": {
-        "system": {"omega0": "omega0"},
-        "model": {
-            "y": "y_values",
-            "G": "noise_scale",
-            "gamma": "gamma_profile",
-            "omega": "omega_profile",
-        },
-        "grid": {"dt": "dt"},
-        "params": {
-            "period": "period",
-            "count": "count",
-            "onset": "onset",
-            "depth": "depth",
-            "gamma_max": "gamma_max",
-            "decay": "decay",
-            "rise": "rise",
-        },
-        "tolerances": {
-            "asym_floor": "asym_floor",
-            "constancy_tol": "constancy_tol",
-        },
-    },
-    "closure": {
-        "system": {"n_modes": "n_modes", "temperature": "temperature"},
-        "model": {},
-        "grid": {"t_max": "t_max", "steps": "fine_points"},
-        "params": {"coupling_scales": "coupling_scales"},
-        "tolerances": {
-            "weak_tol": "weak_tol",
-            "zero_tol": "zero_tol",
-            "ratio_band": "ratio_band",
-        },
-    },
-}
-
-_PROFILE_KEYS = {("model", "gamma"), ("model", "omega")}
-# Integer keys and their smallest allowed value.
-_INT_MIN = {"n_modes": 1, "steps": 3, "count": 1}
-# Number keys that may be null: the scenario then derives the value.
-_OPTIONAL_KEYS = {"period", "onset", "gamma_max", "rise"}
-# Number keys with a lower bound, as (bound, inclusive).  The bath band of
-# short-time-convergence and rwa-check starts at BAND_LO (times omega0).
-_LOWER = {
-    "omega0": (0.0, False), "temperature": (0.0, True), "t_max": (0.0, False),
-    "dt": (0.0, False), "coupling_scale": (0.0, False), "epsilon": (0.0, False),
-    "omega_max": (BAND_LO, False), "G": (1.0, True), "period": (0.0, False),
-    "onset": (0.0, False), "gamma_max": (0.0, True), "decay": (0.0, False),
-    "rise": (0.0, False), "nu_bridge": (0.0, False),
-}
+_SECTIONS = _TOP_KEYS[3:]
 
 
 @dataclass(frozen=True)
@@ -161,19 +80,6 @@ def _reject_unknown(key: str, candidates: tuple[str, ...], where: str) -> None:
     raise ConfigError(f"unknown key {key!r} in {where}{hint}", field=key)
 
 
-def _require_number(value, name: str, lower: tuple[float, bool] | None = None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}", field=name)
-    if lower is not None:
-        bound, inclusive = lower
-        if not (value >= bound if inclusive else value > bound):
-            op = ">=" if inclusive else ">"
-            raise ConfigError(
-                f"{name} must be {op} {bound:g}, got {value}", field=name
-            )
-    return value
-
-
 def _require_seed(seed) -> None:
     # Philox keys are unsigned 64-bit integers; bool is no seed
     if type(seed) is not int or not 0 <= seed < 2**64:
@@ -183,115 +89,19 @@ def _require_seed(seed) -> None:
         )
 
 
-def _require_list(value, name: str, size: int, exact: bool = False) -> list:
-    """A list of numbers: ``size`` of them if ``exact``, else at least."""
-    if not isinstance(value, list) or not (
-        len(value) == size if exact else len(value) >= size
-    ):
-        want = size if exact else f"at least {size}"
-        raise ConfigError(
-            f"{name} must be a list of {want} numbers, got {value!r}",
-            field=name,
-        )
-    for v in value:
-        _require_number(v, name)
-    return value
-
-
-def _to_complex(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(
-        f"{name} entries must be numbers or [re, im] pairs, got {value!r}",
-        field=name,
-    )
-
-
-def _require_finite(value, name: str) -> None:
-    # Numbers anywhere in a section value, lists included; profile mappings
-    # are checked field by field by profile_from_dict.
-    if isinstance(value, list):
-        for item in value:
-            _require_finite(item, name)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}", field=name)
-    elif isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{name} is beyond the float range", field=name)
-
-
 def _validate_section(name: str, raw, scenarios: tuple[str, ...]) -> dict:
+    """The section's keys, which the named scenarios' tables must know;
+    their values are checked per scenario by :func:`scenario_kwargs`."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a mapping", field=name)
-    allowed: set[str] = set()
-    for sc in scenarios:
-        allowed |= set(_SCHEMA[sc][name])
-    for key, value in raw.items():
+    allowed = sorted(
+        {p.key for sc in scenarios for p in PARAMS[sc] if p.section == name}
+    )
+    for key in raw:
         if key not in allowed:
-            _reject_unknown(str(key), tuple(sorted(allowed)), f"section {name!r}")
-        _require_finite(value, key)
-        if value is None and key in _OPTIONAL_KEYS:
-            continue
-        if key in _INT_MIN:
-            if not isinstance(value, int) or value < _INT_MIN[key]:
-                raise ConfigError(
-                    f"{key} must be an integer >= {_INT_MIN[key]},"
-                    f" got {value!r}",
-                    field=key,
-                )
-            if key == "steps" and "closure" in scenarios and value % 2 == 0:
-                raise ConfigError(
-                    f"steps must be odd for closure, got {value}", field=key
-                )
-        elif key in _LOWER:
-            _require_number(value, key, _LOWER[key])
-        elif key == "modulation_depth":
-            try:
-                require_modulation_depth(_require_number(value, key))
-            except ValueError as exc:
-                raise ConfigError(str(exc), field=key) from exc
-        elif (name, key) in _PROFILE_KEYS:
-            try:
-                profile_from_dict(value)
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ConfigError(
-                    f"invalid profile for {key!r}: {exc}", field=key
-                ) from exc
-        elif key in ("ladder", "coupling_scales"):
-            vals = _require_list(value, key, 2)
-            if not all(a > b > 0 for a, b in zip(vals, vals[1:])):
-                raise ConfigError(
-                    f"{key} must be positive and descending, got {value}",
-                    field=key,
-                )
-        elif key in ("window", "ratio_band"):
-            lo, hi = _require_list(value, key, 2, exact=True)
-            if key == "window" and not 0 < lo < hi:
-                raise ConfigError(
-                    f"window must satisfy 0 < start < end, got {value}",
-                    field=key,
-                )
-        elif key == "y":
-            if any(abs(v) > 1 for v in _require_list(value, key, 2)):
-                raise ConfigError(
-                    f"y entries must satisfy |y| <= 1, got {value}", field=key
-                )
-        elif key == "rho_values":
-            if not isinstance(value, list) or not value or any(
-                _to_complex(v, key) == 0 for v in value
-            ):
-                raise ConfigError(
-                    f"rho_values must be a non-empty list of non-zero"
-                    f" amplitudes, got {value!r}",
-                    field=key,
-                )
-        else:
-            _require_number(value, key)
+            _reject_unknown(str(key), tuple(allowed), f"section {name!r}")
     return dict(raw)
 
 
@@ -350,40 +160,28 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
         name: _validate_section(name, raw.get(name), scenarios)
         for name in _SECTIONS
     }
-    return RunConfig(scenarios=scenarios, seed=seed, out=out, **sections)
+    cfg = RunConfig(scenarios=scenarios, seed=seed, out=out, **sections)
+    for name in scenarios:
+        scenario_kwargs(cfg, name, None)
+    return cfg
 
 
 def scenario_kwargs(cfg: RunConfig, name: str, seed: int | None) -> dict:
-    """Translate validated config sections into scenario keywords."""
-    kwargs: dict = {}
-    schema = _SCHEMA[name]
-    for section in _SECTIONS:
-        mapping = schema[section]
-        for key, value in getattr(cfg, section).items():
-            if key not in mapping:
-                continue
-            if (section, key) in _PROFILE_KEYS:
-                value = profile_from_dict(value)
-            kwargs[mapping[key]] = value
-    if "rho_values" in kwargs:
-        kwargs["rho_values"] = tuple(
-            _to_complex(v, "rho_values") for v in kwargs["rho_values"]
-        )
-    if "y_values" in kwargs:
-        kwargs["y_values"] = tuple(map(float, kwargs["y_values"]))
+    """The config's values for scenario ``name``, checked and converted by
+    its parameter table, by keyword."""
+    given = {
+        p.keyword: getattr(cfg, p.section)[p.key]
+        for p in PARAMS[name] if p.key in getattr(cfg, p.section)
+    }
+    kwargs = {k: v for k, v in bind_params(name, given).items() if k in given}
     if seed is not None:
         kwargs["seed"] = seed
     return kwargs
 
 
 def config_echo(name: str, kwargs: dict) -> dict:
-    """Scenario parameters with defaults filled in."""
-    sig = inspect.signature(SCENARIOS[name])
-    return {
-        pname: kwargs.get(pname, param.default)
-        for pname, param in sig.parameters.items()
-        if pname in kwargs or param.default is not inspect.Parameter.empty
-    }
+    """Scenario parameters with the table's defaults filled in."""
+    return {p.keyword: kwargs.get(p.keyword, p.default) for p in PARAMS[name]}
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +232,9 @@ def write_report_files(
                 f"{v.name},{int(v.passed)},{_fmt(v.value)},"
                 f"{_fmt(v.threshold)},{v.comparator}"
             )
-        vpath.write_text("\n".join(lines) + "\n")
     else:
-        lines = [
-            json.dumps(
-                {
-                    "name": v.name,
-                    "passed": v.passed,
-                    "value": v.value,
-                    "threshold": v.threshold,
-                    "comparator": v.comparator,
-                },
-                sort_keys=True,
-            )
-            for v in report.verdicts
-        ]
-        vpath.write_text("\n".join(lines) + "\n")
+        lines = [json.dumps(asdict(v), sort_keys=True) for v in report.verdicts]
+    vpath.write_text("\n".join(lines) + "\n")
     written.append(vpath)
     return written
 
@@ -531,6 +316,14 @@ def _resolve_out(args_out: str | None, cfg_out: str | None) -> Path:
     return Path("oscbath-runs")
 
 
+def _failure_type(exc: Exception) -> str:
+    # LinAlgError subclasses ValueError, but a singular solve is numerical
+    if isinstance(exc, (IntegrationError, np.linalg.LinAlgError,
+                        ArithmeticError)):
+        return "numerical"
+    return "config" if isinstance(exc, ValueError) else "internal"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -548,11 +341,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else cfg.seed
-    try:
+        seed = args.seed if args.seed is not None else cfg.seed
         if args.seed is not None:
             _require_seed(args.seed)
         requests = [
@@ -568,19 +357,17 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = _resolve_out(args.out, cfg.out)
     t0 = time.perf_counter()
-    reports, error = [], None
+    reports, failure, error = [], None, None
     try:
         for name, kwargs in requests:
             reports.append(SCENARIOS[name](**kwargs))
-    except (IntegrationError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so it must be caught before
-        # the config-error branch below: a singular solve is numerical.
-        t = getattr(exc, "t", None)
-        error = {"type": "numerical", "message": str(exc), "failure_time": t}
-        print(f"numerical failure at t={t}: {exc}", file=sys.stderr)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:   # written down below, then reported or raised
+        failure = exc
+        error = {
+            "type": _failure_type(exc),
+            "message": str(exc),
+            "failure_time": getattr(exc, "t", None),
+        }
     wall = time.perf_counter() - t0
 
     # The scenarios that completed are written even after a failure.
@@ -609,7 +396,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{r.scenario}: {status} ({len(r.verdicts)} verdicts,"
               f" {r.wall_time:.2f}s)")
     if error is not None:
-        return 3
+        if error["type"] == "internal":
+            raise failure
+        numerical = error["type"] == "numerical"
+        what = (f"numerical failure at t={error['failure_time']}"
+                if numerical else "config error")
+        print(f"{what}: {failure}", file=sys.stderr)
+        return 3 if numerical else 2
     failed = [
         f"{r.scenario}:{v.name}"
         for r in reports for v in r.verdicts if not v.passed

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscbath
-from oscbath.cli import _SCHEMA, _SECTIONS, main, parse_config, scenario_kwargs
+from oscbath.cli import main, parse_config, scenario_kwargs
 from oscbath.errors import ConfigError
 from oscbath.profiles import _FIELDS
+from oscbath.scenarios import PARAMS
 
 SMALL_CLOSURE = """\
 scenario: closure
@@ -52,6 +53,16 @@ def test_minimal_config_is_valid(tmp_path):
     assert scenario_kwargs(cfg, "closure", None) == {}
 
 
+def _subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this oscbath."""
+    env = dict(os.environ)
+    src = str(Path(oscbath.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_import_and_parse_leave_scipy_linalg_unloaded(tmp_path):
     # a fresh interpreter, because this one has loaded scipy.linalg through
     # the test oracles
@@ -62,14 +73,10 @@ def test_import_and_parse_leave_scipy_linalg_unloaded(tmp_path):
         "oscbath.cli.parse_config(sys.argv[1])\n"
         "print(json.dumps(sorted(m for m in sys.modules if 'scipy' in m)))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(oscbath.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(cfg)],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+        check=True,
     )
     loaded = json.loads(proc.stdout)
     assert "scipy" in loaded   # the version recorded in metadata.json
@@ -164,14 +171,14 @@ def test_negative_omega0_names_the_field(tmp_path):
     path = write(tmp_path, "scenario: rwa-check\nsystem:\n  omega0: -2.0\n")
     with pytest.raises(ConfigError, match="omega0") as err:
         parse_config(path)
-    assert err.value.field == "omega0"
+    assert err.value.field == "system.omega0"
 
 
 def test_non_finite_numbers_name_the_field(tmp_path, capsys):
     path = write(tmp_path, "scenario: closure\ngrid:\n  t_max: .inf\n")
     with pytest.raises(ConfigError, match="t_max must be finite") as err:
         parse_config(path)
-    assert err.value.field == "t_max"
+    assert err.value.field == "grid.t_max"
     assert main(["run", str(path), "--check"]) == 2
     text = (
         "scenario: mir-pulse-train\n"
@@ -180,7 +187,7 @@ def test_non_finite_numbers_name_the_field(tmp_path, capsys):
     path = write(tmp_path, text, "nan.yaml")
     assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert "'omega'" in err and "'value' must be finite" in err
+    assert "model.omega" in err and "'value' must be finite" in err
     text = "scenario: mir-pulse-train\nparams:\n  depth: .nan\n"
     path = write(tmp_path, text, "depth.yaml")
     assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
@@ -332,6 +339,87 @@ def test_completed_scenarios_survive_a_later_failure(
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_completed_scenarios_survive_a_later_config_error(
+    tmp_path, monkeypatch, capsys
+):
+    # a value error in a run (here a profile evaluated off its domain) takes
+    # the same path as a numerical failure, with exit code 2
+    from oscbath import scenarios
+
+    def failing(**kwargs):
+        raise ValueError("time 2.5 outside profile domain [0.0, 1.0]")
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "rwa-check", failing)
+    text = SMALL_CLOSURE.replace(
+        "scenario: closure", "scenario: [closure, rwa-check]"
+    )
+    cfg = write(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    names = sorted(p.name for p in out.iterdir())
+    assert names == [
+        "closure__closure.csv",
+        "closure__ratios.csv",
+        "closure__uncoupled.csv",
+        "closure__verdicts.csv",
+        "metadata.json",
+    ]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert [e["scenario"] for e in meta["scenarios"]] == ["closure"]
+    assert meta["error"] == {
+        "type": "config",
+        "message": "time 2.5 outside profile domain [0.0, 1.0]",
+        "failure_time": None,
+    }
+    err = capsys.readouterr().err
+    assert "config error: time 2.5" in err and "numerical" not in err
+
+
+def test_internal_error_is_recorded_then_raised(tmp_path, monkeypatch):
+    # a fault in the program is no config or numerical failure: the run
+    # writes what it has and the traceback shows
+    from oscbath import scenarios
+
+    def broken(**kwargs):
+        raise KeyError("no such table")
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "closure", broken)
+    cfg = write(tmp_path, "scenario: closure\n")
+    out = tmp_path / "run"
+    with pytest.raises(KeyError, match="no such table"):
+        main(["run", str(cfg), "--out", str(out)])
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["scenarios"] == []
+    assert meta["error"]["type"] == "internal"
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("scenario: closure\ngrid: {t_max: 1.0e-9, steps: 5}\n",
+     "closure_gap_ratio_bounded"),
+    ("scenario: rwa-check\nparams: {rho_values: [1.0e-300]}\n",
+     "closed_form_cross_diffusion_zero"),
+], ids=["closure_zero_gaps", "rwa_vanishing_diffusion"])
+def test_vanishing_gaps_fail_their_verdicts_without_a_traceback(
+    tmp_path, text, verdict
+):
+    # both divided by zero with a traceback; the NaN now reaches its verdict
+    # (a max() that starts from 0.0 would drop it and pass)
+    cfg = write(tmp_path, text)
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscbath.cli", "run", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode in (1, 3)
+    assert "Traceback" not in proc.stderr
+    assert (out / "metadata.json").exists()
+    name = text.split()[1]
+    rows = (out / f"{name}__verdicts.csv").read_text().splitlines()
+    failed = {row.split(",")[0]: row for row in rows[1:] if ",0," in row}
+    assert verdict in failed and ",nan," in failed[verdict]
+
+
 def test_scenario_list_must_hold_distinct_names(tmp_path, capsys):
     cfg = write(tmp_path, "scenario: [rwa-check, closure, rwa-check]\n")
     with pytest.raises(ConfigError, match="rwa-check") as exc:
@@ -436,17 +524,28 @@ def test_rho_values_parsing(tmp_path):
      "params.modulation_depth"),
     ("scenario: rwa-check\nparams:\n  modulation_depth: -5\n", [],
      "params.modulation_depth"),
+    ("scenario: mir-pulse-train\nmodel:\n  omega: {kind: piecewise-linear,"
+     " times: [0, 1], values: [1, 1]}\n", [], "model.omega"),
+    ("scenario: mir-pulse-train\nmodel:\n  gamma: {kind: constant,"
+     " value: -1}\n", [], "model.gamma"),
+    ("scenario: mir-pulse-train\nmodel:\n  gamma: {kind: exp-rise-decay-pulse,"
+     " amplitude: 0.1, center: 1.0, decay: 0.5, rise: 0}\n", [],
+     "model.gamma"),
+    ("scenario: mir-pulse-train\nparams:\n  depth: -0.02\n", [],
+     "params.gamma_max"),
 ], ids=["window", "ratio_band", "coupling_scales", "rho_values", "seed_flag",
         "seed_key", "scalar_as_list", "y_range", "window_order", "even_steps",
         "G_below_one", "band_stc", "band_rwa", "decay_negative",
         "rise_negative", "period_zero", "gamma_max_negative",
         "onset_negative", "rise_zero", "decay_zero", "epsilon_negative",
         "nu_bridge_zero", "nu_bridge_negative", "depth_above_bound",
-        "depth_five", "depth_minus_five"])
+        "depth_five", "depth_minus_five", "omega_off_span", "gamma_negative",
+        "gamma_jump_with_split", "derived_gamma_max_negative"])
 def test_check_agrees_with_the_run(tmp_path, capsys, text, args, field):
     # each of these passed --check and then failed in the run; the first
     # four, the scalar given as a list, a zero rise or decay and a zero
-    # nu_bridge with a traceback
+    # nu_bridge with a traceback, the last four with a message that named
+    # no field
     cfg = write(tmp_path, text)
     out = tmp_path / "never"
     for extra in (["--check"], ["--out", str(out)]):
@@ -474,23 +573,22 @@ _PROFILE = st.fixed_dictionaries(
 
 @st.composite
 def _configs(draw):
-    """Config mappings over the schema keys of the named scenarios, with
+    """Config mappings over the table keys of the named scenarios, with
     any values; one in four times a seed, an output path or a scenario
     entry drawn from any values."""
 
     def rarely():
         return draw(st.sampled_from(range(4))) == 3
 
-    names = draw(st.lists(st.sampled_from(sorted(_SCHEMA)), min_size=1,
+    names = draw(st.lists(st.sampled_from(sorted(PARAMS)), min_size=1,
                           max_size=3, unique=True))
     config = {"scenario": draw(_ANY) if rarely() else names}
     for key in ("seed", "out"):
         if rarely():
             config[key] = draw(_ANY)
-    for section in _SECTIONS:
-        keys = sorted({k for n in names for k in _SCHEMA[n][section]})
-        if not keys:
-            continue
+    for section in sorted({p.section for n in names for p in PARAMS[n]}):
+        keys = sorted({p.key for n in names for p in PARAMS[n]
+                       if p.section == section})
         chosen = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
         config[section] = {
             key: draw(_PROFILE | _ANY if key in ("gamma", "omega") else _ANY)
@@ -507,6 +605,9 @@ def _configs(draw):
 @example(config={"scenario": "closure", "grid": {"t_max": 10**400}})
 @example(config={"scenario": "mir-pulse-train",
                  "model": {"gamma": {"kind": "constant", "value": 10**400}}})
+@example(config={"scenario": "mir-pulse-train",
+                 "params": {"period": 10**300, "count": 10**10},
+                 "model": {"omega": {"kind": "constant", "value": 1.0}}})
 def test_check_exits_zero_or_two_on_any_config(config, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
     path.write_text(yaml.safe_dump(config))

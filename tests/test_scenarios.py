@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +17,17 @@ from oscbath import (
     bath_from_rwa,
     uniform_bath_frequencies,
 )
-from oscbath.cli import main
+from oscbath.cli import config_echo, main
 from oscbath.scenarios import (
+    PARAMS,
+    SCENARIOS,
     ScenarioReport,
     Verdict,
     _frequency_dip,
     _max_modulation_depth,
+    bind_params,
     config_digest,
-    require_modulation_depth,
+    param_docs,
     run_closure,
     run_mir_pulse_train,
     run_rwa_check,
@@ -50,6 +55,24 @@ def test_config_digest_is_stable_and_sensitive():
     assert config_digest("y", params, 7) != d1
 
 
+def test_each_keyword_has_one_table_entry_and_echoes_its_default():
+    assert list(PARAMS) == list(SCENARIOS)
+    for name, run in SCENARIOS.items():
+        signature = inspect.signature(run).parameters
+        keywords = [p.keyword for p in PARAMS[name]]
+        assert sorted(keywords) == sorted(k for k in signature if k != "seed")
+        fields = [p.field for p in PARAMS[name]]
+        assert len(set(fields)) == len(fields)
+        assert config_echo(name, {}) == {
+            k: v.default for k, v in signature.items() if k != "seed"
+        }
+
+
+def test_readme_lists_the_tables():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert param_docs() in readme.read_text()
+
+
 def test_report_helpers():
     good = Verdict("a", True, 0.5, 1.0, "<=")
     bad = Verdict("b", False, 2.0, 1.0, "<=")
@@ -69,7 +92,7 @@ def test_report_helpers():
 def test_short_time_ladder_must_descend():
     with pytest.raises(ValueError, match="descending"):
         run_short_time_convergence(ladder=(0.1, 0.2))
-    with pytest.raises(ValueError, match="two"):
+    with pytest.raises(ValueError, match="params.ladder must be a list of at least 2"):
         run_short_time_convergence(ladder=(0.1,))
 
 
@@ -172,26 +195,26 @@ def test_rwa_depth_bound_is_the_one_system_spec_enforces(omega0):
         )
 
     for depth in (bound, -bound):
-        require_modulation_depth(depth)
+        bind_params("rwa-check", {"modulation_depth": depth})
         spec(depth)
     # a millionth beyond the bound, SystemSpec rejects omega(0) as well
     for depth in (1.000001 * bound, -1.000001 * bound):
         with pytest.raises(ValueError, match="params.modulation_depth"):
-            require_modulation_depth(depth)
+            bind_params("rwa-check", {"modulation_depth": depth})
         with pytest.raises(ValueError, match="must match omega0"):
             spec(depth)
 
 
 def test_mir_requires_two_splits():
-    with pytest.raises(ValueError, match="two"):
+    with pytest.raises(ValueError, match="model.y .* at least 2"):
         run_mir_pulse_train(y_values=(0.5,))
 
 
 def test_mir_rejects_instant_rise_or_decay():
     # both divided by zero in the pulse normalisation
-    for kwargs in ({"rise": 0.0}, {"decay": 0.0}):
-        with pytest.raises(ValueError, match="rise and decay must be > 0"):
-            run_mir_pulse_train(**kwargs)
+    for key in ("rise", "decay"):
+        with pytest.raises(ValueError, match=f"params.{key} must be > 0"):
+            run_mir_pulse_train(**{key: 0.0})
 
 
 def test_mir_profile_override_is_graded_honestly():
