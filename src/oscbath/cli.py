@@ -18,7 +18,7 @@ Exit codes: 0 all verdicts passed, 1 at least one verdict failed,
 scenarios start still writes the scenarios that completed, and
 ``metadata.json`` records it as ``error`` (type, message, failure time).
 
-The fields of each scenario, with their bounds and defaults:
+The fields of each scenario, then of each profile kind, with their defaults:
 
 """
 
@@ -112,7 +112,7 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
         raise ConfigError(f"config file not found: {p}", field="path")
     try:
         raw = yaml.safe_load(p.read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:   # or nested too deeply
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             raise ConfigError(

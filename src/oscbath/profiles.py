@@ -5,32 +5,29 @@ so cumulative quantities (pulse areas, damping memories) carry no quadrature
 noise.  Times are measured in units of the inverse reference frequency of
 the central oscillator; amplitudes are dimensionless.
 
-Every kind implements
-
-``value(t)``
-    pointwise evaluation,
-``integral(t0, t1)``
-    the definite integral in closed form (a reversed interval yields the
-    negated value, since each integral is an antiderivative difference),
-``derivative(t)``
-    the pointwise time derivative, used by the effective-frequency
-    machinery.
-
-and ``values(ts)`` / ``derivatives(ts)`` on arrays of times.  The defaults
-loop over the scalar methods; the Gaussian and rise/decay pulses, trains
+Every kind implements ``value(t)``, ``integral(t0, t1)`` in closed form
+(an antiderivative difference, so a reversed interval negates it) and
+``derivative(t)``, used by the effective-frequency machinery, and
+``values(ts)`` / ``derivatives(ts)`` on arrays of times.  Those default to
+loops over the scalar methods; the Gaussian and rise/decay pulses, trains
 and affine maps override them with closed forms that repeat the scalar
 arithmetic element by element, so the integrators can tabulate a profile
 on a whole block of stage nodes in one call.
 
 ``lambda_factor`` builds the memory factor nu(t) * int_0^t nu that controls
 every short-time damping and diffusion coefficient downstream.
+
+``PROFILE_KINDS`` declares each kind's config fields once (key, attribute,
+default or required, reader) for ``profile_from_dict``, ``profile_to_dict``
+(which echoes ``affine`` too, no config kind) and the scenario docs.  A pulse
+train's base must have finite support: not a non-zero constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +41,7 @@ __all__ = [
     "PulseTrain",
     "PiecewiseLinear",
     "Affine",
+    "PROFILE_KINDS",
     "lambda_factor",
     "tabulate",
     "profile_from_dict",
@@ -57,8 +55,6 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 class TimeProfile:
     """Common interface for all profile kinds."""
-
-    kind: ClassVar[str] = "abstract"
 
     # (lo, hi) window outside which the profile is declared invalid.
     @property
@@ -88,10 +84,6 @@ class TimeProfile:
     def derivative(self, t: float) -> float:
         raise NotImplementedError
 
-    def cumulative(self, t: float) -> float:
-        """Integral from time zero, the memory entering lambda_factor."""
-        return self.integral(0.0, t)
-
     def values(self, ts: Sequence[float]) -> np.ndarray:
         return np.array([self.value(float(t)) for t in ts], dtype=float)
 
@@ -111,7 +103,6 @@ class Constant(TimeProfile):
     """Time-independent value."""
 
     value_const: float = 0.0
-    kind: ClassVar[str] = "constant"
 
     def value(self, t: float) -> float:
         return self.value_const
@@ -140,7 +131,6 @@ class GaussianPulse(TimeProfile):
     amplitude: float
     center: float
     width: float
-    kind: ClassVar[str] = "gaussian-pulse"
 
     def __post_init__(self):
         if not self.width > 0.0:
@@ -192,7 +182,6 @@ class ExpPulse(TimeProfile):
     center: float = 0.0
     decay: float = 1.0
     rise: float = 0.0
-    kind: ClassVar[str] = "exp-rise-decay-pulse"
 
     def __post_init__(self):
         if not self.decay > 0.0:
@@ -292,21 +281,25 @@ class PulseTrain(TimeProfile):
     base: TimeProfile
     period: float
     count: int
-    kind: ClassVar[str] = "pulse-train"
 
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValueError(f"pulse-train period must be > 0, got {self.period}")
         if self.count < 1:
             raise ValueError(f"pulse-train count must be >= 1, got {self.count}")
+        if not all(map(math.isfinite, self.base.support())):
+            raise ValueError("pulse-train base must have finite support, got"
+                             f" {self.base!r} on {self.base.support()}")
+
+    def _pulse_bounds(self, lo, hi):
+        # First and last pulse whose base support meets [lo, hi], as floats.
+        s_lo, s_hi = self.base.support()
+        return (np.maximum(0.0, np.ceil((lo - s_hi) / self.period)),
+                np.minimum(self.count - 1.0, np.floor((hi - s_lo) / self.period)))
 
     def _pulse_range(self, lo: float, hi: float) -> range:
-        s_lo, s_hi = self.base.support()
-        if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
-            return range(self.count)
-        k_lo = max(0, math.ceil((lo - s_hi) / self.period))
-        k_hi = min(self.count - 1, math.floor((hi - s_lo) / self.period))
-        return range(k_lo, k_hi + 1)
+        k_lo, k_hi = self._pulse_bounds(lo, hi)
+        return range(int(k_lo), int(k_hi) + 1)
 
     def value(self, t: float) -> float:
         out = 0.0
@@ -315,9 +308,8 @@ class PulseTrain(TimeProfile):
         return out
 
     def integral(self, t0: float, t1: float) -> float:
-        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
         out = 0.0
-        for k in self._pulse_range(lo, hi):
+        for k in self._pulse_range(min(t0, t1), max(t0, t1)):
             out += self.base.integral(t0 - k * self.period, t1 - k * self.period)
         return out
 
@@ -334,13 +326,7 @@ class PulseTrain(TimeProfile):
         out = np.zeros(ts.shape)
         if ts.size == 0:
             return out
-        s_lo, s_hi = self.base.support()
-        if math.isfinite(s_lo) and math.isfinite(s_hi):
-            k_lo = np.maximum(0.0, np.ceil((ts - s_hi) / self.period))
-            k_hi = np.minimum(self.count - 1.0, np.floor((ts - s_lo) / self.period))
-        else:
-            k_lo = np.zeros(ts.shape)
-            k_hi = np.full(ts.shape, self.count - 1.0)
+        k_lo, k_hi = self._pulse_bounds(ts, ts)
         for k in range(int(k_lo.min()), int(k_hi.max()) + 1):
             hit = (k_lo <= k) & (k <= k_hi)
             if hit.any():
@@ -375,7 +361,6 @@ class PiecewiseLinear(TimeProfile):
 
     times: tuple[float, ...]
     knot_values: tuple[float, ...]
-    kind: ClassVar[str] = "piecewise-linear"
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -447,7 +432,6 @@ class Affine(TimeProfile):
     base: TimeProfile
     scale: float = 1.0
     offset: float = 0.0
-    kind: ClassVar[str] = "affine"
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -508,21 +492,72 @@ def lambda_factor(nu: TimeProfile, t: float) -> float:
     return nu.value(t) * nu.integral(0.0, t)
 
 
-_KINDS: dict[str, type] = {
-    "constant": Constant,
-    "gaussian-pulse": GaussianPulse,
-    "exp-rise-decay-pulse": ExpPulse,
-    "pulse-train": PulseTrain,
-    "piecewise-linear": PiecewiseLinear,
-}
+# ---------------------------------------------------------------------------
+# config mappings
 
-# Field names per kind, used both to build and to echo configurations.
-_FIELDS: dict[str, tuple[str, ...]] = {
-    "constant": ("value",),
-    "gaussian-pulse": ("amplitude", "center", "width"),
-    "exp-rise-decay-pulse": ("amplitude", "center", "decay", "rise"),
-    "pulse-train": ("base", "period", "count"),
-    "piecewise-linear": ("times", "values"),
+
+def _finite(key: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"profile field {key!r} must be finite, got {x}")
+    return x
+
+
+def _count(key: str, value) -> int:
+    x = _finite(key, value)
+    if not x.is_integer():
+        raise ValueError(f"profile field {key!r} must be an integer, got {x}")
+    return int(x)
+
+
+def _knots(key: str, value) -> tuple[float, ...]:
+    return tuple(_finite(key, v) for v in value)
+
+
+def _base(key: str, value) -> TimeProfile:
+    return profile_from_dict(value)
+
+
+# Each field reader, read(key, value), with what it accepts as the docs say.
+READERS = {_finite: "number", _count: "integer", _knots: "list of numbers",
+           _base: "profile mapping of finite support (not a non-zero constant)"}
+
+
+class ProfileField(NamedTuple):
+    """One config field of a profile kind: its ``key``, its ``default``
+    (None when required), its reader and the class attribute it sets,
+    ``attr`` where that is not the key."""
+
+    key: str
+    default: float | None = None
+    read: Callable[[str, Any], Any] = _finite
+    attr: str | None = None
+
+
+class ProfileKind(NamedTuple):
+    """A profile class and its config fields in echo order; a kind that
+    does not ``parse`` is echoed but is no config kind."""
+
+    cls: type
+    fields: tuple[ProfileField, ...]
+    parses: bool = True
+
+
+_F = ProfileField
+# Kind name -> its class and config fields, which profile_from_dict reads,
+# profile_to_dict writes and the docs list.
+PROFILE_KINDS: dict[str, ProfileKind] = {
+    "constant": ProfileKind(Constant, (_F("value", 0.0, attr="value_const"),)),
+    "gaussian-pulse": ProfileKind(
+        GaussianPulse, (_F("amplitude"), _F("center", 0.0), _F("width"))),
+    "exp-rise-decay-pulse": ProfileKind(ExpPulse, (
+        _F("amplitude"), _F("center", 0.0), _F("decay", 1.0), _F("rise", 0.0))),
+    "pulse-train": ProfileKind(PulseTrain, (
+        _F("base", read=_base), _F("count", read=_count), _F("period"))),
+    "piecewise-linear": ProfileKind(PiecewiseLinear, (
+        _F("times", read=_knots), _F("values", read=_knots, attr="knot_values"))),
+    "affine": ProfileKind(Affine, (
+        _F("base", read=_base), _F("scale", 1.0), _F("offset", 0.0)), parses=False),
 }
 
 
@@ -531,102 +566,31 @@ def profile_from_dict(d: dict) -> TimeProfile:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f"profile spec must be a mapping with a 'kind' tag, got {d!r}")
     kind = str(d["kind"]).replace("_", "-")
-    if kind not in _KINDS:
-        raise ValueError(
-            f"unknown profile kind {kind!r}; expected one of {sorted(_KINDS)}"
-        )
-    params = {k: v for k, v in d.items() if k != "kind"}
-    allowed = set(_FIELDS[kind])
-    unknown = set(params) - allowed
+    kinds = sorted(k for k, entry in PROFILE_KINDS.items() if entry.parses)
+    if kind not in kinds:
+        raise ValueError(f"unknown profile kind {kind!r}; expected one of {kinds}")
+    fields = PROFILE_KINDS[kind].fields
+    unknown = set(d) - {"kind"} - {f.key for f in fields}
     if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for profile kind {kind!r};"
-            f" expected from {sorted(allowed)}"
-        )
-
-    def finite(key: str, value) -> float:
-        x = float(value)
-        if not math.isfinite(x):
-            raise ValueError(f"profile field {key!r} must be finite, got {x}")
-        return x
-
-    def number(key: str, default: float | None = None) -> float:
-        if default is None and key not in params:
-            raise ValueError(f"profile kind {kind!r} needs field {key!r}")
-        return finite(key, params.get(key, default))
-
-    if kind == "constant":
-        return Constant(value_const=number("value", 0.0))
-    if kind == "gaussian-pulse":
-        return GaussianPulse(
-            amplitude=number("amplitude"),
-            center=number("center", 0.0),
-            width=number("width"),
-        )
-    if kind == "exp-rise-decay-pulse":
-        return ExpPulse(
-            amplitude=number("amplitude"),
-            center=number("center", 0.0),
-            decay=number("decay", 1.0),
-            rise=number("rise", 0.0),
-        )
-    if kind == "pulse-train":
-        if "base" not in params:
-            raise ValueError(f"profile kind {kind!r} needs field 'base'")
-        count = number("count")
-        if not count.is_integer():
-            raise ValueError(f"profile field 'count' must be an integer, got {count}")
-        return PulseTrain(
-            base=profile_from_dict(params["base"]),
-            period=number("period"),
-            count=int(count),
-        )
-    for key in ("times", "values"):
-        if key not in params:
-            raise ValueError(f"profile kind {kind!r} needs field {key!r}")
-    return PiecewiseLinear(
-        times=tuple(finite("times", t) for t in params["times"]),
-        knot_values=tuple(finite("values", v) for v in params["values"]),
-    )
+        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for profile kind"
+                         f" {kind!r}; expected from {sorted(f.key for f in fields)}")
+    args = {}
+    for f in fields:   # a loop, not a comprehension: one frame less per level
+        if f.default is None and f.key not in d:
+            raise ValueError(f"profile kind {kind!r} needs field {f.key!r}")
+        args[f.attr or f.key] = f.read(f.key, d.get(f.key, f.default))
+    return PROFILE_KINDS[kind].cls(**args)
 
 
 def profile_to_dict(p: TimeProfile) -> dict:
-    """Inverse of :func:`profile_from_dict`, used for config echoes."""
-    if isinstance(p, Constant):
-        return {"kind": "constant", "value": p.value_const}
-    if isinstance(p, GaussianPulse):
-        return {
-            "kind": "gaussian-pulse",
-            "amplitude": p.amplitude,
-            "center": p.center,
-            "width": p.width,
-        }
-    if isinstance(p, ExpPulse):
-        return {
-            "kind": "exp-rise-decay-pulse",
-            "amplitude": p.amplitude,
-            "center": p.center,
-            "decay": p.decay,
-            "rise": p.rise,
-        }
-    if isinstance(p, PulseTrain):
-        return {
-            "kind": "pulse-train",
-            "base": profile_to_dict(p.base),
-            "period": p.period,
-            "count": p.count,
-        }
-    if isinstance(p, PiecewiseLinear):
-        return {
-            "kind": "piecewise-linear",
-            "times": list(p.times),
-            "values": list(p.knot_values),
-        }
-    if isinstance(p, Affine):
-        return {
-            "kind": "affine",
-            "base": profile_to_dict(p.base),
-            "scale": p.scale,
-            "offset": p.offset,
-        }
+    """Tagged mapping of a profile, for config echoes: the inverse of
+    :func:`profile_from_dict` for every kind that parses."""
+    for kind, entry in PROFILE_KINDS.items():
+        if isinstance(p, entry.cls):
+            out = {"kind": kind}
+            for f in entry.fields:
+                v = getattr(p, f.attr or f.key)
+                out[f.key] = (profile_to_dict(v) if isinstance(v, TimeProfile)
+                              else list(v) if isinstance(v, tuple) else v)
+            return out
     raise TypeError(f"cannot serialize profile of type {type(p).__name__}")

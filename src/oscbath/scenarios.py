@@ -44,6 +44,8 @@ from .perturb import (
     thermal_G,
 )
 from .profiles import (
+    PROFILE_KINDS,
+    READERS,
     Affine,
     Constant,
     ExpPulse,
@@ -270,7 +272,8 @@ def scenario(name: str, *table: Param):
 
 
 def param_docs() -> str:
-    """Each scenario's config fields with their bounds and defaults."""
+    """Each scenario's config fields with their bounds and defaults, then
+    each profile kind's fields."""
     order = ("system", "model", "grid", "params", "tolerances")
     lines = []
     for name, table in PARAMS.items():
@@ -280,6 +283,13 @@ def param_docs() -> str:
             default = re.sub(r"(?<![\d.])(\d+)e", r"\1.0e",
                              json.dumps(p.default, default=_json_safe))
             lines.append(f"  {p.field}: {p.check.rule}; default {default}")
+    lines.append("profile kinds of model.omega and model.gamma:")
+    for kind, entry in PROFILE_KINDS.items():
+        if entry.parses:
+            lines.append(f"  {kind}:")
+            for f in entry.fields:
+                default = "required" if f.default is None else f"default {f.default}"
+                lines.append(f"    {f.key}: {READERS[f.read]}; {default}")
     return "\n".join(lines)
 
 
@@ -770,7 +780,7 @@ def _profile(value, args):
     if not isinstance(value, TimeProfile):
         try:
             value = profile_from_dict(value)
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"is not a valid profile: {exc}") from exc
     lo, hi = value.domain
     end = _mir_span(args)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oscbath
 from oscbath.cli import main, parse_config, scenario_kwargs
 from oscbath.errors import ConfigError
-from oscbath.profiles import _FIELDS
+from oscbath.profiles import PROFILE_KINDS
 from oscbath.scenarios import PARAMS
 
 SMALL_CLOSURE = """\
@@ -224,6 +224,20 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
         parse_config(path)
     assert main(["run", str(path)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # the YAML composer recursed past the interpreter's limit with a
+    # traceback, from about 500 levels
+    omega = "{kind: gaussian-pulse, amplitude: 1.0, width: 0.1}"
+    for _ in range(599):
+        omega = f"{{kind: pulse-train, base: {omega}, period: 1.0, count: 1}}"
+    cfg = write(tmp_path, f"scenario: mir-pulse-train\nmodel:\n  omega: {omega}\n")
+    out = tmp_path / "never"
+    for extra in (["--check"], ["--out", str(out)]):
+        assert main(["run", str(cfg), *extra]) == 2
+        assert "config error: parse error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_and_bad_scenario(tmp_path):
@@ -533,6 +547,9 @@ def test_rho_values_parsing(tmp_path):
      "model.gamma"),
     ("scenario: mir-pulse-train\nparams:\n  depth: -0.02\n", [],
      "params.gamma_max"),
+    ("scenario: mir-pulse-train\nmodel:\n  omega: {kind: pulse-train,"
+     " base: {kind: constant, value: 1.0e-4}, period: 1.0, count: 10000}\n",
+     [], "model.omega"),
 ], ids=["window", "ratio_band", "coupling_scales", "rho_values", "seed_flag",
         "seed_key", "scalar_as_list", "y_range", "window_order", "even_steps",
         "G_below_one", "band_stc", "band_rwa", "decay_negative",
@@ -540,12 +557,14 @@ def test_rho_values_parsing(tmp_path):
         "onset_negative", "rise_zero", "decay_zero", "epsilon_negative",
         "nu_bridge_zero", "nu_bridge_negative", "depth_above_bound",
         "depth_five", "depth_minus_five", "omega_off_span", "gamma_negative",
-        "gamma_jump_with_split", "derived_gamma_max_negative"])
+        "gamma_jump_with_split", "derived_gamma_max_negative",
+        "train_of_unbounded_base"])
 def test_check_agrees_with_the_run(tmp_path, capsys, text, args, field):
     # each of these passed --check and then failed in the run; the first
     # four, the scalar given as a list, a zero rise or decay and a zero
-    # nu_bridge with a traceback, the last four with a message that named
-    # no field
+    # nu_bridge with a traceback, the next four with a message that named
+    # no field; the last ran, summing every pulse of its train at every
+    # evaluation, for a time that grew with its count
     cfg = write(tmp_path, text)
     out = tmp_path / "never"
     for extra in (["--check"], ["--out", str(out)]):
@@ -565,8 +584,9 @@ _ANY = st.recursive(
     max_leaves=8,
 )
 _PROFILE = st.fixed_dictionaries(
-    {"kind": st.sampled_from(sorted(_FIELDS)) | _ANY},
-    optional={f: _ANY for fs in _FIELDS.values() for f in fs},
+    {"kind": st.sampled_from(sorted(PROFILE_KINDS)) | _ANY},
+    optional={f.key: _ANY for entry in PROFILE_KINDS.values()
+              for f in entry.fields},
 )
 
 

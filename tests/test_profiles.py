@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from oscbath import (
     profile_from_dict,
     profile_to_dict,
 )
+from oscbath.profiles import PROFILE_KINDS
 
 
 def _quad(f, a, b, points=None):
@@ -293,6 +295,50 @@ def test_profile_config_rejects_unknown_kind():
 def test_profile_config_rejects_unknown_parameter():
     with pytest.raises(ValueError, match="sigma"):
         profile_from_dict({"kind": "gaussian-pulse", "amplitude": 1.0, "sigma": 0.5})
+
+
+def test_each_dataclass_field_has_one_table_entry():
+    for entry in PROFILE_KINDS.values():
+        defaults = {d.name: d.default for d in dataclasses.fields(entry.cls)}
+        attrs = [f.attr or f.key for f in entry.fields]
+        assert sorted(attrs) == sorted(defaults)
+        assert len({f.key for f in entry.fields}) == len(entry.fields)
+        for f, attr in zip(entry.fields, attrs):
+            # where the class has a default, the config shares it
+            if defaults[attr] is not dataclasses.MISSING:
+                assert f.default == defaults[attr]
+
+
+def test_every_kind_round_trips_through_its_mapping():
+    samples = [
+        Constant(0.7),
+        GaussianPulse(1.2, 2.0, 0.5),
+        ExpPulse(1.7, center=1.0, decay=0.8, rise=0.3),
+        PulseTrain(GaussianPulse(0.7, 0.2, 0.05), period=0.9, count=4),
+        PiecewiseLinear((0.0, 1.0, 3.0, 6.0), (0.0, 2.0, 1.0, 1.5)),
+        PulseTrain(PiecewiseLinear((0.0, 0.5), (1.0, 0.0)), period=1.0, count=3),
+    ]
+    assert {profile_to_dict(p)["kind"] for p in samples} == {
+        k for k, entry in PROFILE_KINDS.items() if entry.parses
+    }
+    for p in samples:
+        assert profile_from_dict(profile_to_dict(p)) == p
+
+
+def test_affine_echoes_but_is_no_config_kind():
+    p = Affine(GaussianPulse(1.0, 2.0, 0.4), scale=-0.3, offset=1.0)
+    d = profile_to_dict(p)
+    assert d == {"kind": "affine", "base": profile_to_dict(p.base),
+                 "scale": -0.3, "offset": 1.0}
+    with pytest.raises(ValueError, match="unknown profile kind 'affine'"):
+        profile_from_dict(d)
+
+
+def test_pulse_train_base_needs_finite_support():
+    for base in (Constant(1.0e-4), Affine(GaussianPulse(1.0, 0.0, 0.1), offset=0.5)):
+        with pytest.raises(ValueError, match="finite support"):
+            PulseTrain(base, period=1.0, count=10_000)
+    assert PulseTrain(Constant(0.0), period=1.0, count=3).value(1.0) == 0.0
 
 
 def test_nested_train_round_trip():

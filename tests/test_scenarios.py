@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from oscbath import (
     uniform_bath_frequencies,
 )
 from oscbath.cli import config_echo, main
+from oscbath.profiles import PROFILE_KINDS
 from oscbath.scenarios import (
     PARAMS,
     SCENARIOS,
@@ -69,8 +71,12 @@ def test_each_keyword_has_one_table_entry_and_echoes_its_default():
 
 
 def test_readme_lists_the_tables():
+    # one fenced block of the README is the whole list, profile kinds too
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    assert param_docs() in readme.read_text()
+    blocks = re.findall(r"^```\n(.*?)\n```$", readme.read_text(), re.M | re.S)
+    assert param_docs() in blocks
+    for kind, entry in PROFILE_KINDS.items():
+        assert (f"\n  {kind}:\n" in param_docs()) == entry.parses
 
 
 def test_report_helpers():
@@ -203,6 +209,14 @@ def test_rwa_depth_bound_is_the_one_system_spec_enforces(omega0):
             bind_params("rwa-check", {"modulation_depth": depth})
         with pytest.raises(ValueError, match="must match omega0"):
             spec(depth)
+
+
+def test_profile_nested_past_the_recursion_limit_names_the_field():
+    omega = {"kind": "gaussian-pulse", "amplitude": 1.0, "width": 0.1}
+    for _ in range(5000):
+        omega = {"kind": "pulse-train", "base": omega, "period": 1.0, "count": 1}
+    with pytest.raises(ValueError, match="model.omega .* not a valid profile"):
+        bind_params("mir-pulse-train", {"omega_profile": omega})
 
 
 def test_mir_requires_two_splits():
