@@ -111,7 +111,11 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}", field="path")
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"cannot read config {p} as UTF-8 text: {exc}", field="path"
+        ) from exc
     except (yaml.YAMLError, RecursionError) as exc:   # or nested too deeply
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -215,8 +219,7 @@ def _write_jsonl(path: Path, columns: dict[str, list[float]]) -> None:
 def write_report_files(
     report: ScenarioReport, out_dir: Path, fmt: str
 ) -> list[Path]:
-    """Write one data file per table plus the verdict series."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write one data file per table plus the verdicts into ``out_dir``."""
     written = []
     writer = _write_csv if fmt == "csv" else _write_jsonl
     ext = "csv" if fmt == "csv" else "jsonl"
@@ -258,7 +261,6 @@ def write_metadata(
     wall_time: float,
     error: dict | None = None,
 ) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "seed": seed,
         "format": fmt,
@@ -316,6 +318,23 @@ def _resolve_out(args_out: str | None, cfg_out: str | None) -> Path:
     return Path("oscbath-runs")
 
 
+def _prepare_out(out_dir: Path, create: bool) -> None:
+    """Reject an output path at or under a non-directory; make it if
+    ``create``."""
+    for p in (out_dir, *out_dir.parents):
+        if os.path.lexists(p) and not os.path.isdir(p):
+            raise ConfigError(
+                f"out must be a directory, but {p} is not one", field="out"
+            )
+    if create:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"out: cannot make directory {out_dir}: {exc}", field="out"
+            ) from exc
+
+
 def _failure_type(exc: Exception) -> str:
     # LinAlgError subclasses ValueError, but a singular solve is numerical
     if isinstance(exc, (IntegrationError, np.linalg.LinAlgError,
@@ -347,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
         requests = [
             (name, scenario_kwargs(cfg, name, seed)) for name in cfg.scenarios
         ]
+        out_dir = _resolve_out(args.out, cfg.out)
+        _prepare_out(out_dir, create=not args.check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -355,18 +376,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config ok: scenarios {', '.join(cfg.scenarios)}")
         return 0
 
-    out_dir = _resolve_out(args.out, cfg.out)
     t0 = time.perf_counter()
     reports, failure, error = [], None, None
     try:
         for name, kwargs in requests:
             reports.append(SCENARIOS[name](**kwargs))
+    except MemoryError as exc:   # the config asks for more than is free
+        failure = ConfigError(f"out of memory: {exc}" if str(exc) else
+                              "out of memory")
     except Exception as exc:   # written down below, then reported or raised
         failure = exc
+    if failure is not None:
         error = {
-            "type": _failure_type(exc),
-            "message": str(exc),
-            "failure_time": getattr(exc, "t", None),
+            "type": _failure_type(failure),
+            "message": str(failure),
+            "failure_time": getattr(failure, "t", None),
         }
     wall = time.perf_counter() - t0
 

@@ -39,7 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnsupportedFormError
 from .profiles import Affine, TimeProfile, lambda_factor
 from .propagate import default_time_step, expm_bath, free_central_R11
 from .system import (
@@ -48,6 +47,7 @@ from .system import (
     build_A11,
     coupling_layout_12,
     coupling_layout_21,
+    thermal_f_values,
 )
 
 __all__ = [
@@ -186,33 +186,6 @@ def drift_first_order(spec: SystemSpec, t: float) -> np.ndarray:
     return build_A11(spec, t) + mu_single_factor(spec.bath, t).as_matrix()
 
 
-def _diagonal_f(bath: BathSpec, F: np.ndarray) -> np.ndarray:
-    """Validate the diagonal reservoir form and return the f_k values.
-
-    Requires F = diag(omega_k^2 f_k) (+) diag(f_k); anything else is
-    outside the closed forms.
-    """
-    n = bath.n
-    F = np.asarray(F, dtype=float)
-    if F.shape != (2 * n, 2 * n):
-        raise UnsupportedFormError(
-            f"reservoir covariance has shape {F.shape}, expected {(2 * n, 2 * n)}"
-        )
-    off = F - np.diag(np.diag(F))
-    if np.any(off != 0.0):
-        raise UnsupportedFormError(
-            "closed-form diffusion needs a diagonal reservoir covariance"
-        )
-    f = np.diag(F)[n:]
-    expected_p = bath.omegas**2 * f
-    got_p = np.diag(F)[:n]
-    if not np.allclose(got_p, expected_p, rtol=1e-12, atol=0.0):
-        raise UnsupportedFormError(
-            "diagonal reservoir covariance must pair omega_k^2 f_k with f_k"
-        )
-    return f
-
-
 def diffusion_first_order(spec: SystemSpec, F: np.ndarray, t: float) -> np.ndarray:
     """Short-time diffusion 2 D = A12(t) F Int(A12)^T + transpose, for a
     general (not necessarily diagonal) reservoir covariance."""
@@ -225,19 +198,17 @@ def diffusion_first_order(spec: SystemSpec, F: np.ndarray, t: float) -> np.ndarr
     return 0.25 * (two_D + two_D.T)
 
 
-def D_closed_form(
-    bath: BathSpec, F: np.ndarray, t: float
-) -> tuple[float, float, float]:
-    """Closed-form short-time diffusion (D_pp, D_xx, D_px).
-
-    Valid for the diagonal reservoir form only:
+def D_closed_form(bath: BathSpec, t: float) -> tuple[float, float, float]:
+    """Closed-form short-time diffusion (D_pp, D_xx, D_px) from the bath's
+    own diagonal reservoir state, f_k from :func:`thermal_f_values`:
         D_pp =  lambda sum_k f_k (omega_k^2 V_k^2 + G_k^2)
         D_xx =  lambda sum_k f_k (omega_k^2 Z_k^2 + U_k^2)
         D_px = -lambda sum_k f_k (omega_k^2 V_k Z_k + G_k U_k)
     For excitation-exchange couplings D_px vanishes and
-    D_pp = omega0^2 D_xx.
+    D_pp = omega0^2 D_xx.  Any other reservoir covariance F takes
+    :func:`diffusion_first_order`.
     """
-    f = _diagonal_f(bath, F)
+    f = thermal_f_values(bath)
     lam = lambda_factor(bath.nu, t)
     w2 = bath.omegas**2
     d_pp = lam * float(np.sum(f * (w2 * bath.V**2 + bath.G**2)))

@@ -195,9 +195,7 @@ def default_time_step(spec: SystemSpec) -> float:
     """Fixed step resolving both the fastest bath rotation and the coupling
     pulse: 1/400 of the smaller of (shortest mode period, pulse timescale)."""
     w_central = spec.omega.values(np.linspace(0.0, spec.t_max, 257))
-    w_max = max(
-        float(np.max(spec.bath.omegas)), float(np.max(w_central)), spec.omega0
-    )
+    w_max = max(float(np.max(spec.bath.omegas)), float(np.max(w_central)))
     return _resolving_step(w_max, (spec.bath.nu, spec.omega))
 
 

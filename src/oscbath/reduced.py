@@ -129,13 +129,10 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     )
 
 
-def damping_rate(A: np.ndarray, A11: np.ndarray | None = None) -> float:
-    """gamma = -tr(A - A11)/2; the free part is traceless, so this is
-    just -(A_pp + A_xx)/2 when A11 is omitted."""
-    tr = A[0, 0] + A[1, 1]
-    if A11 is not None:
-        tr -= A11[0, 0] + A11[1, 1]
-    return -0.5 * float(tr)
+def damping_rate(A: np.ndarray) -> float:
+    """gamma = -tr(A - A11)/2 = -(A_pp + A_xx)/2, since the free block A11
+    has a zero diagonal."""
+    return -0.5 * float(A[0, 0] + A[1, 1])
 
 
 def noise_matrix(D: np.ndarray, gamma: float) -> np.ndarray:

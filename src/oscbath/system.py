@@ -50,8 +50,6 @@ __all__ = [
 
 # Probe resolution for sampled positivity checks on profiles.
 _VALIDATION_SAMPLES = 1001
-# Relative tolerance within which omega(0) must equal omega0.
-OMEGA0_REL_TOL = 1e-9
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -125,28 +123,19 @@ class BathSpec:
 class SystemSpec:
     """Central oscillator profile plus bath, validated on a run window.
 
-    ``omega`` must start at ``omega0`` and stay positive on [0, t_max];
-    ``nu`` must be non-negative there.  Positivity is checked by sampling,
-    which is exact for the parametric profile kinds used in practice.
+    ``omega`` must stay positive on [0, t_max], and ``nu`` non-negative;
+    the reference frequency is omega(0) itself.  Positivity is checked by
+    sampling, which is exact for the parametric profile kinds used in
+    practice.
     """
 
     omega: TimeProfile
     bath: BathSpec
-    omega0: float = 1.0
     t_max: float = 20.0
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
-        w0 = self.omega.value(0.0)
-        if not math.isclose(
-            w0, self.omega0, rel_tol=OMEGA0_REL_TOL, abs_tol=1e-12
-        ):
-            raise ValueError(
-                f"omega(0) = {w0!r} must match omega0 = {self.omega0!r}"
-            )
         ts = np.linspace(0.0, self.t_max, _VALIDATION_SAMPLES)
         # Name the first failing sample; at one sample omega is checked
         # before nu.

@@ -36,7 +36,6 @@ from oscbath import (
     photon_number,
     random_couplings,
     stationary_covariance,
-    thermal_F,
     uniform_bath_frequencies,
 )
 from oscbath.langevin import diffusion_matrix, drift_matrix
@@ -180,9 +179,8 @@ def test_criterion_05_rwa_structure():
             rho, uniform_bath_frequencies(n, 0.2, 3.0),
             GaussianPulse(1.0, 0.4, 0.1), omega0=omega0, temperature=0.4,
         )
-        F = thermal_F(bath)
         for t in (0.3, 0.8):
-            d_pp, d_xx, d_px = D_closed_form(bath, F, t)
+            d_pp, d_xx, d_px = D_closed_form(bath, t)
             scale = max(abs(d_pp), abs(d_xx))
             worst_cross = max(worst_cross, abs(d_px) / scale)
             worst_ratio = max(

@@ -407,6 +407,91 @@ def test_internal_error_is_recorded_then_raised(tmp_path, monkeypatch):
     assert meta["error"]["type"] == "internal"
 
 
+def test_out_of_memory_is_a_config_error_after_the_completed_scenarios(
+    tmp_path, monkeypatch, capsys
+):
+    # a MemoryError took the internal path: traceback and exit 1
+    from oscbath import scenarios
+
+    def too_big(**kwargs):
+        raise MemoryError()
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "rwa-check", too_big)
+    text = SMALL_CLOSURE.replace(
+        "scenario: closure", "scenario: [closure, rwa-check]"
+    )
+    cfg = write(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert (out / "closure__verdicts.csv").exists()
+    meta = json.loads((out / "metadata.json").read_text())
+    assert [e["scenario"] for e in meta["scenarios"]] == ["closure"]
+    assert meta["error"] == {
+        "type": "config", "message": "out of memory", "failure_time": None,
+    }
+    assert "config error: out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    b"scenario: closure\n\xff\xfe: 1\n",
+    "scenario: closure\n".encode("utf-16"),
+], ids=["invalid_utf8", "utf16"])
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, data):
+    # both raised UnicodeDecodeError with a traceback and exit 1
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(data)
+    with pytest.raises(ConfigError, match="UTF-8") as err:
+        parse_config(cfg)
+    assert err.value.field == "path"
+    out = tmp_path / "never"
+    for extra in (["--check"], ["--out", str(out)]):
+        assert main(["run", str(cfg), *extra]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "scenario: closure\n")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    with pytest.raises(ConfigError, match="Permission denied"):
+        parse_config(cfg)
+
+
+def test_output_path_under_a_file_exits_two_before_running(
+    tmp_path, monkeypatch, capsys
+):
+    # --out at a file ran every scenario, then mkdir raised FileExistsError
+    # (or NotADirectoryError under it) with a traceback, and --check passed
+    from oscbath import scenarios
+
+    ran = []
+    monkeypatch.setitem(scenarios.SCENARIOS, "closure",
+                        lambda **kwargs: ran.append(kwargs))
+    cfg = write(tmp_path, "scenario: closure\n")
+    taken = write(tmp_path, "not a directory\n", "taken")
+    for out in (taken, taken / "sub"):
+        for extra in (["--check"], []):
+            assert main(["run", str(cfg), "--out", str(out), *extra]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: out ") and str(taken) in err
+    assert ran == []
+    assert taken.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml", "taken"]
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", denied)
+    out = tmp_path / "new"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "config error: out: cannot make directory" in capsys.readouterr().err
+    assert ran == []
+
+
 @pytest.mark.parametrize("text, verdict", [
     ("scenario: closure\ngrid: {t_max: 1.0e-9, steps: 5}\n",
      "closure_gap_ratio_bounded"),
@@ -532,7 +617,7 @@ def test_rho_values_parsing(tmp_path):
     ("scenario: rwa-check\nparams:\n  epsilon: -0.05\n", [], "epsilon"),
     ("scenario: rwa-check\nparams:\n  nu_bridge: 0\n", [], "nu_bridge"),
     ("scenario: rwa-check\nparams:\n  nu_bridge: -0.08\n", [], "nu_bridge"),
-    ("scenario: rwa-check\nparams:\n  modulation_depth: 0.07\n", [],
+    ("scenario: rwa-check\nparams:\n  modulation_depth: 1.0\n", [],
      "params.modulation_depth"),
     ("scenario: rwa-check\nparams:\n  modulation_depth: 5\n", [],
      "params.modulation_depth"),

@@ -25,7 +25,6 @@ from oscbath import (
     R12_first_order,
     R21_first_order,
     SystemSpec,
-    UnsupportedFormError,
     D_closed_form,
     coupling_profiles,
     diffusion_first_order,
@@ -171,9 +170,7 @@ def test_R21_first_order_matches_rk4_oracle(n):
         nu=GaussianPulse(1.0, 1.0, 0.3),
     )
     omega = Affine(GaussianPulse(1.0, 1.5, 0.2), scale=-0.1, offset=1.0)
-    spec = SystemSpec(
-        omega=omega, bath=bath, omega0=omega.value(0.0), t_max=4.0
-    )
+    spec = SystemSpec(omega=omega, bath=bath, t_max=4.0)
     for t in (0.5, 2.0):
         want = oracles.R21_first_order(spec, t)
         got = R21_first_order(spec, t)
@@ -228,13 +225,13 @@ def test_diffusion_closed_form_single_mode_frozen():
         omegas=[1.0], U=[0.0], V=[1.0], G=[0.0], Z=[0.0],
         nu=Constant(1.0), f_values=[1.0],
     )
-    dpp, dxx, dpx = D_closed_form(b, thermal_F(b), 2.0)
+    dpp, dxx, dpx = D_closed_form(b, 2.0)
     assert (dpp, dxx, dpx) == (pytest.approx(2.0), pytest.approx(0.0), pytest.approx(0.0))
     b2 = BathSpec(
         omegas=[1.0], U=[0.0], V=[1.0], G=[0.0], Z=[1.0],
         nu=Constant(1.0), f_values=[1.0],
     )
-    dpp, dxx, dpx = D_closed_form(b2, thermal_F(b2), 2.0)
+    dpp, dxx, dpx = D_closed_form(b2, 2.0)
     assert dpp == pytest.approx(2.0, abs=1e-15)
     assert dxx == pytest.approx(2.0, abs=1e-15)
     assert dpx == pytest.approx(-2.0, abs=1e-15)
@@ -251,7 +248,7 @@ def test_diffusion_matrix_matches_closed_form_elements():
     F = thermal_F(bath)
     for t in (0.4, 1.1, 3.0):
         D = diffusion_first_order(spec, F, t)
-        dpp, dxx, dpx = D_closed_form(bath, F, t)
+        dpp, dxx, dpx = D_closed_form(bath, t)
         np.testing.assert_allclose(
             D, [[dpp, dpx], [dpx, dxx]], atol=1e-15
         )
@@ -263,8 +260,7 @@ def test_diffusion_scales_with_memory_factor():
         omegas=[0.9], U=[0.3], V=[0.5], G=[0.2], Z=[0.1],
         nu=GaussianPulse(0.5, 1.0, 0.3), temperature=0.2,
     )
-    F = thermal_F(bath)
-    d1 = np.array(D_closed_form(bath, F, 1.3))
+    d1 = np.array(D_closed_form(bath, 1.3))
     lam = lambda_factor(bath.nu, 1.3)
     np.testing.assert_allclose(d1 / lam, d1[0] / lam / d1[0] * d1, atol=1e-12)
     # doubling every coupling multiplies the closed form by four
@@ -272,27 +268,8 @@ def test_diffusion_scales_with_memory_factor():
         omegas=[0.9], U=[0.6], V=[1.0], G=[0.4], Z=[0.2],
         nu=bath.nu, temperature=0.2,
     )
-    d2 = np.array(D_closed_form(bath2, thermal_F(bath2), 1.3))
+    d2 = np.array(D_closed_form(bath2, 1.3))
     np.testing.assert_allclose(d2, 4.0 * d1, rtol=1e-12)
-
-
-def test_non_diagonal_reservoir_rejected_by_closed_form():
-    bath = BathSpec(
-        omegas=[1.0, 2.0], U=[0.1] * 2, V=[0.0] * 2, G=[0.0] * 2, Z=[0.0] * 2,
-        nu=Constant(0.1),
-    )
-    F = thermal_F(bath)
-    F_bad = F.copy()
-    F_bad[0, 1] = 0.01
-    F_bad[1, 0] = 0.01
-    with pytest.raises(UnsupportedFormError):
-        D_closed_form(bath, F_bad, 1.0)
-    F_bad2 = F.copy()
-    F_bad2[0, 0] *= 1.5  # momentum weight no longer omega^2 times position
-    with pytest.raises(UnsupportedFormError):
-        D_closed_form(bath, F_bad2, 1.0)
-    with pytest.raises(UnsupportedFormError):
-        D_closed_form(bath, F[:2, :2], 1.0)  # wrong shape
 
 
 def test_general_matrix_route_accepts_any_reservoir():

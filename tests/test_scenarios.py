@@ -26,7 +26,6 @@ from oscbath.scenarios import (
     ScenarioReport,
     Verdict,
     _frequency_dip,
-    _max_modulation_depth,
     bind_params,
     config_digest,
     param_docs,
@@ -181,14 +180,13 @@ def test_rwa_rejects_bridge_and_depth_before_running():
     for nu in (0.0, -0.08):
         with pytest.raises(ValueError, match="nu_bridge must be > 0"):
             run_rwa_check(nu_bridge=nu)
-    for depth in (0.07, 5.0, -5.0):
+    for depth in (1.0, 5.0, -5.0):
         with pytest.raises(ValueError, match="params.modulation_depth"):
             run_rwa_check(modulation_depth=depth)
 
 
 @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.5])
 def test_rwa_depth_bound_is_the_one_system_spec_enforces(omega0):
-    bound = _max_modulation_depth()
     omegas = uniform_bath_frequencies(2, 0.2 * omega0, 3.0 * omega0)
     bath = bath_from_rwa(np.full(2, 0.3), omegas, Constant(0.1), omega0)
 
@@ -196,19 +194,16 @@ def test_rwa_depth_bound_is_the_one_system_spec_enforces(omega0):
         omega = Affine(
             _frequency_dip(omega0), scale=-depth * omega0, offset=omega0
         )
-        return SystemSpec(
-            omega=omega, bath=bath, omega0=omega0, t_max=6.0 / omega0
-        )
+        return SystemSpec(omega=omega, bath=bath, t_max=6.0 / omega0)
 
-    for depth in (bound, -bound):
+    for depth in (1.0 - 1e-9, -(1.0 - 1e-9)):
         bind_params("rwa-check", {"modulation_depth": depth})
         spec(depth)
-    # a millionth beyond the bound, SystemSpec rejects omega(0) as well
-    for depth in (1.000001 * bound, -1.000001 * bound):
-        with pytest.raises(ValueError, match="params.modulation_depth"):
-            bind_params("rwa-check", {"modulation_depth": depth})
-        with pytest.raises(ValueError, match="must match omega0"):
-            spec(depth)
+    with pytest.raises(ValueError, match="params.modulation_depth"):
+        bind_params("rwa-check", {"modulation_depth": 1.0})
+    # past the bound the dip takes omega through zero
+    with pytest.raises(ValueError, match="must stay positive"):
+        spec(1.001)
 
 
 def test_profile_nested_past_the_recursion_limit_names_the_field():

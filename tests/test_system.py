@@ -44,7 +44,7 @@ def _random_spec(n=3, seed=0, nu=None, omega=None):
     )
     return SystemSpec(
         omega=omega if omega is not None else Constant(1.0),
-        bath=bath, omega0=1.0, t_max=8.0,
+        bath=bath, t_max=8.0,
     )
 
 
@@ -104,7 +104,7 @@ def test_block_layout_single_couplings():
 
 def test_central_block():
     spec = SystemSpec(
-        omega=Constant(2.0), bath=_one_mode_bath(U=0.1), omega0=2.0, t_max=8.0
+        omega=Constant(2.0), bath=_one_mode_bath(U=0.1), t_max=8.0
     )
     np.testing.assert_allclose(
         build_A11(spec, 1.0), [[0.0, -4.0], [1.0, 0.0]], atol=0.0
@@ -247,12 +247,6 @@ def test_bath_rejects_bad_inputs():
         BathSpec(omegas=[1.0], temperature=-0.1, **kw)
     with pytest.raises(ValueError, match="f_values"):
         BathSpec(omegas=[1.0], f_values=[1.0, 2.0], **kw)
-
-
-def test_system_rejects_frequency_mismatch_at_start():
-    bath = _one_mode_bath(U=0.1)
-    with pytest.raises(ValueError, match="omega0"):
-        SystemSpec(omega=Constant(1.05), bath=bath, omega0=1.0)
 
 
 def test_system_rejects_negative_drive():
