@@ -4,24 +4,26 @@ R solves dR/dt = A(t) R from the identity, where A(t) is the full
 (2N+2)-dimensional generator.  Integration is fixed-step classical
 Runge-Kutta, taken a block of steps at a time: the frequency and coupling
 profiles are tabulated on the stage nodes of the whole block, then every
-step adds its increment to R.  The same RK4 map is taken in one of two
-forms, chosen from the dimension d = 2N + 2 alone:
+step adds its increment to R.  The same RK4 map is taken in one of three
+forms:
 
-- below ``_DIRECT_MIN_DIM`` (small baths) the increments Q = P - I of all
-  steps of a block are built with stacked (B, d, d) products, and R then
-  advances by one product per step, R <- R + Q R;
-- from ``_DIRECT_MIN_DIM`` on (wide baths) each stage generator is applied
-  directly to R through its arrow structure: two central rows, two central
-  columns and one 2x2 rotation per bath mode, so a stage costs O(N d)
-  instead of the d^3 of a dense product.
+- for a frequency and a coupling both of type exactly :class:`Constant`,
+  each interval's n steps are one power of the step map, R <- R + Q_n R;
+- otherwise, below ``_DIRECT_MIN_DIM`` (small baths) the increments Q = P - I
+  of all steps of a block are built with stacked (B, d, d) products, and R
+  then advances by one product per step, R <- R + Q R;
+- otherwise (wide baths) each stage generator is applied directly to R
+  through its arrow structure: two central rows, two central columns and
+  one 2x2 rotation per bath mode, so a stage costs O(N d) instead of the
+  d^3 of a dense product.
 
-The switch point is the measured crossover of the two forms.  The stacked
+The switch point is the measured crossover of the last two forms.  The stacked
 increments, composed per grid interval, also step the small linear ODEs
 of the local model and the free central block (:func:`linear_flow`).  The
 symplectic defect  || R^T J R - J ||_F  is monitored at every grid point
 rather than projected away, so a drifting integration fails loudly
 instead of being silently repaired.  With the coupling profile
-identically zero the off-diagonal blocks stay exactly zero in both forms,
+identically zero the off-diagonal blocks stay exactly zero in every form,
 because every coupling term is a product with an exactly zero block;
 structure preservation is exact, not approximate.
 """
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, UnsupportedFormError
+from .profiles import Constant
 from .system import SystemSpec, build_A22, coupling_layout_12, coupling_layout_21, symplectic_unit
 
 __all__ = [
@@ -349,14 +352,10 @@ def linear_flow(z, ts, dt, T, entries, coefficients):
                 yield int(ends[hi - 1])
 
 
-def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
-    """Advance R through a block of steps by its stacked increments,
-    yielding each step's grid index (see :func:`rk4_blocks`) after it.
-
-    ``w`` and ``nu`` hold the frequency and the coupling at the four stage
-    nodes of each step, shape (B, 4); T is the constant part of the
-    generator, L12 and L21 the unit coupling layouts.
-    """
+def _stacked_increments(hs, w, nu, *, T, L12, L21, work):
+    """Increments Q = P - I of a block of B steps; ``w`` and ``nu`` hold the
+    frequency and the coupling at the four stage nodes of each step, (B, 4),
+    T is the generator's constant part, L12 and L21 the coupling layouts."""
     hnu = (hs[:, None] * nu)[:, :, None, None]
     hw2 = -hs[:, None] * w * w
 
@@ -366,12 +365,41 @@ def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
         out[:, 2:, :2] = hnu[:, j] * L21
         out[:, 0, 1] = hw2[:, j]
 
-    Q = _step_increments(hs, T, fill, work)
+    return _step_increments(hs, T, fill, work)
+
+
+def _stacked_steps(R, hs, w, nu, ends, **layout):
+    """Advance R through a block of steps by its stacked increments,
+    yielding each step's grid index (see :func:`rk4_blocks`) after it."""
+    Q = _stacked_increments(hs, w, nu, **layout)
     for k, end in enumerate(ends.tolist()):
         # R + Q R, not P R: adding the increment keeps the roundoff
         # of each step relative to the change, not to R itself.
         R += Q[k] @ R
         yield end
+
+
+def _powered_steps(R, hs, ns, w, nu, **layout):
+    """Advance R over grid intervals of ns[i] steps of length hs[i] at the
+    constant frequency w and coupling nu, yielding each interval's end index.
+    The stacked form's one-step increment Q is raised to n steps by binary
+    powering, Q_2m = 2 Q_m + Q_m Q_m and Q_(a+b) = Q_a + Q_b + Q_b Q_a, and
+    rebuilt only when (h, n) changes, so one d x d map is held at a time."""
+    key = None
+    for i, (h, n) in enumerate(zip(hs.tolist(), ns.astype(int).tolist())):
+        if (h, n) != key:
+            key = (h, n)
+            Q = _stacked_increments(
+                np.array([h]), np.full((1, 4), w), np.full((1, 4), nu), **layout
+            )[0]
+            Qn = None
+            for k, bit in enumerate(bin(n)[:1:-1]):  # lowest bit first
+                if k:
+                    Q = 2.0 * Q + Q @ Q
+                if bit == "1":
+                    Qn = Q if Qn is None else Qn + Q + Q @ Qn
+        R += Qn @ R
+        yield i + 1
 
 
 def _direct_steps(R, hs, w, nu, ends, *, omega2, L12, L21, work):
@@ -456,7 +484,8 @@ def integrate_R(
     # Steps are taken up to the first interval whose step underflows; the
     # error is raised once the grid points before it have been checked.
     spans = np.diff(ts)
-    h_grid = spans / np.maximum(1.0, np.ceil(spans / dt))
+    n_sub = np.maximum(1.0, np.ceil(spans / dt))
+    h_grid = spans / n_sub
     tiny = np.flatnonzero(h_grid < 1e-13 * np.maximum(1.0, np.abs(ts[1:])))
     reach = int(tiny[0]) if tiny.size else ts.size - 1
 
@@ -465,54 +494,65 @@ def integrate_R(
     dim = 2 * n + 2
     L12 = coupling_layout_12(bath)
     L21 = coupling_layout_21(bath)
-    if dim < _DIRECT_MIN_DIM:
+    # An exact type test: a subclass may override ``value``.
+    powered = type(spec.omega) is Constant and type(bath.nu) is Constant
+    if powered or dim < _DIRECT_MIN_DIM:
         T = np.zeros((dim, dim))
         T[2:, 2:] = build_A22(bath)
         T[1, 0] = 1.0
-        block_steps = max(
-            1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim * dim))
-        )
-        advance = functools.partial(
-            _stacked_steps, T=T, L12=L12, L21=L21,
-            work=np.empty((5, block_steps, dim, dim)),
-        )
-    else:
-        block_steps = _BLOCK_STEPS
-        advance = functools.partial(
-            _direct_steps, omega2=bath.omegas**2, L12=L12, L21=L21,
-            work=(*np.empty((3, dim, dim)), np.empty((dim - 2, dim))),
-        )
-
+    R = np.eye(dim)
     J = symplectic_unit(n)
     J_cols = _signed_columns(J)
-    R = np.eye(dim)
     Rs = np.empty((ts.size, dim, dim))
     defects = np.empty(ts.size)
     Rs[0] = R
     defects[0] = _defect(R, J, *J_cols)
-    for hs, nodes, ends in rk4_blocks(
-        ts[: reach + 1], dt, _RK4_STAGES, block_steps
-    ):
-        w = spec.omega.values(nodes).reshape(hs.size, -1)
-        nu = bath.nu.values(nodes).reshape(hs.size, -1)
-        for end in advance(R, hs, w, nu, ends):
-            if end < 0:
-                continue
-            t_hi = ts[end]
-            if not np.all(np.isfinite(R)):
-                raise IntegrationError(
-                    f"propagator became non-finite at t={t_hi:.6g}",
-                    t=float(t_hi),
-                )
-            d = _defect(R, J, *J_cols)
-            if d > defect_limit:
-                raise IntegrationError(
-                    f"symplectic defect {d:.3e} exceeds {defect_limit:.1e}"
-                    f" at t={t_hi:.6g}",
-                    t=float(t_hi),
-                )
-            Rs[end] = R
-            defects[end] = d
+
+    def check(end: int) -> None:
+        t_hi = ts[end]
+        if not np.all(np.isfinite(R)):
+            raise IntegrationError(
+                f"propagator became non-finite at t={t_hi:.6g}",
+                t=float(t_hi),
+            )
+        d = _defect(R, J, *J_cols)
+        if d > defect_limit:
+            raise IntegrationError(
+                f"symplectic defect {d:.3e} exceeds {defect_limit:.1e}"
+                f" at t={t_hi:.6g}",
+                t=float(t_hi),
+            )
+        Rs[end] = R
+        defects[end] = d
+
+    if powered:
+        for end in _powered_steps(
+            R, h_grid[:reach], n_sub[:reach], spec.omega.value_const,
+            bath.nu.value_const, T=T, L12=L12, L21=L21,
+            work=np.empty((5, 1, dim, dim)),
+        ):
+            check(end)
+    else:
+        if dim < _DIRECT_MIN_DIM:
+            block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim**2)))
+            advance = functools.partial(
+                _stacked_steps, T=T, L12=L12, L21=L21,
+                work=np.empty((5, block_steps, dim, dim)),
+            )
+        else:
+            block_steps = _BLOCK_STEPS
+            advance = functools.partial(
+                _direct_steps, omega2=bath.omegas**2, L12=L12, L21=L21,
+                work=(*np.empty((3, dim, dim)), np.empty((dim - 2, dim))),
+            )
+        for hs, nodes, ends in rk4_blocks(
+            ts[: reach + 1], dt, _RK4_STAGES, block_steps
+        ):
+            w = spec.omega.values(nodes).reshape(hs.size, -1)
+            nu = bath.nu.values(nodes).reshape(hs.size, -1)
+            for end in advance(R, hs, w, nu, ends):
+                if end >= 0:
+                    check(end)
     if tiny.size:
         t_hi = ts[reach + 1]
         raise IntegrationError(

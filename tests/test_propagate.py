@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from oscbath import (
     Constant,
     GaussianPulse,
     IntegrationError,
+    PiecewiseLinear,
     SystemSpec,
     UnsupportedFormError,
     assemble_generator,
@@ -252,9 +254,10 @@ def test_defect_limit_raises_with_failure_time():
 
 
 def _step_forms(monkeypatch) -> list[str]:
-    """Record which step form each block of integrate_R takes."""
+    """Record which step form each block of integrate_R takes; the powered
+    form is recorded once per run."""
     taken = []
-    for name in ("_stacked_steps", "_direct_steps"):
+    for name in ("_stacked_steps", "_direct_steps", "_powered_steps"):
         original = getattr(propagate, name)
 
         def recording(*args, _name=name, _original=original, **kwargs):
@@ -297,13 +300,81 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_step_underflow_raises_with_failure_time():
+def _flat(value: float, t_max: float) -> PiecewiseLinear:
+    """A profile equal to ``value`` over [0, t_max] that is not a Constant,
+    so integrate_R steps it instead of powering."""
+    return PiecewiseLinear((-1.0, 2.0 * t_max), (value, value))
+
+
+def test_powered_constant_generator_matches_stepped(monkeypatch):
+    # N = 3 is stepped by stacked increments, N = 64 by the direct form;
+    # unequal intervals give several distinct (h, n), one of them n = 1.
+    grid = np.array([0.0, 0.002, 0.37, 1.0, 1.63, 2.26, 3.0])
+    taken = _step_forms(monkeypatch)
     for n in (3, 64):
-        spec = _coupled_spec(n=n)
-        grid = np.array([0.0, 1.0, 1.0 + 1e-14])
-        with pytest.raises(IntegrationError, match="step underflow") as exc:
-            integrate_R(spec, grid, dt=0.01)
-        assert exc.value.t == grid[2]
+        spec = _coupled_spec(n=n, nu=Constant(0.4), omega=Constant(1.3))
+        stepped = dataclasses.replace(
+            spec, omega=_flat(1.3, spec.t_max),
+            bath=dataclasses.replace(spec.bath, nu=_flat(0.4, spec.t_max)),
+        )
+        taken.clear()
+        powered = integrate_R(spec, grid, dt=3e-3)
+        assert taken == ["_powered_steps"]
+        taken.clear()
+        want = integrate_R(stepped, grid, dt=3e-3)
+        form = "_stacked_steps" if _stacks(n) else "_direct_steps"
+        assert set(taken) == {form}
+        scale = np.max(np.abs(want.R))
+        assert np.max(np.abs(powered.R - want.R)) <= 1e-11 * scale
+        # the defects, of order 1e-12 here, agree to roundoff
+        np.testing.assert_allclose(
+            powered.defects, want.defects, rtol=1e-2, atol=1e-14
+        )
+
+
+def test_powered_constant_generator_converges_at_fourth_order():
+    # The powered map is the RK4 map, so halving dt cuts its distance
+    # from the exact exponential about 2^4 = 16 times.
+    spec = _coupled_spec(nu=Constant(0.4))
+    grid = np.array([0.0, 1.0, 3.0])
+    want = expm(assemble_generator(spec, 0.0) * 3.0)
+    errors = [
+        np.max(np.abs(integrate_R(spec, grid, dt=dt)[-1].full() - want))
+        for dt in (0.02, 0.01, 0.005)
+    ]
+    assert errors[2] > 1e-10  # well above roundoff
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_constant_subclass_takes_the_stepped_form(monkeypatch):
+    # A subclass may override value, as a counting profile does, and the
+    # powered form never calls it; so only the exact type is powered.
+    class Doubled(Constant):
+        def value(self, t):
+            return 2.0 * self.value_const
+
+    grid = np.array([0.0, 0.5, 2.0])
+    taken = _step_forms(monkeypatch)
+    subclass = integrate_R(_coupled_spec(nu=Doubled(0.2)), grid, dt=5e-3)
+    assert set(taken) == {"_stacked_steps"}
+    exact = integrate_R(_coupled_spec(nu=Constant(0.4)), grid, dt=5e-3)
+    scale = np.max(np.abs(exact.R))
+    assert np.max(np.abs(subclass.R - exact.R)) <= 1e-11 * scale
+
+
+def test_step_underflow_raises_with_failure_time(monkeypatch):
+    # a pulsed coupling is stepped, a constant one takes the powered form
+    taken = _step_forms(monkeypatch)
+    for n in (3, 64):
+        for nu in (None, Constant(0.4)):
+            spec = _coupled_spec(n=n, nu=nu)
+            grid = np.array([0.0, 1.0, 1.0 + 1e-14])
+            taken.clear()
+            with pytest.raises(IntegrationError, match="step underflow") as exc:
+                integrate_R(spec, grid, dt=0.01)
+            assert exc.value.t == grid[2]
+            assert ("_powered_steps" in taken) == (nu is not None)
 
 
 def test_non_finite_propagator_raises_with_failure_time():
