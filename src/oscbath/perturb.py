@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import Affine, TimeProfile, lambda_factor
+from .profiles import Affine, TimeProfile, lambda_factor, tabulate
 from .propagate import default_time_step, expm_bath, free_central_R11
 from .system import (
     BathSpec,
@@ -110,20 +110,23 @@ def mu_elements(
     """Drift correction for general, independently shaped coefficients.
 
     Each coefficient is an arbitrary profile; integrals use the profiles'
-    closed forms.  This is the route that exposes when the off-diagonal
-    elements survive, i.e. when the coefficients do not share a single
-    scalar shape.
+    closed forms, and the values at t are tabulated in one call, which
+    evaluates each distinct base profile once.  This is the route that
+    exposes when the off-diagonal elements survive, i.e. when the
+    coefficients do not share a single scalar shape.
     """
     lengths = {len(u), len(v), len(g), len(z)}
     if len(lengths) != 1:
         raise ValueError(f"coupling lists must share a length, got {lengths}")
+    n = len(u)
+    at_t = np.ravel(tabulate([*u, *v, *g, *z], np.array([float(t)])))
     mu_pp = mu_px = mu_xp = mu_xx = 0.0
-    for uk, vk, gk, zk in zip(u, v, g, z):
+    for k, (uk, vk, gk, zk) in enumerate(zip(u, v, g, z)):
         iu = uk.integral(0.0, t)
         iv = vk.integral(0.0, t)
         ig = gk.integral(0.0, t)
         iz = zk.integral(0.0, t)
-        ut, vt, gt, zt = uk.value(t), vk.value(t), gk.value(t), zk.value(t)
+        ut, vt, gt, zt = at_t[k::n].tolist()
         mu_pp += vt * iu - gt * iz
         mu_px += vt * ig - gt * iv
         mu_xp += ut * iz - zt * iu

@@ -5,14 +5,14 @@ so cumulative quantities (pulse areas, damping memories) carry no quadrature
 noise.  Times are measured in units of the inverse reference frequency of
 the central oscillator; amplitudes are dimensionless.
 
-Every kind implements ``value(t)``, ``integral(t0, t1)`` in closed form
-(an antiderivative difference, so a reversed interval negates it) and
-``derivative(t)``, used by the effective-frequency machinery, and
-``values(ts)`` / ``derivatives(ts)`` on arrays of times.  Those default to
-loops over the scalar methods; the Gaussian and rise/decay pulses, trains
-and affine maps override them with closed forms that repeat the scalar
-arithmetic element by element, so the integrators can tabulate a profile
-on a whole block of stage nodes in one call.
+Every kind implements ``values(ts)`` and ``derivatives(ts)`` on arrays of
+times, so the integrators tabulate a profile on a whole block of stage
+nodes in one call, and ``integral(t0, t1)`` in closed form (an
+antiderivative difference, so a reversed interval negates it).  The scalar
+``value(t)`` and ``derivative(t)`` are their one-element forms, defined
+once on :class:`TimeProfile`, so a time gives the same number whichever
+form asks.  ``Constant`` alone keeps a scalar ``value``, which its
+``values`` calls once per time.
 
 ``lambda_factor`` builds the memory factor nu(t) * int_0^t nu that controls
 every short-time damping and diffusion coefficient downstream.
@@ -75,27 +75,20 @@ class TimeProfile:
     def timescale(self) -> float | None:
         return None
 
-    def value(self, t: float) -> float:
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        raise NotImplementedError
+
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
         raise NotImplementedError
 
     def integral(self, t0: float, t1: float) -> float:
         raise NotImplementedError
 
+    def value(self, t: float) -> float:
+        return float(self.values(np.array([float(t)]))[0])
+
     def derivative(self, t: float) -> float:
-        raise NotImplementedError
-
-    def values(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self.value(float(t)) for t in ts], dtype=float)
-
-    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self.derivative(float(t)) for t in ts], dtype=float)
-
-    def _check_domain(self, t: float) -> None:
-        lo, hi = self.domain
-        if t < lo or t > hi:
-            raise ProfileDomainError(
-                f"time {t!r} outside profile domain [{lo!r}, {hi!r}]"
-            )
+        return float(self.derivatives(np.array([float(t)]))[0])
 
 
 @dataclass(frozen=True)
@@ -104,14 +97,19 @@ class Constant(TimeProfile):
 
     value_const: float = 0.0
 
+    # A scalar value that values calls once per time: the benchmark's step
+    # counts count those calls on a Constant subclass.
     def value(self, t: float) -> float:
         return self.value_const
 
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        return np.array([self.value(float(t)) for t in ts], dtype=float)
+
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        return np.zeros(np.shape(ts))
+
     def integral(self, t0: float, t1: float) -> float:
         return self.value_const * (t1 - t0)
-
-    def derivative(self, t: float) -> float:
-        return 0.0
 
     def support(self) -> tuple[float, float]:
         if self.value_const == 0.0:
@@ -136,19 +134,11 @@ class GaussianPulse(TimeProfile):
         if not self.width > 0.0:
             raise ValueError(f"gaussian-pulse width must be > 0, got {self.width}")
 
-    def value(self, t: float) -> float:
-        u = (t - self.center) / self.width
-        return self.amplitude * math.exp(-0.5 * u * u)
-
     def integral(self, t0: float, t1: float) -> float:
         w = self.width
         a = (t0 - self.center) / (_SQRT2 * w)
         b = (t1 - self.center) / (_SQRT2 * w)
         return self.amplitude * w * _SQRT_HALF_PI * (math.erf(b) - math.erf(a))
-
-    def derivative(self, t: float) -> float:
-        u = (t - self.center) / self.width
-        return -self.amplitude * u / self.width * math.exp(-0.5 * u * u)
 
     def values(self, ts: Sequence[float]) -> np.ndarray:
         u = (np.asarray(ts, dtype=float) - self.center) / self.width
@@ -189,15 +179,6 @@ class ExpPulse(TimeProfile):
         if self.rise < 0.0:
             raise ValueError(f"exp pulse rise must be >= 0, got {self.rise}")
 
-    def value(self, t: float) -> float:
-        s = t - self.center
-        if s < 0.0:
-            return 0.0
-        out = self.amplitude * math.exp(-s / self.decay)
-        if self.rise > 0.0:
-            out *= -math.expm1(-s / self.rise)
-        return out
-
     def _cumulative_from_onset(self, s: float) -> float:
         # Antiderivative of the shape on s >= 0, zero at the onset.
         if s <= 0.0:
@@ -213,20 +194,6 @@ class ExpPulse(TimeProfile):
         return self._cumulative_from_onset(t1 - self.center) - self._cumulative_from_onset(
             t0 - self.center
         )
-
-    def derivative(self, t: float) -> float:
-        s = t - self.center
-        if s < 0.0:
-            return 0.0
-        d = self.decay
-        if self.rise == 0.0:
-            # Right derivative at the onset; the jump itself makes the
-            # profile discontinuous there.
-            return -self.amplitude / d * math.exp(-s / d)
-        r = self.rise
-        e_d = math.exp(-s / d)
-        e_r = math.exp(-s / r)
-        return self.amplitude * (e_r / r * e_d - (1.0 - e_r) / d * e_d)
 
     def _onset_split(self, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         # Times since the onset, clamped at zero so that pre-onset times
@@ -247,6 +214,8 @@ class ExpPulse(TimeProfile):
         s, on = self._onset_split(ts)
         d = self.decay
         if self.rise == 0.0:
+            # Right derivative at the onset; the jump itself makes the
+            # profile discontinuous there.
             out = -self.amplitude / d * np.exp(-s / d)
         else:
             r = self.rise
@@ -297,40 +266,27 @@ class PulseTrain(TimeProfile):
         return (np.maximum(0.0, np.ceil((lo - s_hi) / self.period)),
                 np.minimum(self.count - 1.0, np.floor((hi - s_lo) / self.period)))
 
-    def _pulse_range(self, lo: float, hi: float) -> range:
-        k_lo, k_hi = self._pulse_bounds(lo, hi)
-        return range(int(k_lo), int(k_hi) + 1)
-
-    def value(self, t: float) -> float:
-        out = 0.0
-        for k in self._pulse_range(t, t):
-            out += self.base.value(t - k * self.period)
-        return out
-
     def integral(self, t0: float, t1: float) -> float:
+        k_lo, k_hi = self._pulse_bounds(min(t0, t1), max(t0, t1))
         out = 0.0
-        for k in self._pulse_range(min(t0, t1), max(t0, t1)):
+        for k in range(int(k_lo), int(k_hi) + 1):
             out += self.base.integral(t0 - k * self.period, t1 - k * self.period)
         return out
 
-    def derivative(self, t: float) -> float:
-        out = 0.0
-        for k in self._pulse_range(t, t):
-            out += self.base.derivative(t - k * self.period)
-        return out
-
     def _sum_pulses(self, ts: Sequence[float], evaluate) -> np.ndarray:
-        # The pulse ranges of _pulse_range, per time, summed in the same
-        # pulse order as the scalar methods.
+        # Per time, the pulses k_lo..k_hi whose support holds it, summed in
+        # increasing k: pass j adds pulse k_lo + j, so a block costs as many
+        # passes as its widest range, not as the pulses between its ends.
         ts = np.asarray(ts, dtype=float)
         out = np.zeros(ts.shape)
         if ts.size == 0:
             return out
         k_lo, k_hi = self._pulse_bounds(ts, ts)
-        for k in range(int(k_lo.min()), int(k_hi.max()) + 1):
-            hit = (k_lo <= k) & (k <= k_hi)
+        for j in range(int(np.max(k_hi - k_lo)) + 1):
+            k = k_lo + j
+            hit = k <= k_hi
             if hit.any():
-                out[hit] += evaluate(ts[hit] - k * self.period)
+                out[hit] += evaluate(ts[hit] - k[hit] * self.period)
         return out
 
     def values(self, ts: Sequence[float]) -> np.ndarray:
@@ -387,31 +343,35 @@ class PiecewiseLinear(TimeProfile):
     def domain(self) -> tuple[float, float]:
         return (self.times[0], self.times[-1])
 
-    def _segment(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(i, 0), len(self.times) - 2)
+    def _segments(self, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        # The times, checked against the domain, and the index i of the
+        # segment [times[i], times[i + 1]] that holds each; the last knot
+        # closes the last segment.
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = self.domain
+        outside = (ts < lo) | (ts > hi)
+        if outside.any():
+            raise ProfileDomainError(f"time {float(ts[outside][0])!r} outside"
+                                     f" profile domain [{lo!r}, {hi!r}]")
+        i = np.searchsorted(self.times, ts, side="right") - 1
+        return ts, np.clip(i, 0, len(self.times) - 2)
 
-    def value(self, t: float) -> float:
-        self._check_domain(t)
-        i = self._segment(t)
-        ta, tb = self.times[i], self.times[i + 1]
-        va, vb = self.knot_values[i], self.knot_values[i + 1]
-        return va + (vb - va) * (t - ta) / (tb - ta)
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        ts, i = self._segments(ts)
+        t, v = np.array(self.times), np.array(self.knot_values)
+        return v[i] + (v[i + 1] - v[i]) * (ts - t[i]) / (t[i + 1] - t[i])
 
-    def _cumulative_from_start(self, t: float) -> float:
-        i = self._segment(t)
-        ta = self.times[i]
-        va = self.value(t)  # domain checked here
-        return self._areas[i] + 0.5 * (self.knot_values[i] + va) * (t - ta)
+    def derivatives(self, ts: Sequence[float]) -> np.ndarray:
+        ts, i = self._segments(ts)
+        t, v = np.array(self.times), np.array(self.knot_values)
+        return (v[i + 1] - v[i]) / (t[i + 1] - t[i])
 
     def integral(self, t0: float, t1: float) -> float:
-        return self._cumulative_from_start(t1) - self._cumulative_from_start(t0)
-
-    def derivative(self, t: float) -> float:
-        self._check_domain(t)
-        i = self._segment(t)
-        ta, tb = self.times[i], self.times[i + 1]
-        return (self.knot_values[i + 1] - self.knot_values[i]) / (tb - ta)
+        # Trapezoid area from the first knot to t1, minus that to t0.
+        ts, i = self._segments([t0, t1])
+        t, v = np.array(self.times), np.array(self.knot_values)
+        area = np.array(self._areas)[i] + 0.5 * (v[i] + self.values(ts)) * (ts - t[i])
+        return float(area[1] - area[0])
 
     def support(self) -> tuple[float, float]:
         return self.domain
@@ -437,14 +397,8 @@ class Affine(TimeProfile):
     def domain(self) -> tuple[float, float]:
         return self.base.domain
 
-    def value(self, t: float) -> float:
-        return self.offset + self.scale * self.base.value(t)
-
     def integral(self, t0: float, t1: float) -> float:
         return self.offset * (t1 - t0) + self.scale * self.base.integral(t0, t1)
-
-    def derivative(self, t: float) -> float:
-        return self.scale * self.base.derivative(t)
 
     def values(self, ts: Sequence[float]) -> np.ndarray:
         return self.offset + self.scale * self.base.values(ts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
@@ -21,7 +22,8 @@ from oscbath import (
     profile_from_dict,
     profile_to_dict,
 )
-from oscbath.profiles import PROFILE_KINDS
+from oscbath import profiles
+from oscbath.profiles import PROFILE_KINDS, TimeProfile
 
 
 def _quad(f, a, b, points=None):
@@ -160,6 +162,21 @@ def test_piecewise_linear_outside_domain_raises():
         pl.derivative(-0.1)
 
 
+def test_piecewise_linear_values_match_interp():
+    pl = PiecewiseLinear((0.0, 1.0, 3.0, 6.0), (0.0, 2.0, 1.0, 1.5))
+    ts = np.concatenate([np.linspace(0.0, 6.0, 97), pl.times])
+    np.testing.assert_allclose(pl.values(ts), np.interp(ts, pl.times, pl.knot_values),
+                               rtol=0.0, atol=1e-15)
+
+
+def test_piecewise_linear_array_outside_domain_names_first_bad_time():
+    pl = PiecewiseLinear((0.0, 1.0), (1.0, 1.0))
+    for evaluate in (pl.values, pl.derivatives):
+        with pytest.raises(ProfileDomainError) as err:
+            evaluate(np.array([0.5, 1.5, -0.2, 2.0]))
+        assert str(err.value) == "time 1.5 outside profile domain [0.0, 1.0]"
+
+
 def test_piecewise_linear_validation():
     with pytest.raises(ValueError):
         PiecewiseLinear((0.0,), (1.0,))
@@ -216,9 +233,43 @@ def test_derivative_matches_central_difference():
             assert p.derivative(t) == pytest.approx(fd, abs=5e-6)
 
 
+def _closed_form(p, t: float) -> tuple[float, float]:
+    """(value, derivative) of p at t from its formulas, written with math."""
+    if isinstance(p, Constant):
+        return p.value_const, 0.0
+    if isinstance(p, GaussianPulse):
+        u = (t - p.center) / p.width
+        return (p.amplitude * math.exp(-0.5 * u * u),
+                -p.amplitude * u / p.width * math.exp(-0.5 * u * u))
+    if isinstance(p, ExpPulse):
+        s = t - p.center
+        if s < 0.0:
+            return 0.0, 0.0
+        e_d = math.exp(-s / p.decay)
+        if p.rise == 0.0:
+            return p.amplitude * e_d, -p.amplitude / p.decay * e_d
+        e_r = math.exp(-s / p.rise)
+        return (p.amplitude * e_d * -math.expm1(-s / p.rise),
+                p.amplitude * (e_r / p.rise * e_d - (1.0 - e_r) / p.decay * e_d))
+    if isinstance(p, PulseTrain):
+        # the shifted bases whose support holds t, in pulse order
+        lo, hi = p.base.support()
+        shifted = [_closed_form(p.base, t - k * p.period) for k in range(p.count)
+                   if lo <= t - k * p.period <= hi]
+        return sum(v for v, _ in shifted), sum(d for _, d in shifted)
+    if isinstance(p, PiecewiseLinear):
+        i = min(max(bisect.bisect_right(p.times, t) - 1, 0), len(p.times) - 2)
+        (ta, tb), (va, vb) = p.times[i:i + 2], p.knot_values[i:i + 2]
+        return va + (vb - va) * (t - ta) / (tb - ta), (vb - va) / (tb - ta)
+    if isinstance(p, Affine):
+        v, d = _closed_form(p.base, t)
+        return p.offset + p.scale * v, p.scale * d
+    raise TypeError(type(p).__name__)
+
+
 def test_values_matches_scalar_loop():
-    # The closed forms repeat the scalar arithmetic element by element;
-    # only numpy's exp may round differently from math.exp in the last bit.
+    # The array forms against the closed forms evaluated one time at a
+    # time with math; only numpy's exp may round differently in the last bit.
     kick = ExpPulse(1.7, center=1.0, decay=0.8)
     rise_decay = ExpPulse(1.7, center=1.0, decay=0.8, rise=0.3)
     # the base support ends at 0.5 + 60 * 0.05, the third pulse's at 5.5
@@ -234,22 +285,59 @@ def test_values_matches_scalar_loop():
     ]
     with np.errstate(over="raise", invalid="raise"):
         for p, ts in cases:
+            want = np.array([_closed_form(p, float(t)) for t in ts])
+            np.testing.assert_allclose(p.values(ts), want[:, 0], rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(
-                p.values(ts), [p.value(float(t)) for t in ts],
-                rtol=1e-14, atol=0.0,
-            )
-            np.testing.assert_allclose(
-                p.derivatives(ts), [p.derivative(float(t)) for t in ts],
-                rtol=1e-14, atol=0.0,
+                p.derivatives(ts), want[:, 1], rtol=1e-14, atol=0.0
             )
     # Just after the onset the rise factor is small; both forms compute it
     # without cancellation, so they agree to an ulp or two.
     post_onset = 1.0 + np.geomspace(1e-12, 1.0, 2001)
     np.testing.assert_allclose(
         rise_decay.values(post_onset),
-        [rise_decay.value(float(t)) for t in post_onset],
+        [_closed_form(rise_decay, float(t))[0] for t in post_onset],
         rtol=1e-15, atol=0.0,
     )
+
+
+def test_scalar_forms_are_one_element_arrays():
+    train = PulseTrain(GaussianPulse(0.7, 0.2, 0.05), period=0.9, count=4)
+    kinds = _PROFILES + [
+        PulseTrain(train, period=4.0, count=2),
+        Affine(train, scale=-0.2, offset=1.0),
+        ExpPulse(1.7, center=1.0, decay=0.8),
+    ]
+    for p in kinds:
+        for t in np.linspace(0.0, 6.0, 49):
+            t = float(t)
+            assert p.value(t) == p.values([t])[0]
+            assert p.derivative(t) == p.derivatives([t])[0]
+
+
+def test_only_the_base_and_constant_define_scalar_forms():
+    kinds = [c for c in vars(profiles).values() if isinstance(c, type)
+             and issubclass(c, TimeProfile) and c.__module__ == profiles.__name__]
+    assert {entry.cls for entry in PROFILE_KINDS.values()} < set(kinds)
+    for cls in kinds:
+        if cls not in (TimeProfile, Constant):
+            assert "value" not in cls.__dict__, cls
+            assert "derivative" not in cls.__dict__, cls
+
+
+def test_pulse_train_block_evaluates_each_pulse_offset_once():
+    class Counting(GaussianPulse):
+        calls = 0
+
+        def values(self, ts):
+            type(self).calls += 1
+            return super().values(ts)
+
+    # 40 widths either side: each time meets at most 9 of the pulses
+    train = PulseTrain(Counting(1.0e-4, 0.0, 1.0e-5), period=1.0e-4, count=100_000_000)
+    ts = np.linspace(0.0, 1.0, 768)
+    out = train.values(ts)
+    assert Counting.calls <= 9
+    assert out[-1] == pytest.approx(1.0e-4, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
