@@ -51,6 +51,7 @@ __all__ = [
 _INF = float("inf")
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_DOUBLE_DECAYS = 53.0 * math.log(2.0)
 
 
 class TimeProfile:
@@ -229,7 +230,9 @@ class ExpPulse(TimeProfile):
         return self.rise > 0.0
 
     def support(self) -> tuple[float, float]:
-        return (self.center, self.center + 60.0 * self.decay)
+        # amplitude * exp(-s / decay) bounds the pulse for any rise; past
+        # 53 ln 2 decays it is below 2**-53 of the amplitude.
+        return (self.center, self.center + _DOUBLE_DECAYS * self.decay)
 
     def timescale(self) -> float | None:
         if self.rise > 0.0:

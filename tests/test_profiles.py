@@ -272,7 +272,8 @@ def test_values_matches_scalar_loop():
     # time with math; only numpy's exp may round differently in the last bit.
     kick = ExpPulse(1.7, center=1.0, decay=0.8)
     rise_decay = ExpPulse(1.7, center=1.0, decay=0.8, rise=0.3)
-    # the base support ends at 0.5 + 60 * 0.05, the third pulse's at 5.5
+    # the base support ends at 0.5 + 53 ln 2 * 0.05 (about 2.34), the third
+    # pulse's at about 4.34
     train = PulseTrain(
         ExpPulse(0.9, center=0.5, decay=0.05, rise=0.01), period=1.0, count=3
     )
@@ -280,7 +281,7 @@ def test_values_matches_scalar_loop():
     cases = [(p, np.linspace(0.0, 5.0, 17)) for p in _PROFILES] + [
         (kick, around_onset),
         (rise_decay, around_onset),
-        (train, np.array([-1.0, 0.75, 2.75, 3.6, 5.25, 5.6, 40.0, 1e3])),
+        (train, np.array([-1.0, 0.75, 2.75, 3.6, 4.3, 4.4, 5.25, 5.6, 40.0, 1e3])),
         (Affine(train, scale=-0.2, offset=1.0), np.linspace(-1.0, 8.0, 37)),
     ]
     with np.errstate(over="raise", invalid="raise"):
