@@ -346,10 +346,10 @@ class PiecewiseLinear(TimeProfile):
     def domain(self) -> tuple[float, float]:
         return (self.times[0], self.times[-1])
 
-    def _segments(self, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        # The times, checked against the domain, and the index i of the
-        # segment [times[i], times[i + 1]] that holds each; the last knot
-        # closes the last segment.
+    def _segments(self, ts: Sequence[float]) -> tuple[np.ndarray, ...]:
+        # The times, checked against the domain, the index i of the segment
+        # [times[i], times[i + 1]] that holds each (the last knot closes the
+        # last segment), and the knot times and values as arrays.
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         outside = (ts < lo) | (ts > hi)
@@ -357,22 +357,20 @@ class PiecewiseLinear(TimeProfile):
             raise ProfileDomainError(f"time {float(ts[outside][0])!r} outside"
                                      f" profile domain [{lo!r}, {hi!r}]")
         i = np.searchsorted(self.times, ts, side="right") - 1
-        return ts, np.clip(i, 0, len(self.times) - 2)
+        return (ts, np.clip(i, 0, len(self.times) - 2), np.array(self.times),
+                np.array(self.knot_values))
 
     def values(self, ts: Sequence[float]) -> np.ndarray:
-        ts, i = self._segments(ts)
-        t, v = np.array(self.times), np.array(self.knot_values)
+        ts, i, t, v = self._segments(ts)
         return v[i] + (v[i + 1] - v[i]) * (ts - t[i]) / (t[i + 1] - t[i])
 
     def derivatives(self, ts: Sequence[float]) -> np.ndarray:
-        ts, i = self._segments(ts)
-        t, v = np.array(self.times), np.array(self.knot_values)
+        ts, i, t, v = self._segments(ts)
         return (v[i + 1] - v[i]) / (t[i + 1] - t[i])
 
     def integral(self, t0: float, t1: float) -> float:
         # Trapezoid area from the first knot to t1, minus that to t0.
-        ts, i = self._segments([t0, t1])
-        t, v = np.array(self.times), np.array(self.knot_values)
+        ts, i, t, v = self._segments([t0, t1])
         area = np.array(self._areas)[i] + 0.5 * (v[i] + self.values(ts)) * (ts - t[i])
         return float(area[1] - area[0])
 
