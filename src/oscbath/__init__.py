@@ -31,17 +31,11 @@ from .profiles import (
 from .system import (
     BathSpec,
     SystemSpec,
-    GeneratorBlocks,
-    assemble_generator,
     bath_from_rwa,
     build_A11,
-    build_A12,
-    build_A21,
     build_A22,
     coupling_layout_12,
     coupling_layout_21,
-    generator_blocks,
-    hamiltonian_hessian,
     random_couplings,
     rwa_couplings,
     symplectic_unit,

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ProfileDomainError", "UnsupportedFormError", "IntegrationError",
+           "ConfigError"]
+
 
 class ProfileDomainError(ValueError):
     """Time argument lies outside a profile's declared domain."""

@@ -107,9 +107,7 @@ class LangevinModel:
     chi: NoiseSet = field(init=False)
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        # checks G >= 1 and |y| <= 1
+        # checks omega0 > 0, G >= 1 and |y| <= 1
         object.__setattr__(
             self, "chi", NoiseSet(self.gamma, self.y, self.omega0, self.G)
         )
@@ -125,18 +123,11 @@ class LangevinModel:
             t = probes[np.argmax(g < 0.0)]
             raise ValueError(f"gamma(t) must be non-negative; fails near t={t}")
 
-    def gamma_p(self, t: float) -> float:
-        return self.chi.gamma_p(t)
-
-    def gamma_x(self, t: float) -> float:
-        return self.chi.gamma_x(t)
-
 
 def drift_matrix(model: LangevinModel, t: float) -> np.ndarray:
-    w = model.omega.value(t)
-    return np.array(
-        [[-model.gamma_p(t), -w * w], [1.0, -model.gamma_x(t)]]
-    )
+    """[[-gamma_p, -omega^2], [1, -gamma_x]]: one node of _drift_diffusion."""
+    entries = _drift_diffusion(model, np.array([float(t)]))[:4]
+    return np.array(entries).reshape(2, 2)
 
 
 def diffusion_matrix(model: LangevinModel, t: float) -> np.ndarray:
@@ -200,8 +191,9 @@ def _moment_run(
 
 
 def _drift_diffusion(model: LangevinModel, nodes: np.ndarray) -> tuple:
-    """(a11, a12, a21, a22, d11, d12, d22) of ``drift_matrix`` and
-    ``diffusion_matrix`` at each node, each profile tabulated once."""
+    """(a11, a12, a21, a22, d11, d12, d22): the drift
+    [[-gamma_p, -omega^2], [1, -gamma_x]] and the noise set's diffusion at
+    each node, each profile tabulated once."""
     w, g = tabulate((model.omega, model.gamma), nodes)
     gamma_p, gamma_x = model.chi.split(g)
     d_pp, d_xx = model.chi.diffusion_of(g)
@@ -286,13 +278,10 @@ def effective_frequency_terms(
 
 
 def effective_frequency_squared(model: LangevinModel, t: float) -> float:
-    """omega_ef^2(t) = omega^2 + delta' - delta^2.
+    """omega_ef^2(t) = omega^2 + delta' - delta^2 at one time.
 
-    For y = 0 this is exactly omega^2(t); no damping-rate term survives.
+    For y = 0 this is exactly omega^2(t): delta and delta' are zeros.
     """
-    if model.y == 0.0:
-        w = model.omega.value(t)
-        return w * w
     w2, delta_dot, delta2 = effective_frequency_terms(model, t)
     return float(w2[0] + delta_dot[0] - delta2[0])
 

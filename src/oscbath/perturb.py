@@ -41,6 +41,7 @@ import numpy as np
 
 from .profiles import Affine, TimeProfile, lambda_factor, tabulate
 from .propagate import default_time_step, expm_bath, free_central_R11
+from .reduced import noise_matrix
 from .system import (
     BathSpec,
     SystemSpec,
@@ -249,6 +250,8 @@ class NoiseSet:
     G: float = 1.0
 
     def __post_init__(self):
+        if not self.omega0 > 0.0:
+            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
         if self.G < 1.0:
             raise ValueError(
                 f"noise factor G={self.G} below 1 corresponds to an unphysical"
@@ -271,31 +274,8 @@ class NoiseSet:
         return (0.5 * (gamma_p * self.G * self.omega0),
                 0.5 * (gamma_x * self.G / self.omega0))
 
-    def gamma_p(self, t: float) -> float:
-        return self.split(self.profile.value(t))[0]
-
-    def gamma_x(self, t: float) -> float:
-        return self.split(self.profile.value(t))[1]
-
     def gamma(self, t: float) -> float:
         return 0.5 * sum(self.split(self.profile.value(t)))
-
-    def chi_pp(self, t: float) -> float:
-        return 2.0 * self.diffusion_of(self.profile.value(t))[0]
-
-    def chi_xx(self, t: float) -> float:
-        return 2.0 * self.diffusion_of(self.profile.value(t))[1]
-
-    def chi_xp_imag(self, t: float) -> float:
-        return self.gamma(t)
-
-    def chi_px_imag(self, t: float) -> float:
-        return -self.gamma(t)
-
-    def commutator_defect(self, t: float) -> float:
-        """chi_xp - chi_px - 2 gamma (imaginary parts); zero by
-        construction."""
-        return self.chi_xp_imag(t) - self.chi_px_imag(t) - 2.0 * self.gamma(t)
 
     def diffusion(self, t: float) -> np.ndarray:
         """Symmetric diffusion matrix, (p, x) ordering.  The purely
@@ -303,13 +283,13 @@ class NoiseSet:
         return np.diag(self.diffusion_of(self.profile.value(t)))
 
     def noise(self, t: float) -> np.ndarray:
-        """Complex noise kernel [[chi_pp, i chi_xp], [i chi_px, chi_xx]]."""
-        return np.array(
-            [
-                [self.chi_pp(t), 1j * self.chi_xp_imag(t)],
-                [1j * self.chi_px_imag(t), self.chi_xx(t)],
-            ]
-        )
+        """[[chi_pp, i chi_xp], [i chi_px, chi_xx]] = 2 D + i gamma K."""
+        return noise_matrix(self.diffusion(t), self.gamma(t))
+
+    def commutator_defect(self, t: float) -> float:
+        """Im(X_xp - X_px) - 2 gamma of the kernel; zero by construction."""
+        X = self.noise(t)
+        return float(X[0, 1].imag - X[1, 0].imag) - 2.0 * self.gamma(t)
 
 
 def min_noise_set(gamma: TimeProfile, omega0: float, G: float) -> NoiseSet:

@@ -129,21 +129,22 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     )
 
 
-def damping_rate(A: np.ndarray) -> float:
-    """gamma = -tr(A - A11)/2 = -(A_pp + A_xx)/2, since the free block A11
-    has a zero diagonal."""
-    return -0.5 * float(A[0, 0] + A[1, 1])
+def damping_rate(A: np.ndarray) -> np.ndarray:
+    """gamma = -tr(A - A11)/2 = -(A_pp + A_xx)/2 of one drift or a stack of
+    them, since the free block A11 has a zero diagonal."""
+    return -0.5 * (A[..., 0, 0] + A[..., 1, 1])
 
 
-def noise_matrix(D: np.ndarray, gamma: float) -> np.ndarray:
-    """Complex noise kernel X = 2 D + i gamma K.
+def noise_matrix(D: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """Complex noise kernel X = 2 D + i gamma K of one diffusion or a stack.
 
     By construction X + X^T = 4 D and X_12 - X_21 = 2 i gamma, the
     commutator-preserving combination.  X is Hermitian; it is positive
     semidefinite exactly when the noise is strong enough to balance the
     damping.
     """
-    return 2.0 * np.asarray(D, dtype=float) + 1j * gamma * ANTISYM_UNIT
+    g = np.asarray(gamma, dtype=float)[..., None, None]
+    return 2.0 * np.asarray(D, dtype=float) + 1j * g * ANTISYM_UNIT
 
 
 def extract_reduced(
@@ -156,7 +157,7 @@ def extract_reduced(
     time), in one stacked pass.
 
     Each skipped point warns once.  Each profile is evaluated once, on all
-    the trajectory's times, and A12 = nu L12 as ``build_A12`` builds it.
+    the trajectory's times, and A12 = nu L12 from ``coupling_layout_12``.
     The diffusion is formed from the 2 x 2N strip
 
         M = A12 (R22 - R21 R11^{-1} R12) = A12 R22 - (A12 R21 R11^{-1}) R12,
@@ -190,8 +191,7 @@ def extract_reduced(
     A[:, 0, 1] = -w * w
     A[:, 1, 0] = 1.0
     A += B
-    # A11 is traceless, so leaving it out gives the same float
-    gamma = -0.5 * (A[:, 0, 0] + A[:, 1, 1])
+    gamma = damping_rate(A)
     if F is None:
         return ReducedDynamics(ts=ts, A=A, gamma=gamma)
 
@@ -216,7 +216,7 @@ def extract_reduced(
     D = 0.25 * (two_D + two_D.transpose(0, 2, 1))
     return ReducedDynamics(
         ts=ts, A=A, gamma=gamma, D=D, Mstar=R12F @ R12T,
-        X=2.0 * D + 1j * gamma[:, None, None] * ANTISYM_UNIT,
+        X=noise_matrix(D, gamma),
     )
 
 

@@ -12,9 +12,10 @@ Hamiltonian
 generates linear equations  d/dt (Q, xi) = A(t) (Q, xi)  whose blocks are
 assembled here.  All four coupling coefficients share one scalar time
 profile nu(t):  u_k = nu(t) U_k,  v_k = nu(t) V_k,  g_k = nu(t) G_k,
-z_k = nu(t) Z_k.  The generator always equals J B(t), where J is the
-symplectic unit for this ordering and B(t) the Hessian of H; the two
-constructions are kept as independent code paths so tests can compare them.
+z_k = nu(t) Z_k.  The generator equals J B(t), where J is the symplectic
+unit for this ordering and B(t) the Hessian of H.  The package builds only
+the blocks the propagator uses; the tests assemble J B(t) from the
+Hamiltonian terms as their independent reference.
 """
 
 from __future__ import annotations
@@ -29,16 +30,10 @@ from .profiles import Constant, TimeProfile
 __all__ = [
     "BathSpec",
     "SystemSpec",
-    "GeneratorBlocks",
     "build_A11",
     "build_A22",
-    "build_A12",
-    "build_A21",
     "coupling_layout_12",
     "coupling_layout_21",
-    "assemble_generator",
-    "generator_blocks",
-    "hamiltonian_hessian",
     "symplectic_unit",
     "thermal_f_values",
     "thermal_F",
@@ -155,22 +150,6 @@ class SystemSpec:
         return self.bath.n
 
 
-@dataclass(frozen=True)
-class GeneratorBlocks:
-    """The four blocks of the full phase-space generator at one time."""
-
-    t: float
-    A11: np.ndarray  # (2, 2)
-    A12: np.ndarray  # (2, 2N)
-    A21: np.ndarray  # (2N, 2)
-    A22: np.ndarray  # (2N, 2N)
-
-    def full(self) -> np.ndarray:
-        top = np.hstack([self.A11, self.A12])
-        bottom = np.hstack([self.A21, self.A22])
-        return np.vstack([top, bottom])
-
-
 def build_A11(spec: SystemSpec, t: float) -> np.ndarray:
     """Central block [[0, -omega(t)^2], [1, 0]] in (p0, x0) ordering."""
     w = spec.omega.value(t)
@@ -207,29 +186,6 @@ def coupling_layout_21(bath: BathSpec) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def build_A12(bath: BathSpec, t: float) -> np.ndarray:
-    return bath.nu.value(t) * coupling_layout_12(bath)
-
-
-def build_A21(bath: BathSpec, t: float) -> np.ndarray:
-    return bath.nu.value(t) * coupling_layout_21(bath)
-
-
-def generator_blocks(spec: SystemSpec, t: float) -> GeneratorBlocks:
-    return GeneratorBlocks(
-        t=t,
-        A11=build_A11(spec, t),
-        A12=build_A12(spec.bath, t),
-        A21=build_A21(spec.bath, t),
-        A22=build_A22(spec.bath),
-    )
-
-
-def assemble_generator(spec: SystemSpec, t: float) -> np.ndarray:
-    """Full (2N+2) x (2N+2) generator at time t."""
-    return generator_blocks(spec, t).full()
-
-
 def symplectic_unit(n_bath: int) -> np.ndarray:
     """Block-diagonal symplectic unit for the (p0, x0, p_k.., x_k..) ordering."""
     dim = 2 * n_bath + 2
@@ -240,29 +196,6 @@ def symplectic_unit(n_bath: int) -> np.ndarray:
     J[2 : 2 + n, 2 + n :] = -np.eye(n)
     J[2 + n :, 2 : 2 + n] = np.eye(n)
     return J
-
-
-def hamiltonian_hessian(spec: SystemSpec, t: float) -> np.ndarray:
-    """Hessian B(t) of the quadratic Hamiltonian, so that the generator
-    equals J B(t).  Built directly from the Hamiltonian terms, independently
-    of the block assembly, to keep a second route for consistency tests."""
-    bath = spec.bath
-    n = bath.n
-    dim = 2 * n + 2
-    B = np.zeros((dim, dim))
-    w = spec.omega.value(t)
-    B[0, 0] = 1.0
-    B[1, 1] = w * w
-    nu = bath.nu.value(t)
-    for k in range(n):
-        ip, ix = 2 + k, 2 + n + k
-        B[ip, ip] = 1.0
-        B[ix, ix] = bath.omegas[k] ** 2
-        B[0, ip] = B[ip, 0] = nu * bath.Z[k]  # p_k p0
-        B[1, ip] = B[ip, 1] = nu * bath.V[k]  # p_k x0
-        B[0, ix] = B[ix, 0] = nu * bath.U[k]  # x_k p0
-        B[1, ix] = B[ix, 1] = nu * bath.G[k]  # x_k x0
-    return B
 
 
 def _coth(x: float) -> float:

@@ -18,6 +18,10 @@ trajectory in one stacked pass (:mod:`oscbath.reduced`).
 First-order bath response: the RK4 co-integration that builds the dense
 bath rotation at every stage; the package folds the rotation into a
 Simpson sum mode by mode (:func:`oscbath.perturb.R21_first_order`).
+
+Dense generator: J B(t), with the Hessian B(t) of the quadratic
+Hamiltonian written term by term; the package builds only the blocks its
+propagator steps (:mod:`oscbath.system`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from oscbath import IntegrationError, MomentTrajectory
 from oscbath.propagate import expm_bath
 from oscbath.reduced import _SKEW_TOL
-from oscbath.system import coupling_layout_21
+from oscbath.system import coupling_layout_21, symplectic_unit
 
 
 def substeps(ts, dt):
@@ -266,3 +270,29 @@ def R21_first_order(spec, t, steps=2000):
         R11 = R11 + (h / 6.0) * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
         Y = Y + (h / 6.0) * (k1Y + 2.0 * k2Y + 2.0 * k3Y + k4Y)
     return expm_bath(bath.omegas, t) @ Y
+
+
+def hamiltonian_hessian(spec, t):
+    """Hessian B(t) of the quadratic Hamiltonian, built from its terms."""
+    bath = spec.bath
+    n = bath.n
+    dim = 2 * n + 2
+    B = np.zeros((dim, dim))
+    w = spec.omega.value(t)
+    B[0, 0] = 1.0
+    B[1, 1] = w * w
+    nu = bath.nu.value(t)
+    for k in range(n):
+        ip, ix = 2 + k, 2 + n + k
+        B[ip, ip] = 1.0
+        B[ix, ix] = bath.omegas[k] ** 2
+        B[0, ip] = B[ip, 0] = nu * bath.Z[k]  # p_k p0
+        B[1, ip] = B[ip, 1] = nu * bath.V[k]  # p_k x0
+        B[0, ix] = B[ix, 0] = nu * bath.U[k]  # x_k p0
+        B[1, ix] = B[ix, 1] = nu * bath.G[k]  # x_k x0
+    return B
+
+
+def generator(spec, t):
+    """The full (2N+2) x (2N+2) generator J B(t) at time t."""
+    return symplectic_unit(spec.n_bath) @ hamiltonian_hessian(spec, t)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +84,24 @@ def test_import_and_parse_leave_scipy_linalg_unloaded(tmp_path):
     loaded = json.loads(proc.stdout)
     assert "scipy" in loaded   # the version recorded in metadata.json
     assert not [m for m in loaded if m.startswith("scipy.linalg")]
+
+
+def test_exports_name_what_each_module_defines():
+    # a deleted function must not leave a stale export behind: every name
+    # in a module's __all__ exists there, and every name the package
+    # re-exports is in the __all__ of the module it comes from
+    init = ast.parse(Path(oscbath.__file__).read_text())
+    reexports = {
+        node.module: [alias.name for alias in node.names]
+        for node in init.body if isinstance(node, ast.ImportFrom)
+    }
+    modules = [info.name for info in pkgutil.iter_modules(oscbath.__path__)]
+    assert set(reexports) <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"oscbath.{name}")
+        declared = getattr(module, "__all__", [])
+        assert [n for n in declared if not hasattr(module, n)] == []
+        assert [n for n in reexports.get(name, []) if n not in declared] == []
 
 
 def test_run_writes_csv_and_metadata(tmp_path, capsys):

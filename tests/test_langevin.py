@@ -34,8 +34,9 @@ from oscbath import (
     sample_trajectories,
     stationary_covariance,
 )
+from oscbath.profiles import tabulate
 from oscbath.scenarios import _unit_pulse_train
-from oracles import integrate_moments
+from oracles import integrate_moments, substeps
 
 
 def _mir_train(y: float) -> tuple[LangevinModel, np.ndarray]:
@@ -70,8 +71,9 @@ def test_drift_matrix_full_asymmetry():
     np.testing.assert_allclose(
         drift_matrix(m, 0.0), [[-0.2, -1.0], [1.0, 0.0]], atol=1e-15
     )
-    assert m.gamma_p(0.0) == pytest.approx(0.2)
-    assert m.gamma_x(0.0) == pytest.approx(0.0)
+    gamma_p, gamma_x = m.chi.split(m.gamma.value(0.0))
+    assert gamma_p == pytest.approx(0.2)
+    assert gamma_x == pytest.approx(0.0)
 
 
 def test_diffusion_matrix_from_noise_set():
@@ -234,14 +236,24 @@ def test_tabulated_grid_validation():
 
 def test_tabulated_moments_match_callable_reference():
     # evolve_moments tabulates the coefficients per step block; the
-    # reference calls drift_matrix and diffusion_matrix at every stage node
+    # reference takes one scalar RK4 step at a time and looks them up in a
+    # table built once on every stage node of the same schedule
     model, grid = _mir_train(y=0.5)
     init = CentralGaussian.vacuum()
-    got = evolve_moments(model, init, grid, dt=4e-3)
+    dt = 4e-3
+    got = evolve_moments(model, init, grid, dt=dt)
+    nodes = sorted(
+        {s for t, h, _ in substeps(grid, dt) for s in (t, t + 0.5 * h, t + h)}
+    )
+    w, g = tabulate((model.omega, model.gamma), np.array(nodes))
+    gamma_p, gamma_x = model.chi.split(g)
+    d_pp, d_xx = model.chi.diffusion_of(g)
+    zero, one = np.zeros_like(w), np.ones_like(w)
+    A = np.stack((-gamma_p, -w * w, one, -gamma_x), axis=-1).reshape(-1, 2, 2)
+    D = np.stack((d_pp, zero, zero, d_xx), axis=-1).reshape(-1, 2, 2)
+    at = {t: k for k, t in enumerate(nodes)}
     ref = integrate_moments(
-        lambda t: drift_matrix(model, t),
-        lambda t: diffusion_matrix(model, t),
-        init, grid, dt=4e-3,
+        lambda t: A[at[t]], lambda t: D[at[t]], init, grid, dt=dt
     )
     np.testing.assert_array_equal(got.ts, ref.ts)
     np.testing.assert_allclose(got.photons, ref.photons, rtol=1e-10)

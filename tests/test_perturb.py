@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -313,12 +315,14 @@ def test_thermal_G_values():
 def test_min_noise_set_structure():
     ns = min_noise_set(Constant(0.1), omega0=2.0, G=1.5)
     t = 0.7
-    assert ns.gamma_p(t) == pytest.approx(0.1)
-    assert ns.gamma_x(t) == pytest.approx(0.1)
-    assert ns.chi_pp(t) == pytest.approx(0.1 * 2.0 * 1.5, rel=1e-15)
-    assert ns.chi_xx(t) == pytest.approx(0.1 * 1.5 / 2.0, rel=1e-15)
-    assert ns.chi_xp_imag(t) == pytest.approx(0.1)
-    assert ns.chi_px_imag(t) == pytest.approx(-0.1)
+    gamma_p, gamma_x = ns.split(ns.profile.value(t))
+    assert gamma_p == pytest.approx(0.1)
+    assert gamma_x == pytest.approx(0.1)
+    (chi_pp, i_chi_xp), (i_chi_px, chi_xx) = ns.noise(t)
+    assert chi_pp == pytest.approx(0.1 * 2.0 * 1.5, rel=1e-15)
+    assert chi_xx == pytest.approx(0.1 * 1.5 / 2.0, rel=1e-15)
+    assert i_chi_xp == pytest.approx(0.1j)
+    assert i_chi_px == pytest.approx(-0.1j)
     assert ns.commutator_defect(t) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -336,6 +340,52 @@ def test_min_noise_kernel_positivity_boundary():
     # exactly at the boundary the kernel is singular
     X1 = min_noise_set(gamma, 1.0, 1.0).noise(t)
     assert abs(np.linalg.det(X1)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega0", [0.0, -1.0])
+def test_non_positive_omega0_rejected(omega0):
+    # checked before G and y, so the model names omega0 first as well
+    with pytest.raises(ValueError, match="omega0 must be > 0"):
+        NoiseSet(Constant(0.1), omega0=omega0)
+    with pytest.raises(ValueError, match="omega0 must be > 0"):
+        min_noise_set(Constant(0.1), omega0, 1.0)
+    with pytest.raises(ValueError, match="omega0 must be > 0"):
+        NoiseSet(Constant(0.1), y=1.5, omega0=omega0, G=0.5)
+    with pytest.raises(ValueError, match="omega0 must be > 0"):
+        LangevinModel(
+            omega=Constant(1.0), gamma=Constant(0.1), omega0=omega0, G=0.5
+        )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    y=st.floats(-1.0, 1.0),
+    G=st.floats(1.0, 4.0),
+    omega0=st.floats(0.2, 5.0),
+    amplitude=st.floats(0.0, 1.0),
+    width=st.floats(0.1, 2.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_noise_kernel_invariants(y, G, omega0, amplitude, width, u):
+    gamma = GaussianPulse(amplitude, 1.0, width)
+    lo, hi = gamma.support()
+    t = lo + u * (hi - lo)
+    ns = NoiseSet(gamma, y, omega0, G)
+    X, D, g = ns.noise(t), ns.diffusion(t), ns.gamma(t)
+    np.testing.assert_array_equal(X, X.conj().T)
+    np.testing.assert_array_equal(X + X.T, 4.0 * D)
+    assert ns.commutator_defect(t) == 0.0
+    # det X = gamma^2 ((1 - y^2) G^2 - 1): positive semidefinite from 1 on,
+    # indefinite below it; the sign is read only where gamma lies well
+    # above the subnormal range, so the entries of X carry full precision
+    if g < 1e-300:
+        return
+    lowest = np.linalg.eigvalsh(X)[0]
+    excess = (1.0 - y * y) * G * G
+    if excess >= 1.0:
+        assert lowest >= -1e-12 * np.abs(X).max()
+    elif excess < 1.0 - 1e-9:
+        assert lowest < 0.0
 
 
 def test_noise_factor_below_one_rejected():
@@ -359,15 +409,15 @@ def test_asymmetric_split_preserves_commutator(y, G, omega0):
     ns = NoiseSet(gamma, y, omega0, G)
     for t in (0.0, 0.6, 1.0, 1.45):
         g = gamma.value(t)
-        assert ns.gamma_p(t) == pytest.approx((1.0 + y) * g)
-        assert ns.gamma_x(t) == pytest.approx((1.0 - y) * g)
+        gamma_p, gamma_x = ns.split(g)
+        assert gamma_p == pytest.approx((1.0 + y) * g)
+        assert gamma_x == pytest.approx((1.0 - y) * g)
         assert ns.gamma(t) == pytest.approx(g)
         # the invariants hold exactly, not to roundoff
         assert ns.commutator_defect(t) == 0.0
-        assert ns.gamma_p(t) + ns.gamma_x(t) == 2.0 * ns.gamma(t)
-        np.testing.assert_array_equal(
-            ns.diffusion(t), np.diag([ns.chi_pp(t), ns.chi_xx(t)]) / 2.0
-        )
+        assert gamma_p + gamma_x == 2.0 * ns.gamma(t)
+        X = ns.noise(t)
+        np.testing.assert_array_equal(ns.diffusion(t), (X + X.T).real / 4.0)
     model = LangevinModel(
         omega=Constant(1.0), gamma=gamma, y=y, omega0=omega0, G=G
     )

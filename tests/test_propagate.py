@@ -10,20 +10,17 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import oracles
 from oscbath import propagate
 from oscbath import (
     Affine,
     BathSpec,
-    build_A22,
     Constant,
     GaussianPulse,
     IntegrationError,
     PiecewiseLinear,
     SystemSpec,
     UnsupportedFormError,
-    assemble_generator,
-    coupling_layout_12,
-    coupling_layout_21,
     default_time_step,
     expm_bath,
     free_central_R11,
@@ -61,44 +58,27 @@ def _uncoupled_spec(omegas, omega=None, t_max=10.0):
     )
 
 
-def _rk4_matrix(R, t, h, A_of_t):
-    k1 = A_of_t(t) @ R
-    k2 = A_of_t(t + 0.5 * h) @ (R + 0.5 * h * k1)
-    k3 = A_of_t(t + 0.5 * h) @ (R + 0.5 * h * k2)
-    k4 = A_of_t(t + h) @ (R + h * k3)
+def _rk4_matrix(R, t, h, spec):
+    A = oracles.generator
+    k1 = A(spec, t) @ R
+    k2 = A(spec, t + 0.5 * h) @ (R + 0.5 * h * k1)
+    k3 = A(spec, t + 0.5 * h) @ (R + 0.5 * h * k2)
+    k4 = A(spec, t + h) @ (R + h * k3)
     return R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _reference_R(spec, grid, dt):
-    """R at every grid point from one RK4 map per step, with the generator
-    assembled at every stage: the stepping integrate_R must reproduce."""
-    bath = spec.bath
-    n = bath.n
-    dim = 2 * n + 2
-    template = np.zeros((dim, dim))
-    template[2:, 2:] = build_A22(bath)
-    template[1, 0] = 1.0
-    L12 = coupling_layout_12(bath)
-    L21 = coupling_layout_21(bath)
-
-    def A_of_t(t):
-        A = template.copy()
-        w = spec.omega.value(t)
-        A[0, 1] = -w * w
-        nut = bath.nu.value(t)
-        if nut != 0.0:
-            A[:2, 2:] = nut * L12
-            A[2:, :2] = nut * L21
-        return A
-
-    R = np.eye(dim)
+    """R at every grid point from one RK4 map per step, with the dense
+    generator J B(t) of the oracles at every stage: the stepping
+    integrate_R must reproduce."""
+    R = np.eye(2 * spec.n_bath + 2)
     out = [R]
     for t_lo, t_hi in zip(grid[:-1], grid[1:]):
         n_sub = max(1, math.ceil((t_hi - t_lo) / dt))
         h = (t_hi - t_lo) / n_sub
         t = t_lo
         for _ in range(n_sub):
-            R = _rk4_matrix(R, t, h, A_of_t)
+            R = _rk4_matrix(R, t, h, spec)
             t += h
         out.append(R)
     return np.array(out)
@@ -166,7 +146,7 @@ def test_symplectic_defect_equals_dense_formula_bitwise():
 
 def test_constant_generator_matches_expm():
     spec = _coupled_spec(nu=Constant(0.4))
-    A = assemble_generator(spec, 0.0)
+    A = oracles.generator(spec, 0.0)
     traj = integrate_R(spec, np.array([0.0, 3.0]), dt=2e-3)
     np.testing.assert_allclose(traj[-1].full(), expm(A * 3.0), atol=1e-11)
 
@@ -177,7 +157,7 @@ def test_time_dependent_generator_matches_solve_ivp():
     n = 2 * spec.n_bath + 2
 
     def rhs(t, y):
-        return (assemble_generator(spec, t) @ y.reshape(n, n)).ravel()
+        return (oracles.generator(spec, t) @ y.reshape(n, n)).ravel()
 
     sol = solve_ivp(
         rhs, (0.0, 6.0), np.eye(n).ravel(), rtol=1e-12, atol=1e-13, method="DOP853"
@@ -337,7 +317,7 @@ def test_powered_constant_generator_converges_at_fourth_order():
     # from the exact exponential about 2^4 = 16 times.
     spec = _coupled_spec(nu=Constant(0.4))
     grid = np.array([0.0, 1.0, 3.0])
-    want = expm(assemble_generator(spec, 0.0) * 3.0)
+    want = expm(oracles.generator(spec, 0.0) * 3.0)
     errors = [
         np.max(np.abs(integrate_R(spec, grid, dt=dt)[-1].full() - want))
         for dt in (0.02, 0.01, 0.005)

@@ -323,12 +323,13 @@ def test_extracted_gamma_consistent_with_drift():
     F = thermal_F(spec.bath)
     traj = integrate_R(spec, np.linspace(0.0, 4.0, 9), dt=2e-3)
     red = extract_reduced(traj, spec, F)
+    K = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for t, A, D, X, gamma in zip(red.ts, red.A, red.D, red.X, red.gamma):
-        assert gamma == damping_rate(A)
+        assert gamma == -0.5 * (A[0, 0] + A[1, 1])
         assert gamma == pytest.approx(
             -0.5 * np.trace(A - build_A11(spec, t)), abs=1e-15
         )
-        np.testing.assert_allclose(X, noise_matrix(D, gamma), atol=0.0)
+        np.testing.assert_array_equal(X, 2.0 * D + 1j * gamma * K)
 
 
 # ---------------------------------------------------------------------------

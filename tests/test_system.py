@@ -1,9 +1,10 @@
-"""Generator assembly, thermal reservoir data and coupling constructions.
+"""Generator blocks, thermal reservoir data and coupling constructions.
 
-The load-bearing oracle here is the energy route: the full linear generator
-must equal J @ H where H is the (independently assembled) Hessian of the
-quadratic energy and J the antisymmetric unit.  Layout mistakes in any block
-show up immediately as a nonzero difference.
+The load-bearing oracle here is the energy route: each block the
+propagator uses must equal its block of J @ H, where H is the Hessian of
+the quadratic energy assembled term by term in ``oracles.py`` and J the
+antisymmetric unit.  Layout mistakes in any block show up immediately as
+a nonzero difference.
 """
 
 from __future__ import annotations
@@ -11,20 +12,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from oscbath import (
     Affine,
     BathSpec,
     Constant,
     GaussianPulse,
     SystemSpec,
-    assemble_generator,
     bath_from_rwa,
     build_A11,
     build_A22,
     coupling_layout_12,
     coupling_layout_21,
-    generator_blocks,
-    hamiltonian_hessian,
     random_couplings,
     rwa_couplings,
     symplectic_unit,
@@ -49,26 +48,34 @@ def _random_spec(n=3, seed=0, nu=None, omega=None):
 
 
 # ---------------------------------------------------------------------------
-# generator vs energy Hessian
+# generator blocks vs energy Hessian
+
+
+def _assert_blocks_match_generator(spec, t, atol):
+    """The blocks the propagator steps against the blocks of J B(t)."""
+    JB = oracles.generator(spec, t)
+    nu = spec.bath.nu.value(t)
+    np.testing.assert_allclose(JB[:2, :2], build_A11(spec, t), atol=atol)
+    np.testing.assert_allclose(
+        JB[:2, 2:], nu * coupling_layout_12(spec.bath), atol=atol
+    )
+    np.testing.assert_allclose(
+        JB[2:, :2], nu * coupling_layout_21(spec.bath), atol=atol
+    )
+    np.testing.assert_allclose(JB[2:, 2:], build_A22(spec.bath), atol=atol)
 
 
 def test_generator_equals_J_times_hessian():
     spec = _random_spec(n=4, seed=7)
-    J = symplectic_unit(spec.n_bath)
     for t in (0.0, 0.7, 2.0, 3.3):
-        A = assemble_generator(spec, t)
-        JH = J @ hamiltonian_hessian(spec, t)
-        np.testing.assert_allclose(A, JH, atol=1e-14)
+        _assert_blocks_match_generator(spec, t, atol=1e-14)
 
 
 def test_generator_equals_J_times_hessian_modulated():
     omega = Affine(GaussianPulse(1.0, 4.0, 0.6), scale=0.05, offset=1.0)
     spec = _random_spec(n=2, seed=3, omega=omega)
-    J = symplectic_unit(spec.n_bath)
     for t in (0.0, 1.9, 4.0, 5.5):
-        np.testing.assert_allclose(
-            assemble_generator(spec, t), J @ hamiltonian_hessian(spec, t), atol=1e-14
-        )
+        _assert_blocks_match_generator(spec, t, atol=1e-14)
 
 
 def test_symplectic_unit_squares_to_minus_identity():
@@ -126,17 +133,16 @@ def test_bath_block_closed_form():
 
 def test_coupling_blocks_scale_with_drive():
     spec = _random_spec(seed=5)
-    blocks = generator_blocks(spec, 2.0)
+    JB = oracles.generator(spec, 2.0)
     nu_val = spec.bath.nu.value(2.0)
     np.testing.assert_allclose(
-        blocks.A12, nu_val * coupling_layout_12(spec.bath), atol=1e-16
+        JB[:2, 2:], nu_val * coupling_layout_12(spec.bath), atol=1e-16
     )
     np.testing.assert_allclose(
-        blocks.A21, nu_val * coupling_layout_21(spec.bath), atol=1e-16
+        JB[2:, :2], nu_val * coupling_layout_21(spec.bath), atol=1e-16
     )
-    full = blocks.full()
-    np.testing.assert_allclose(full[:2, :2], blocks.A11, atol=0.0)
-    np.testing.assert_allclose(full[2:, 2:], blocks.A22, atol=0.0)
+    np.testing.assert_allclose(JB[:2, :2], build_A11(spec, 2.0), atol=0.0)
+    np.testing.assert_allclose(JB[2:, 2:], build_A22(spec.bath), atol=0.0)
 
 
 # ---------------------------------------------------------------------------
