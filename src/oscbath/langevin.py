@@ -33,9 +33,11 @@ the diffusion 2 D in its last column (the augmented form of Van Loan, IEEE
 TAC 23:395, 1978), and the amplitude as the complex z = (eps, eps') under
 the real generator [[0, 1], [-omega_ef^2, 0]].  The coefficients are
 tabulated on the stage nodes of a block of steps, each profile once per
-node set.  The trajectory sampler is Euler-Maruyama driven by counter-based
-random substreams, one per trajectory, so results are bit-reproducible
-for a given seed.
+node set; when omega and gamma are both exactly :class:`Constant` the
+generator is fixed and each grid interval is one power of the RK4 map.
+The trajectory sampler is Euler-Maruyama driven by counter-based random
+substreams, one per trajectory, so results are bit-reproducible for a
+given seed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 from .errors import IntegrationError
 from .perturb import NoiseSet
 from .profiles import TimeProfile, tabulate
-from .propagate import _resolving_step, linear_flow
+from .propagate import _resolving_step, frozen, linear_flow
 from .reduced import CentralGaussian
 
 __all__ = [
@@ -160,11 +162,13 @@ class MomentTrajectory:
 
 
 def _moment_run(
-    initial: CentralGaussian, ts: np.ndarray, dt: float, drift_diffusion
+    initial: CentralGaussian, ts: np.ndarray, dt: float, drift_diffusion,
+    profiles: tuple = (),
 ) -> MomentTrajectory:
     """Moments on the grid, checked at every grid point.
     ``drift_diffusion(nodes)`` gives (a11, a12, a21, a22, d11, d12, d22)
-    over the nodes: mean' = A mean and cov' = A cov + cov A^T + 2 D."""
+    over the nodes: mean' = A mean and cov' = A cov + cov A^T + 2 D.
+    ``profiles`` are those it reads, none for tables (see ``frozen``)."""
 
     def entries(nodes: np.ndarray) -> tuple:
         a11, a12, a21, a22, d11, d12, d22 = drift_diffusion(nodes)
@@ -177,9 +181,9 @@ def _moment_run(
     means = np.empty((ts.size, 2))
     covs = np.empty((ts.size, 2, 2))
     means[0], covs[0] = initial.mean, C
-    for end in linear_flow(
-        z, ts, dt, np.zeros((6, 6)), _MOMENT_ENTRIES, entries
-    ):
+    for end in linear_flow(z, ts, dt, *frozen(
+        np.zeros((6, 6)), _MOMENT_ENTRIES, entries, profiles
+    )):
         if not np.all(np.isfinite(z)):
             raise IntegrationError(
                 f"moments became non-finite at t={ts[end]:.6g}",
@@ -225,7 +229,8 @@ def evolve_moments(
     if dt is None:
         dt = _default_model_step(model, ts)
     return _moment_run(
-        initial, ts, dt, lambda nodes: _drift_diffusion(model, nodes)
+        initial, ts, dt, lambda nodes: _drift_diffusion(model, nodes),
+        (model.omega, model.gamma),
     )
 
 
@@ -330,10 +335,10 @@ def epsilon_solver(
     deps_out = np.empty(ts.size, dtype=complex)
     eps_out[0], deps_out[0] = z
     max_drift = 0.0
-    for end in linear_flow(
-        z, ts, dt, np.array([[0.0, 1.0], [0.0, 0.0]]), ((1,), (0,)),
-        coefficients,
-    ):
+    for end in linear_flow(z, ts, dt, *frozen(
+        np.array([[0.0, 1.0], [0.0, 0.0]]), ((1,), (0,)), coefficients,
+        (model.omega, model.gamma),
+    )):
         e, de = z
         eps_out[end], deps_out[end] = e, de
         wr = de * e.conjugate() - de.conjugate() * e

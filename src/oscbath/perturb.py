@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import Affine, TimeProfile, lambda_factor, tabulate
+from .profiles import Affine, TimeProfile, lambda_factor
 from .propagate import default_time_step, expm_bath, free_central_R11
 from .reduced import noise_matrix
 from .system import (
@@ -111,23 +111,30 @@ def mu_elements(
     """Drift correction for general, independently shaped coefficients.
 
     Each coefficient is an arbitrary profile; integrals use the profiles'
-    closed forms, and the values at t are tabulated in one call, which
-    evaluates each distinct base profile once.  This is the route that
-    exposes when the off-diagonal elements survive, i.e. when the
+    closed forms.  Each distinct base profile (by identity, as in
+    ``tabulate``) is evaluated and integrated once.  This is the route
+    that exposes when the off-diagonal elements survive, i.e. when the
     coefficients do not share a single scalar shape.
     """
     lengths = {len(u), len(v), len(g), len(z)}
     if len(lengths) != 1:
         raise ValueError(f"coupling lists must share a length, got {lengths}")
-    n = len(u)
-    at_t = np.ravel(tabulate([*u, *v, *g, *z], np.array([float(t)])))
+    bases: dict[int, tuple[float, float]] = {}
+
+    def at_t(p: TimeProfile) -> tuple[float, float]:
+        # value at t and integral over [0, t], each distinct base once
+        b = p.base if isinstance(p, Affine) else p
+        if id(b) not in bases:
+            ts = np.array([float(t)])
+            bases[id(b)] = float(b.values(ts)[0]), b.integral(0.0, t)
+        v, i = bases[id(b)]
+        if b is p:
+            return v, i
+        return p.offset + p.scale * v, p.offset * t + p.scale * i
+
     mu_pp = mu_px = mu_xp = mu_xx = 0.0
-    for k, (uk, vk, gk, zk) in enumerate(zip(u, v, g, z)):
-        iu = uk.integral(0.0, t)
-        iv = vk.integral(0.0, t)
-        ig = gk.integral(0.0, t)
-        iz = zk.integral(0.0, t)
-        ut, vt, gt, zt = at_t[k::n].tolist()
+    for uk, vk, gk, zk in zip(u, v, g, z):
+        (ut, iu), (vt, iv), (gt, ig), (zt, iz) = map(at_t, (uk, vk, gk, zk))
         mu_pp += vt * iu - gt * iz
         mu_px += vt * ig - gt * iv
         mu_xp += ut * iz - zt * iu

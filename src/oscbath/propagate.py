@@ -8,7 +8,8 @@ step adds its increment to R.  The same RK4 map is taken in one of three
 forms:
 
 - for a frequency and a coupling both of type exactly :class:`Constant`,
-  each interval's n steps are one power of the step map, R <- R + Q_n R;
+  each interval's n steps are one power of the step map, R <- R + Q_n R,
+  through :func:`linear_flow`;
 - otherwise, below ``_DIRECT_MIN_DIM`` (small baths) the increments Q = P - I
   of all steps of a block are built with stacked (B, d, d) products, and R
   then advances by one product per step, R <- R + Q R;
@@ -19,7 +20,9 @@ forms:
 
 The switch point is the measured crossover of the last two forms.  The stacked
 increments, composed per grid interval, also step the small linear ODEs
-of the local model and the free central block (:func:`linear_flow`).  The
+of the local model and the free central block (:func:`linear_flow`); when
+every profile they read is exactly :class:`Constant`, linear_flow powers
+the step map instead, by the same routine as R's first form.  The
 symplectic defect  || R^T J R - J ||_F  is monitored at every grid point
 rather than projected away, so a drifting integration fails loudly
 instead of being silently repaired.  With the coupling profile
@@ -215,6 +218,16 @@ def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
     return ts
 
 
+def _schedule(ts: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Steps n = max(1, ceil(span / dt)) and length span / n per interval,
+    refusing 2^53 steps or more, whose counts are not exact integers."""
+    spans = np.diff(ts)
+    n_sub = np.maximum(1.0, np.ceil(spans / dt))
+    if not n_sub.sum() < 2.0**53:
+        raise ValueError(f"dt={dt} needs too many steps over the grid")
+    return n_sub.astype(np.int64), spans / n_sub
+
+
 def rk4_blocks(
     ts: np.ndarray, dt: float, fractions: tuple[float, ...], block_steps: int
 ):
@@ -230,11 +243,7 @@ def rk4_blocks(
     one row per interval: the float additions of a sequential loop.
     """
     ts = np.asarray(ts, dtype=float)
-    n_sub = np.maximum(1.0, np.ceil(np.diff(ts) / dt))
-    if not n_sub.sum() < 2.0**53:
-        raise ValueError(f"dt={dt} needs too many steps over the grid")
-    h_int = np.diff(ts) / n_sub
-    n_sub = n_sub.astype(np.int64)
+    n_sub, h_int = _schedule(ts, dt)
     past = np.cumsum(n_sub)  # one past each interval's last step
     total = int(past[-1]) if past.size else 0
     frac = np.asarray(fractions, dtype=float)
@@ -326,11 +335,16 @@ def linear_flow(z, ts, dt, T, entries, coefficients):
     A(t) is T with the entries (rows, cols) = ``entries`` set from
     ``coefficients(nodes)``, one array per entry over the nodes t, t + h/2,
     t + h of every step of a block.  The block's RK4 increments are
-    composed per grid interval and z advances by z += Q z.
+    composed per grid interval and z advances by z += Q z.  With no
+    entries A is T throughout, and :func:`_powered_flow` powers the step
+    map instead; :func:`frozen` gives a constant generator that form.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     rows, cols = entries
+    if not rows:
+        yield from _powered_flow(z, ts, dt, T)
+        return
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * T.size)))
     work = np.empty((5, steps) + T.shape)
     for h, nodes, ends in rk4_blocks(ts, dt, (0.0, 0.5, 1.0), steps):
@@ -352,10 +366,48 @@ def linear_flow(z, ts, dt, T, entries, coefficients):
                 yield int(ends[hi - 1])
 
 
-def _stacked_increments(hs, w, nu, *, T, L12, L21, work):
-    """Increments Q = P - I of a block of B steps; ``w`` and ``nu`` hold the
-    frequency and the coupling at the four stage nodes of each step, (B, 4),
-    T is the generator's constant part, L12 and L21 the coupling layouts."""
+def frozen(T, entries, coefficients, profiles):
+    """:func:`linear_flow`'s (T, entries, coefficients), with the entries
+    set in a copy of T when ``profiles``, those the coefficients read, are
+    all of type exactly :class:`Constant` (a subclass may override value)."""
+    if not profiles or any(type(p) is not Constant for p in profiles):
+        return T, entries, coefficients
+    T = T.copy()
+    T[entries] = [c[0] for c in coefficients(np.zeros(1))]
+    return T, ((), ()), None
+
+
+def _powered_flow(z, ts, dt, T):
+    """Advance z' = T z over each grid interval, n steps of length h, by
+    z += Q_n z, yielding the interval's end index.  The one-step increment
+    Q is raised to n by binary powering, Q_2m = 2 Q_m + Q_m Q_m and
+    Q_(a+b) = Q_a + Q_b + Q_b Q_a, and rebuilt only when (h, n) changes,
+    so one map is held at a time."""
+    n_sub, h_int = _schedule(np.asarray(ts, dtype=float), dt)
+    work = np.empty((5, 1) + T.shape)
+    key = None
+    for i, (h, n) in enumerate(zip(h_int.tolist(), n_sub.tolist())):
+        if (h, n) != key:
+            key = (h, n)
+            Q = _step_increments(np.array([h]), T, lambda *_: None, work)[0]
+            Qn = None
+            for k, bit in enumerate(bin(n)[:1:-1]):  # lowest bit first
+                if k:
+                    Q = 2.0 * Q + Q @ Q
+                if bit == "1":
+                    Qn = Q if Qn is None else Qn + Q + Q @ Qn
+        z += Qn @ z
+        yield i + 1
+
+
+def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
+    """Advance R through a block of steps by its stacked increments,
+    yielding each step's grid index (see :func:`rk4_blocks`) after it.
+
+    ``w`` and ``nu`` hold the frequency and the coupling at the four stage
+    nodes of each step, shape (B, 4); T is the constant part of the
+    generator, L12 and L21 the unit coupling layouts.
+    """
     hnu = (hs[:, None] * nu)[:, :, None, None]
     hw2 = -hs[:, None] * w * w
 
@@ -365,41 +417,12 @@ def _stacked_increments(hs, w, nu, *, T, L12, L21, work):
         out[:, 2:, :2] = hnu[:, j] * L21
         out[:, 0, 1] = hw2[:, j]
 
-    return _step_increments(hs, T, fill, work)
-
-
-def _stacked_steps(R, hs, w, nu, ends, **layout):
-    """Advance R through a block of steps by its stacked increments,
-    yielding each step's grid index (see :func:`rk4_blocks`) after it."""
-    Q = _stacked_increments(hs, w, nu, **layout)
+    Q = _step_increments(hs, T, fill, work)
     for k, end in enumerate(ends.tolist()):
         # R + Q R, not P R: adding the increment keeps the roundoff
         # of each step relative to the change, not to R itself.
         R += Q[k] @ R
         yield end
-
-
-def _powered_steps(R, hs, ns, w, nu, **layout):
-    """Advance R over grid intervals of ns[i] steps of length hs[i] at the
-    constant frequency w and coupling nu, yielding each interval's end index.
-    The stacked form's one-step increment Q is raised to n steps by binary
-    powering, Q_2m = 2 Q_m + Q_m Q_m and Q_(a+b) = Q_a + Q_b + Q_b Q_a, and
-    rebuilt only when (h, n) changes, so one d x d map is held at a time."""
-    key = None
-    for i, (h, n) in enumerate(zip(hs.tolist(), ns.astype(int).tolist())):
-        if (h, n) != key:
-            key = (h, n)
-            Q = _stacked_increments(
-                np.array([h]), np.full((1, 4), w), np.full((1, 4), nu), **layout
-            )[0]
-            Qn = None
-            for k, bit in enumerate(bin(n)[:1:-1]):  # lowest bit first
-                if k:
-                    Q = 2.0 * Q + Q @ Q
-                if bit == "1":
-                    Qn = Q if Qn is None else Qn + Q + Q @ Qn
-        R += Qn @ R
-        yield i + 1
 
 
 def _direct_steps(R, hs, w, nu, ends, *, omega2, L12, L21, work):
@@ -500,6 +523,10 @@ def integrate_R(
         T = np.zeros((dim, dim))
         T[2:, 2:] = build_A22(bath)
         T[1, 0] = 1.0
+    if powered:  # the whole generator, which linear_flow powers
+        T[0, 1] = -spec.omega.value_const ** 2
+        T[:2, 2:] = bath.nu.value_const * L12
+        T[2:, :2] = bath.nu.value_const * L21
     R = np.eye(dim)
     J = symplectic_unit(n)
     J_cols = _signed_columns(J)
@@ -526,11 +553,7 @@ def integrate_R(
         defects[end] = d
 
     if powered:
-        for end in _powered_steps(
-            R, h_grid[:reach], n_sub[:reach], spec.omega.value_const,
-            bath.nu.value_const, T=T, L12=L12, L21=L21,
-            work=np.empty((5, 1, dim, dim)),
-        ):
+        for end in linear_flow(R, ts[: reach + 1], dt, T, ((), ()), None):
             check(end)
     else:
         if dim < _DIRECT_MIN_DIM:
@@ -579,9 +602,9 @@ def free_central_R11(
     R11 = np.eye(2)
     out = np.empty((ts.size, 2, 2))
     out[0] = R11
-    for end in linear_flow(
-        R11, ts, dt, np.array([[0.0, 0.0], [1.0, 0.0]]), ((0,), (1,)),
-        lambda nodes: (-spec.omega.values(nodes) ** 2,),
-    ):
+    for end in linear_flow(R11, ts, dt, *frozen(
+        np.array([[0.0, 0.0], [1.0, 0.0]]), ((0,), (1,)),
+        lambda nodes: (-spec.omega.values(nodes) ** 2,), (spec.omega,),
+    )):
         out[end] = R11
     return out

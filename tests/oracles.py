@@ -282,14 +282,14 @@ def hamiltonian_hessian(spec, t):
     B[0, 0] = 1.0
     B[1, 1] = w * w
     nu = bath.nu.value(t)
-    for k in range(n):
-        ip, ix = 2 + k, 2 + n + k
-        B[ip, ip] = 1.0
-        B[ix, ix] = bath.omegas[k] ** 2
-        B[0, ip] = B[ip, 0] = nu * bath.Z[k]  # p_k p0
-        B[1, ip] = B[ip, 1] = nu * bath.V[k]  # p_k x0
-        B[0, ix] = B[ix, 0] = nu * bath.U[k]  # x_k p0
-        B[1, ix] = B[ix, 1] = nu * bath.G[k]  # x_k x0
+    ip = np.arange(2, 2 + n)
+    ix = ip + n
+    B[ip, ip] = 1.0
+    B[ix, ix] = bath.omegas**2
+    B[0, ip] = B[ip, 0] = nu * bath.Z  # p_k p0
+    B[1, ip] = B[ip, 1] = nu * bath.V  # p_k x0
+    B[0, ix] = B[ix, 0] = nu * bath.U  # x_k p0
+    B[1, ix] = B[ix, 1] = nu * bath.G  # x_k x0
     return B
 
 

@@ -5,11 +5,14 @@ amplitude eps and the free central block R11 as stacked RK4 increments,
 composed per grid interval.  The loops in ``oracles.py`` take the same
 steps one at a time on Python floats; the grid below has an interval
 longer than one block of steps and grid points on block boundaries.
+When every profile is exactly ``Constant`` each interval is instead one
+power of the step map, checked here against the composed steps.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ from oscbath import (
     evolve_moments,
     free_central_R11,
 )
+from oscbath import propagate
 from oscbath.propagate import _BLOCK_STEPS, rk4_blocks
 
 _spec = importlib.util.spec_from_file_location(
@@ -111,11 +115,32 @@ def test_free_central_R11_matches_scalar_loop():
     )
 
 
-def test_vacuum_is_an_exact_fixed_point():
+def _flow_forms(monkeypatch) -> list[str]:
+    """Record which form each linear_flow call takes: the stepped form
+    schedules its steps by rk4_blocks, the powered form is _powered_flow."""
+    taken = []
+    for name in ("rk4_blocks", "_powered_flow"):
+        original = getattr(propagate, name)
+
+        def recording(*args, _name=name, _original=original):
+            taken.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(propagate, name, recording)
+    return taken
+
+
+class _Stepped(Constant):
+    """A Constant that linear_flow steps: only the exact type is powered."""
+
+
+def test_vacuum_is_an_exact_fixed_point(monkeypatch):
     # Under omega = 1 and gamma = 0 the vacuum, and every thermal state
     # c I, is a fixed point of the moment equations in floating point too:
-    # every increment annihilates it exactly.  Applying P = I + Q instead
-    # rounds c (1 + Q_pp), which moves c = 0.75 by an ulp.
+    # every increment, and so every power of one, annihilates it exactly.
+    # Applying P = I + Q instead rounds c (1 + Q_pp), which moves c = 0.75
+    # by an ulp.
+    taken = _flow_forms(monkeypatch)
     model = LangevinModel(omega=Constant(1.0), gamma=Constant(0.0))
     for c in (0.5, 0.75, 1.3):
         state = CentralGaussian(mean=np.zeros(2), cov=c * np.eye(2))
@@ -127,6 +152,68 @@ def test_vacuum_is_an_exact_fixed_point():
             np.testing.assert_array_equal(out.means, 0.0)
     out = evolve_moments(model, CentralGaussian.vacuum(), GRID, dt=4e-3)
     np.testing.assert_array_equal(out.photons, 0.0)
+    assert set(taken) == {"_powered_flow"}
+
+
+_OMEGA = st.floats(0.3, 3.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    omega=_OMEGA,
+    gamma=st.floats(0.0, 0.5),
+    y=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+    G=st.floats(1.0, 2.0),
+    dt=st.floats(0.01, 0.1),
+    spans=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+    short=st.floats(0.01, 1.0),
+    at=st.integers(0, 4),
+)
+def test_powered_flow_matches_composed_steps(
+    omega, gamma, y, G, dt, spans, short, at
+):
+    # The same generator through both forms: exact Constants are powered,
+    # the _Stepped subclass is stepped.  The grid's intervals are unequal,
+    # and one of them, shorter than dt, is a single step.
+    spans.insert(min(at, len(spans)), short * dt)
+    grid = np.cumsum([0.0, *spans])
+    init = CentralGaussian(mean=np.array([0.8, -0.4]), cov=np.diag([0.7, 0.5]))
+    bath = BathSpec(
+        omegas=[1.5], U=[0.0], V=[0.0], G=[0.0], Z=[0.0], nu=Constant(0.0)
+    )
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _flow_forms(patch)
+        for kind in (Constant, _Stepped):
+            model = LangevinModel(
+                omega=kind(omega), gamma=kind(gamma), y=y, omega0=omega, G=G
+            )
+            spec = SystemSpec(omega=kind(omega), bath=bath, t_max=grid[-1])
+            taken.clear()
+            moments = evolve_moments(model, init, grid, dt=dt)
+            # RK4's own Wronskian drift at h omega up to 0.3 is not checked
+            sol = epsilon_solver(model, grid, dt=dt, wronskian_tol=math.inf)
+            runs[kind] = (
+                moments.means, moments.covs, sol.eps, sol.eps_dot,
+                free_central_R11(spec, grid, dt=dt),
+            )
+            form = "_powered_flow" if kind is Constant else "rk4_blocks"
+            assert taken == [form] * 3
+    for got, want in zip(runs[Constant], runs[_Stepped]):
+        _close(got, want, 1e-11)
+
+
+def test_step_count_guard_holds_in_both_forms(monkeypatch):
+    # ceil(span / dt) at dt = 1e-300 is far past 2^53 steps; its conversion
+    # to an integer count would overflow, so both forms refuse it.
+    taken = _flow_forms(monkeypatch)
+    forms = ((Constant, "_powered_flow"), (_Stepped, "rk4_blocks"))
+    for kind, form in forms:
+        model = LangevinModel(omega=kind(1.0), gamma=kind(0.1))
+        taken.clear()
+        with pytest.raises(ValueError, match="needs too many steps"):
+            evolve_moments(model, CentralGaussian.vacuum(), GRID, dt=1e-300)
+        assert taken == [form]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

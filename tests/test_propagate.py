@@ -237,7 +237,7 @@ def _step_forms(monkeypatch) -> list[str]:
     """Record which step form each block of integrate_R takes; the powered
     form is recorded once per run."""
     taken = []
-    for name in ("_stacked_steps", "_direct_steps", "_powered_steps"):
+    for name in ("_stacked_steps", "_direct_steps", "_powered_flow"):
         original = getattr(propagate, name)
 
         def recording(*args, _name=name, _original=original, **kwargs):
@@ -299,7 +299,7 @@ def test_powered_constant_generator_matches_stepped(monkeypatch):
         )
         taken.clear()
         powered = integrate_R(spec, grid, dt=3e-3)
-        assert taken == ["_powered_steps"]
+        assert taken == ["_powered_flow"]
         taken.clear()
         want = integrate_R(stepped, grid, dt=3e-3)
         form = "_stacked_steps" if _stacks(n) else "_direct_steps"
@@ -354,7 +354,7 @@ def test_step_underflow_raises_with_failure_time(monkeypatch):
             with pytest.raises(IntegrationError, match="step underflow") as exc:
                 integrate_R(spec, grid, dt=0.01)
             assert exc.value.t == grid[2]
-            assert ("_powered_steps" in taken) == (nu is not None)
+            assert ("_powered_flow" in taken) == (nu is not None)
 
 
 def test_non_finite_propagator_raises_with_failure_time():
