@@ -1,36 +1,32 @@
 """Phase-space propagator R(t) for the oscillator-bath system.
 
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
-(2N+2)-dimensional generator.  Integration is fixed-step classical
-Runge-Kutta, taken a block of steps at a time: the frequency and coupling
-profiles are tabulated on the stage nodes of the whole block, then every
-step adds its increment to R.  The same RK4 map is taken in one of three
-forms:
+(2N+2)-dimensional generator, by fixed-step classical Runge-Kutta taken a
+block of steps at a time: the frequency and coupling profiles are
+tabulated on the stage nodes of the whole block, then every step adds its
+increment to R.  The same RK4 map is taken in one of three forms:
 
 - for a frequency and a coupling both of type exactly :class:`Constant`,
   each interval's n steps are one power of the step map, R <- R + Q_n R,
   through :func:`linear_flow`;
-- otherwise, below ``_DIRECT_MIN_DIM`` (small baths) the increments Q = P - I
-  of all steps of a block are built with stacked (B, d, d) products, and R
-  then advances by one product per step, R <- R + Q R;
-- otherwise (wide baths) each stage generator is applied directly to R
-  through its arrow structure: two central rows, two central columns and
-  one 2x2 rotation per bath mode, so a stage costs O(N d) instead of the
-  d^3 of a dense product.
+- otherwise, below ``_DIRECT_MIN_DIM`` (small baths, up to the measured
+  crossover) the increments Q = P - I of a block's steps are built with
+  stacked (B, d, d) products, and R advances by one product per step;
+- otherwise (wide baths) each stage generator is applied to R through its
+  arrow structure: two central rows, two central columns and one 2x2
+  rotation per bath mode, O(N d) per stage instead of a d^3 product.
 
-The switch point is the measured crossover of the last two forms.  The stacked
-increments, composed per grid interval, also step the small linear ODEs
-of the local model and the free central block (:func:`linear_flow`); when
-every profile they read is exactly :class:`Constant`, linear_flow powers
-the step map instead, by the same routine as R's first form.  The
-symplectic defect  || R^T J R - J ||_F  is monitored at every grid point
-rather than projected away, so a drifting integration fails loudly
-instead of being silently repaired.  With the coupling profile
-identically zero the off-diagonal blocks stay exactly zero in every form,
-because every coupling term is a product with an exactly zero block;
-structure preservation is exact, not approximate.
+The stacked increments, composed per grid interval, also step the local
+model and the free central block (:func:`linear_flow`, which powers the
+step map when every profile they read is exactly :class:`Constant`).  The
+symplectic defect || R^T J R - J ||_F is checked at every grid point, not
+projected away, so a drifting integration fails loudly.  The stepped forms
+only store R at the grid points; after each block one stacked defect
+checks the points stored in it, so a failure is raised at its first grid
+point after at most one more block of steps.  With the coupling profile
+identically zero the off-diagonal blocks stay exactly zero in every form:
+every coupling term is a product with an exactly zero block.
 """
-
 from __future__ import annotations
 
 import functools
@@ -151,20 +147,28 @@ def _signed_columns(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, vals
 
 
-def _defect(R: np.ndarray, J: np.ndarray, rows, vals) -> float:
-    # R^T J by picking and scaling columns: each entry of the dense
-    # product is the same single rounded product, so the norm is bitwise
-    # that of R.T @ J @ R - J, at one d x d product instead of two.
-    M = (R.T[:, rows] * vals) @ R
-    M -= J
-    return float(np.linalg.norm(M))
+def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
+    """Symplectic defects of a (B, d, d) stack of R, and whether each R is
+    finite, a chunk of at most _BLOCK_BYTES at a time."""
+    out, finite = np.empty(len(Rs)), np.empty(len(Rs), dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * Rs[0].size))
+    for lo in range(0, len(Rs), step):
+        R = Rs[lo : lo + step]
+        finite[lo : lo + step] = np.isfinite(R).all(axis=(1, 2))
+        # R^T J by picking and scaling columns, the entries of the dense
+        # R.T @ J, at one d x d product instead of two; the norm is the
+        # dot product np.linalg.norm takes.
+        M = np.matmul(np.swapaxes(R, 1, 2)[:, :, rows] * vals, R) - J
+        M = M.reshape(len(R), -1)
+        out[lo : lo + step] = np.sqrt(np.vecdot(M, M))
+    return out, finite
 
 
 def symplectic_defect(R: np.ndarray, J: np.ndarray) -> float:
     """Frobenius norm of R^T J R - J, for J with one non-zero per column
     (every symplectic unit); raises :class:`UnsupportedFormError` for any
     other J."""
-    return _defect(R, J, *_signed_columns(J))
+    return float(_defects(R[None], J, *_signed_columns(J))[0][0])
 
 
 def expm_bath(omegas: np.ndarray, t: float) -> np.ndarray:
@@ -400,14 +404,12 @@ def _powered_flow(z, ts, dt, T):
         yield i + 1
 
 
-def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
-    """Advance R through a block of steps by its stacked increments,
-    yielding each step's grid index (see :func:`rk4_blocks`) after it.
-
+def _stacked_steps(R, hs, w, nu, ends, Rs, *, T, L12, L21, work):
+    """Advance R through a block of steps by its stacked increments, into
+    Rs[end] at each step's grid index end >= 0 (see :func:`rk4_blocks`).
     ``w`` and ``nu`` hold the frequency and the coupling at the four stage
     nodes of each step, shape (B, 4); T is the constant part of the
-    generator, L12 and L21 the unit coupling layouts.
-    """
+    generator, L12 and L21 the unit coupling layouts."""
     hnu = (hs[:, None] * nu)[:, :, None, None]
     hw2 = -hs[:, None] * w * w
 
@@ -422,12 +424,13 @@ def _stacked_steps(R, hs, w, nu, ends, *, T, L12, L21, work):
         # R + Q R, not P R: adding the increment keeps the roundoff
         # of each step relative to the change, not to R itself.
         R += Q[k] @ R
-        yield end
+        if end >= 0:
+            Rs[end] = R
 
 
-def _direct_steps(R, hs, w, nu, ends, *, omega2, L12, L21, work):
-    """Advance R through a block of steps stage by stage, yielding each
-    step's grid index after it.
+def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, L12, L21, work):
+    """Advance R through a block of steps stage by stage, storing it in
+    Rs[end] at each step's grid index end >= 0.
 
     The RK4 map is the one :func:`_step_increments` builds, applied to R:
 
@@ -473,7 +476,8 @@ def _direct_steps(R, hs, w, nu, ends, *, omega2, L12, L21, work):
         acc += K
         acc /= 6.0
         R += acc
-        yield end
+        if end >= 0:
+            Rs[end] = R
 
 
 def integrate_R(
@@ -496,7 +500,8 @@ def integrate_R(
         grid interval is split into equal sub-steps no longer than this.
     defect_limit : float
         Hard bound on the symplectic defect at grid points; exceeding it
-        raises :class:`IntegrationError` naming the time.
+        raises :class:`IntegrationError` naming the first such point, once
+        the block of steps that reached it is done.
     """
     ts = _validate_grid(grid, spec.t_max)
     if dt is None:
@@ -506,9 +511,7 @@ def integrate_R(
 
     # Steps are taken up to the first interval whose step underflows; the
     # error is raised once the grid points before it have been checked.
-    spans = np.diff(ts)
-    n_sub = np.maximum(1.0, np.ceil(spans / dt))
-    h_grid = spans / n_sub
+    h_grid = _schedule(ts, dt)[1]
     tiny = np.flatnonzero(h_grid < 1e-13 * np.maximum(1.0, np.abs(ts[1:])))
     reach = int(tiny[0]) if tiny.size else ts.size - 1
 
@@ -527,34 +530,29 @@ def integrate_R(
         T[0, 1] = -spec.omega.value_const ** 2
         T[:2, 2:] = bath.nu.value_const * L12
         T[2:, :2] = bath.nu.value_const * L21
-    R = np.eye(dim)
     J = symplectic_unit(n)
     J_cols = _signed_columns(J)
     Rs = np.empty((ts.size, dim, dim))
     defects = np.empty(ts.size)
-    Rs[0] = R
-    defects[0] = _defect(R, J, *J_cols)
+    Rs[0] = R = np.eye(dim)
 
-    def check(end: int) -> None:
-        t_hi = ts[end]
-        if not np.all(np.isfinite(R)):
-            raise IntegrationError(
-                f"propagator became non-finite at t={t_hi:.6g}",
-                t=float(t_hi),
-            )
-        d = _defect(R, J, *J_cols)
-        if d > defect_limit:
-            raise IntegrationError(
-                f"symplectic defect {d:.3e} exceeds {defect_limit:.1e}"
-                f" at t={t_hi:.6g}",
-                t=float(t_hi),
-            )
-        Rs[end] = R
-        defects[end] = d
+    def check(lo: int, hi: int) -> None:
+        # Grid points lo..hi-1, stored since the last check; a failing
+        # point and the steps after it to the end of its block may overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects[lo:hi], finite = _defects(Rs[lo:hi], J, *J_cols)
+        bad = np.flatnonzero(~finite | (defects[lo:hi] > defect_limit))
+        if bad.size:
+            i = lo + int(bad[0])
+            what = "propagator became non-finite" if not finite[bad[0]] else (
+                f"symplectic defect {defects[i]:.3e} exceeds {defect_limit:.1e}")
+            raise IntegrationError(f"{what} at t={ts[i]:.6g}", t=float(ts[i]))
 
+    check(0, 1)
     if powered:
         for end in linear_flow(R, ts[: reach + 1], dt, T, ((), ()), None):
-            check(end)
+            Rs[end] = R
+            check(end, end + 1)
     else:
         if dim < _DIRECT_MIN_DIM:
             block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim**2)))
@@ -573,9 +571,11 @@ def integrate_R(
         ):
             w = spec.omega.values(nodes).reshape(hs.size, -1)
             nu = bath.nu.values(nodes).reshape(hs.size, -1)
-            for end in advance(R, hs, w, nu, ends):
-                if end >= 0:
-                    check(end)
+            with np.errstate(over="ignore", invalid="ignore"):
+                advance(R, hs, w, nu, ends, Rs)
+            reached = ends[ends >= 0]
+            if reached.size:
+                check(reached[0], reached[-1] + 1)
     if tiny.size:
         t_hi = ts[reach + 1]
         raise IntegrationError(

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -26,6 +30,7 @@ from oscbath import (
     free_central_R11,
     integrate_R,
     random_couplings,
+    rwa_couplings,
     symplectic_defect,
     symplectic_unit,
     thermal_F,
@@ -372,6 +377,132 @@ def test_non_finite_propagator_raises_with_failure_time():
         first = np.flatnonzero(~np.isfinite(want).all(axis=(1, 2)))[0]
         assert 0.0 < exc.value.t < 100.0
         assert exc.value.t == grid[first]
+
+
+def _pulsed_stiff_spec(n: int, amplitude: float) -> SystemSpec:
+    """Slow modes under a strong coupling pulse at t = 10: the defect
+    grows past 1e-6 on the pulse's rise, and R overflows near its peak."""
+    bath = BathSpec(
+        omegas=np.linspace(0.5, 0.45, n), U=[0.5] * n, V=[0.3] * n,
+        G=[0.2] * n, Z=[0.1] * n, nu=GaussianPulse(amplitude, 10.0, 2.0),
+    )
+    return SystemSpec(omega=Constant(0.5), bath=bath, t_max=20.0)
+
+
+def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
+    # N = 1 takes the stacked steps, N = 64 the direct ones.  The whole
+    # grid is one block, so the grid points are checked after steps have
+    # gone on past the failing point, into overflow.
+    grid = np.linspace(0.0, 20.0, 101)
+    taken = _step_forms(monkeypatch)
+    for n, amplitude in ((1, 1000.0), (64, 200.0)):
+        spec = _pulsed_stiff_spec(n, amplitude)
+        J = symplectic_unit(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_R(spec, grid, 0.1)
+            finite = np.isfinite(want).all(axis=(1, 2))
+            defects = [symplectic_defect(R, J) for R in want]
+        first_non_finite = np.flatnonzero(~finite)[0]
+        first_over = np.flatnonzero(np.array(defects) > 1e-6)[0]
+        assert 0 < first_over < first_non_finite
+        taken.clear()
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate_R(spec, grid, dt=0.1, defect_limit=math.inf)
+        assert exc.value.t == grid[first_non_finite]
+        assert set(taken) == {"_stacked_steps" if n == 1 else "_direct_steps"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError, match="symplectic defect") as exc:
+                integrate_R(spec, grid, dt=0.1)
+        assert exc.value.t == grid[first_over]
+
+
+def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
+    # One case per form; at d = 86 the direct form checks several grid
+    # points per chunk and at d = 130 one.
+    grid = np.linspace(0.0, 3.0, 13)
+    n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
+    cases = [
+        (_coupled_spec(nu=Constant(0.4)), "_powered_flow"),
+        (_coupled_spec(), "_stacked_steps"),
+        (_coupled_spec(n=n_switch), "_direct_steps"),
+        (_coupled_spec(n=64), "_direct_steps"),
+    ]
+    taken = _step_forms(monkeypatch)
+    for spec, form in cases:
+        taken.clear()
+        traj = integrate_R(spec, grid, dt=0.01)
+        assert set(taken) == {form}
+        J = symplectic_unit(spec.n_bath)
+        for R, defect in zip(traj.R, traj.defects):
+            assert defect == symplectic_defect(R, J)
+
+
+def test_defect_checks_stay_within_memory():
+    # One step per interval puts the whole grid in one block.  The checks
+    # gather R a chunk of at most _BLOCK_BYTES at a time: here 1.3 MB over
+    # R, as when each point was checked after its step, against 28 MB when
+    # the block's points were gathered at once.
+    spec = _coupled_spec(n=64)
+    grid = np.linspace(0.0, 1.0, 101)
+    integrate_R(spec, grid[:3], dt=0.01)  # first-call allocations
+    tracemalloc.start()
+    try:
+        traj = integrate_R(spec, grid, dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - traj.R.nbytes <= 2e6
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    couplings=st.sampled_from(("random", "rwa", "zero")),
+    seed=st.integers(0, 2**16),
+    omega0=st.floats(0.3, 3.0),
+    pulse=st.tuples(
+        st.floats(0.0, 1.5), st.floats(0.0, 3.0), st.floats(0.1, 1.5)
+    ),
+    spans=st.lists(st.floats(0.005, 1.0), min_size=1, max_size=4),
+    dt=st.floats(0.01, 0.05),
+)
+def test_stacked_and_direct_forms_agree(
+    n, couplings, seed, omega0, pulse, spans, dt
+):
+    rng = np.random.default_rng(seed)
+    omegas = rng.uniform(0.3, 3.0, size=n)
+    if couplings == "random":
+        U, V, G, Z = random_couplings(n, scale=0.6, seed=seed)
+    elif couplings == "rwa":
+        rho = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        U, V, G, Z = rwa_couplings(rho, omega0, omegas)
+    else:
+        U = V = G = Z = np.zeros(n)
+    grid = np.cumsum([0.0, *spans])
+    spec = SystemSpec(
+        omega=Affine(GaussianPulse(1.0, 1.5, 0.5), scale=0.1, offset=omega0),
+        bath=BathSpec(
+            omegas=omegas, U=U, V=V, G=G, Z=Z, nu=GaussianPulse(*pulse)
+        ),
+        t_max=grid[-1],
+    )
+    # Bath modes up to h omega = 0.15 may pass the default defect limit;
+    # the forms are compared whatever their defect.
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _step_forms(patch)
+        # every dimension stacked, then every dimension direct
+        for min_dim, form in ((10**9, "_stacked_steps"), (0, "_direct_steps")):
+            patch.setattr(propagate, "_DIRECT_MIN_DIM", min_dim)
+            taken.clear()
+            runs.append(integrate_R(spec, grid, dt, defect_limit=math.inf).R)
+            assert set(taken) == {form}
+    stacked, direct = runs
+    assert np.max(np.abs(stacked - direct)) <= 1e-13 * np.max(np.abs(stacked))
+    if couplings == "zero":
+        for R in runs:
+            assert not R[:, :2, 2:].any() and not R[:, 2:, :2].any()
 
 
 # ---------------------------------------------------------------------------
