@@ -9,12 +9,12 @@ increment to R.  The same RK4 map is taken in one of three forms:
 - for a frequency and a coupling both of type exactly :class:`Constant`,
   each interval's n steps are one power of the step map, R <- R + Q_n R,
   through :func:`linear_flow`;
-- otherwise, below ``_DIRECT_MIN_DIM`` (small baths, up to the measured
-  crossover) the increments Q = P - I of a block's steps are built with
-  stacked (B, d, d) products, and R advances by one product per step;
-- otherwise (wide baths) each stage generator is applied to R through its
-  arrow structure: two central rows, two central columns and one 2x2
-  rotation per bath mode, O(N d) per stage instead of a d^3 product.
+- otherwise, below ``_DIRECT_MIN_DIM`` (small baths) the increments
+  Q = P - I of a block's steps are built with stacked (B, d, d) products,
+  and R advances by one product per step;
+- otherwise (wide baths) each step applies the map in factored form: a
+  closed-form 2x2 per bath mode plus a coupling update of rank <= 8, at
+  one 10 x d x d product per step instead of four d^3 products.
 
 The stacked increments, composed per grid interval, also step the local
 model and the free central block (:func:`linear_flow`, which powers the
@@ -60,20 +60,21 @@ _STEPS_PER_TIMESCALE = 400
 # per stage, so the profiles are evaluated four times per step.
 _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
 # A block of steps is built in five (B, d, d) stacks of at most
-# _BLOCK_BYTES each.  That bounds memory at large d, and _BLOCK_STEPS
-# bounds the block at small d and on the direct path, which keeps no
-# stacks.
+# _BLOCK_BYTES each, or on the direct path in one (B, 10, d) stack of
+# maps.  That bounds memory at large d, and _BLOCK_STEPS bounds the block
+# at small d.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_STEPS = 256
 # Steps whose schedule :func:`rk4_blocks` forms in one pass (rounded to
 # whole blocks), so its fixed cost per pass is shared by many small blocks.
 _SCHEDULE_STEPS = 1024
-# From this dimension d = 2N + 2 on, steps apply the stage generators
-# directly to R (O(N d) per stage) instead of stacking dense increments
-# (four d^3 products per step).  On a 2-core host with OpenBLAS 0.3 the
-# two forms cross between d = 78 and 86: below it the stacked products
-# win, from d = 86 on the direct form won every timed run.
-_DIRECT_MIN_DIM = 86
+# From this dimension d = 2N + 2 on, steps apply the factored map (one
+# 10 x d x d product per step) instead of stacking dense increments (four
+# d^3 products per step).  On a 2-core host with OpenBLAS 0.3 the forms
+# cross between d = 28 and 32 (60 intervals of 70 steps, min of 5 runs);
+# the factored map won every run at d = 32 and from d = 36 on.  d = 34
+# stays stacked, which keeps the default scenarios' data files unchanged.
+_DIRECT_MIN_DIM = 36
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,12 @@ def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
     for lo in range(0, len(Rs), step):
         R = Rs[lo : lo + step]
         finite[lo : lo + step] = np.isfinite(R).all(axis=(1, 2))
-        # R^T J by picking and scaling columns, the entries of the dense
-        # R.T @ J, at one d x d product instead of two; the norm is the
-        # dot product np.linalg.norm takes.
-        M = np.matmul(np.swapaxes(R, 1, 2)[:, :, rows] * vals, R) - J
+        # R^T J by picking and scaling columns, at one d x d product
+        # instead of two.  C-ordered, as the dense R.T @ J is, so that the
+        # product rounds as the dense formula does; the norm is the dot
+        # product np.linalg.norm takes.
+        RtJ = np.multiply(np.swapaxes(R, 1, 2)[:, :, rows], vals, order="C")
+        M = np.matmul(RtJ, R) - J
         M = M.reshape(len(R), -1)
         out[lo : lo + step] = np.sqrt(np.vecdot(M, M))
     return out, finite
@@ -428,54 +431,86 @@ def _stacked_steps(R, hs, w, nu, ends, Rs, *, T, L12, L21, work):
             Rs[end] = R
 
 
-def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, L12, L21, work):
-    """Advance R through a block of steps stage by stage, storing it in
-    Rs[end] at each step's grid index end >= 0.
+def _direct_operators(bath, L12, L21):
+    """Constant operands of :func:`_direct_steps`: the squared bath
+    frequencies, Lstack = [L12; L12 Omega; L12 Omega^2; L12 Omega^3]
+    (8 x 2N), Mstack = [L21, Omega L21, Omega^2 L21, Omega^3 L21] (2N x 8),
+    and the constant part T and the unit-coupling part N of the generator
+    of its reduced system."""
+    A22 = build_A22(bath)
+    Ls, Ms = [L12], [L21]
+    for _ in range(3):
+        Ls.append(Ls[-1] @ A22)
+        Ms.append(A22 @ Ms[-1])
+    # rows (c, z_0..z_3, t_0..t_3), two each: x0' = p0, z_(k+1)' = z_k and
+    # t_m' = t_(m+1) in T; c' = nu t_0, z_0' = nu c, t_m' = nu C_m c in N
+    T, N = np.zeros((18, 18)), np.zeros((18, 18))
+    T[1, 0] = 1.0
+    T[4:10, 2:8] = T[10:16, 12:18] = np.eye(6)
+    N[0:2, 10:12] = N[2:4, 0:2] = np.eye(2)
+    N[10:16, 0:2] = np.vstack([L @ L21 for L in Ls[:3]])
+    return dict(omega2=bath.omegas**2, Lstack=np.vstack(Ls),
+                Mstack=np.hstack(Ms), T=T, N=N)
 
-    The RK4 map is the one :func:`_step_increments` builds, applied to R:
 
-        K1 = hA1 R,  K2 = hA2 (R + K1/2),  K3 = hA3 (R + K2/2),
-        K4 = hA4 (R + K3),  R <- R + (K1 + 2 K2 + 2 K3 + K4) / 6.
+def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, Lstack, Mstack, T, N,
+                  work):
+    """Advance R through a block of steps by the factored RK4 map, storing
+    it in Rs[end] at each step's grid index end >= 0.
 
-    Each product s A(t_j) X goes through the arrow structure of A, never a
-    dense d x d product.  2 K2 and 2 K3 are formed directly with s = 2h,
-    which scales every product by an exact power of two.  ``work`` holds
-    three (d, d) buffers and one (d - 2, d) buffer, reused every step.
+    The bath block Omega is constant and every coupling is nu(t) times L12
+    or L21.  Along the RK4 stages, the bath rows of a column (c, b) of R
+    stay a(Omega) b + sum_k Omega^k L21 z_k, and the central stages read b
+    only through t_m = L12 Omega^m b.  So the map splits:
+
+    - the bath rows gain (p4(h Omega) - 1) b per mode, with z = h w_k,
+      p4 - 1 = (alpha - 1) + beta Omega, alpha - 1 = -z^2/2 + z^4/24 and
+      beta = h (1 - z^2/6), plus Mstack Z, Z = (Z_0..Z_3);
+    - the central increment and Z are the RK4 increment Q of the linear
+      system c' = A11 c + nu t_0, t_m' = t_(m+1) + nu C_m c (C_m = L12
+      Omega^m L21, t_3' = 0: the increments of t_m after the stage that
+      reads them never reach c or Z), z_0' = nu c, z_(k+1)' = z_k, from
+      c = R_c, t_m = S_m = L12 Omega^m R_b, z = 0 (:func:`_step_increments`
+      on its 18 rows (c, z_0..z_3, t_0..t_3), a block at a time).
+
+    With Psi = [Q[:, c] | Q[:, t] Lstack] on the rows (c, z) of Q, one step
+    is
+
+        Y = Psi R,  R_b <- R_b + ((alpha - 1) R_b + beta Omega R_b
+                                  + Mstack Y[2:]),  R_c <- R_c + Y[:2],
+
+    one 10 x d x d product and O(N d) more.  R gains its increment, not
+    P R, which keeps the roundoff of each step relative to the change.
+    ``work`` holds :func:`_step_increments`' stacks and two (d - 2, d)
+    buffers, reused every block.
     """
-    K, X, acc, C = work
-    n = omega2.size
-    p, x = slice(2, 2 + n), slice(2 + n, None)
-    w2 = omega2[:, None]
+    stacks, inc, rot = work
+    hnu, mask = hs[:, None] * nu, N != 0.0
+    hw2 = -hs[:, None] * w * w
 
-    def apply(s: float, wj: float, nuj: float, src, out):
-        # out = s A(t_j) src: bath rotations, the nu-scaled coupling
-        # rows and columns, then the central 2x2 block.
-        np.multiply(src[x], -s * w2, out=out[p])
-        np.multiply(src[p], s, out=out[x])
-        np.matmul((s * nuj) * L21, src[:2], out=C)
-        out[2:] += C
-        np.matmul((s * nuj) * L12, src[2:], out=out[:2])
-        out[0] -= (s * wj * wj) * src[1]
-        out[1] += s * src[0]
+    def fill(j: int, out: np.ndarray) -> None:
+        out[:, mask] = hnu[:, j, None] * N[mask]
+        out[:, 0, 1] = hw2[:, j]
 
-    for h, wk, nuk, end in zip(
-        hs.tolist(), w.tolist(), nu.tolist(), ends.tolist()
-    ):
-        apply(h, wk[0], nuk[0], R, acc)
-        np.multiply(acc, 0.5, out=X)
-        X += R
-        apply(2.0 * h, wk[1], nuk[1], X, K)
-        acc += K
-        np.multiply(K, 0.25, out=X)
-        X += R
-        apply(2.0 * h, wk[2], nuk[2], X, K)
-        acc += K
-        np.multiply(K, 0.5, out=X)
-        X += R
-        apply(h, wk[3], nuk[3], X, K)
-        acc += K
-        acc /= 6.0
-        R += acc
+    Q = _step_increments(hs, T, fill, stacks)[:, :10]
+    Psi = np.concatenate((Q[:, :, :2], Q[:, :, 10:] @ Lstack), axis=2)
+    # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]] on
+    # (p_k, x_k), applied to the (N, 2, d) views of the bath rows
+    z2 = hs[:, None] ** 2 * omega2
+    beta = hs[:, None] * (1.0 - z2 / 6.0)
+    am1 = z2 * (z2 / 24.0 - 0.5)
+    D = np.stack((am1, -beta * omega2, beta, am1), axis=-1)
+    D = D.reshape(hs.size, -1, 2, 2)
+    n = omega2.size  # views, as R is C-ordered
+    modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)
+    rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)
+    for k, end in enumerate(ends.tolist()):
+        Y = Psi[k] @ R
+        np.matmul(Mstack, Y[2:], out=inc)
+        np.matmul(D[k], modes, out=rot_modes)
+        inc += rot
+        R[2:] += inc
+        R[:2] += Y[:2]
         if end >= 0:
             Rs[end] = R
 
@@ -561,10 +596,12 @@ def integrate_R(
                 work=np.empty((5, block_steps, dim, dim)),
             )
         else:
-            block_steps = _BLOCK_STEPS
+            # a block's (B, 10, d) maps Psi within _BLOCK_BYTES
+            block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (80 * dim)))
             advance = functools.partial(
-                _direct_steps, omega2=bath.omegas**2, L12=L12, L21=L21,
-                work=(*np.empty((3, dim, dim)), np.empty((dim - 2, dim))),
+                _direct_steps, **_direct_operators(bath, L12, L21),
+                work=(np.empty((5, block_steps, 18, 18)),
+                      *np.empty((2, dim - 2, dim))),
             )
         for hs, nodes, ends in rk4_blocks(
             ts[: reach + 1], dt, _RK4_STAGES, block_steps

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_continuous_lyapunov
 
@@ -167,6 +169,42 @@ def test_moments_match_solve_ivp():
         ]
     )
     np.testing.assert_allclose(got, sol.y[:, -1], atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    G=st.floats(1.0, 1.2),
+    split=st.floats(0.5, 1.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    squeeze=st.floats(-1.0, 1.0),
+    angle=st.floats(0.0, math.pi),
+    omega0=st.floats(0.5, 2.0),
+    pulse=st.tuples(
+        st.floats(0.1, 1.0), st.floats(0.0, 3.0), st.floats(0.2, 1.0)
+    ),
+)
+def test_moments_keep_the_uncertainty_bound(
+    G, split, sign, squeeze, angle, omega0, pulse
+):
+    # det cov >= 1/4 holds along the flow when the noise kernel is
+    # positive semidefinite, (1 - y^2) G^2 >= 1; split = 1 puts y on that
+    # boundary, where a start squeezed along the noise reaches the bound.
+    # (At G = 1 and y = 0.5 det cov falls 2.6e-5 below 1/4.)  Starts are
+    # the ground state of omega0 squeezed by e^squeeze and turned.
+    y = sign * split * math.sqrt(1.0 - 1.0 / G**2)
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    cov = turn @ np.diag([0.5 * omega0 * math.exp(squeeze),
+                          0.5 / omega0 * math.exp(-squeeze)]) @ turn.T
+    model = LangevinModel(
+        omega=Constant(omega0), gamma=GaussianPulse(*pulse), y=y,
+        omega0=omega0, G=G,
+    )
+    out = evolve_moments(
+        model, CentralGaussian(mean=np.zeros(2), cov=cov),
+        np.linspace(0.0, 5.0, 51),
+    )
+    assert np.linalg.det(out.covs).min() >= 0.25 - 1e-12
 
 
 def test_stationary_state_minimal_noise():

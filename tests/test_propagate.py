@@ -132,15 +132,17 @@ def test_expm_bath_is_symplectic_and_preserves_thermal_state():
 
 def test_symplectic_defect_equals_dense_formula_bitwise():
     # R^T J is formed by picking and negating columns; the norm must be
-    # the very float the two dense products give.
+    # the very float the two dense products give.  An F-ordered R^T J
+    # rounds differently in a few of these 735 matrices.
     rng = np.random.default_rng(5)
-    for n in (1, 4, 64):
+    for n in (1, 2, 4, 8, 16, 40, 64):
         J = symplectic_unit(n)
         for scale in (1e-6, 1.0, 1e6):
-            R = scale * rng.standard_normal((2 * n + 2, 2 * n + 2))
-            assert symplectic_defect(R, J) == float(
-                np.linalg.norm(R.T @ J @ R - J)
-            )
+            for _ in range(35):
+                R = scale * rng.standard_normal((2 * n + 2, 2 * n + 2))
+                assert symplectic_defect(R, J) == float(
+                    np.linalg.norm(R.T @ J @ R - J)
+                )
     with pytest.raises(UnsupportedFormError):
         symplectic_defect(np.eye(4), np.ones((4, 4)))
 
@@ -390,9 +392,10 @@ def _pulsed_stiff_spec(n: int, amplitude: float) -> SystemSpec:
 
 
 def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
-    # N = 1 takes the stacked steps, N = 64 the direct ones.  The whole
-    # grid is one block, so the grid points are checked after steps have
-    # gone on past the failing point, into overflow.
+    # N = 1 takes the stacked steps, N = 64 the direct ones.  A block's
+    # grid points are checked after all its steps (the whole grid at
+    # N = 1, 25 points at N = 64), which may have gone on past the
+    # failing point, into overflow.
     grid = np.linspace(0.0, 20.0, 101)
     taken = _step_forms(monkeypatch)
     for n, amplitude in ((1, 1000.0), (64, 200.0)):
@@ -418,7 +421,7 @@ def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
 
 
 def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
-    # One case per form; at d = 86 the direct form checks several grid
+    # One case per form; at d = 36 the direct form checks several grid
     # points per chunk and at d = 130 one.
     grid = np.linspace(0.0, 3.0, 13)
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
@@ -438,11 +441,27 @@ def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
             assert defect == symplectic_defect(R, J)
 
 
+def test_direct_form_roundoff_stays_at_the_stacked_forms(monkeypatch):
+    # The direct form adds each step's increment to R: here 1.3e-15 of
+    # max|R| from the stacked form after 800 steps.  Taking R <- P R
+    # instead, with the mode rotation's alpha in place of alpha - 1, moved
+    # R 2.1e-14.
+    omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
+    spec = _coupled_spec(n=16, omega=omega)
+    grid = np.linspace(0.0, 5.0, 101)
+    runs = []
+    for min_dim in (10**9, 0):
+        monkeypatch.setattr(propagate, "_DIRECT_MIN_DIM", min_dim)
+        runs.append(integrate_R(spec, grid, dt=0.05 / 8).R)
+    stacked, direct = runs
+    assert np.max(np.abs(direct - stacked)) <= 1e-14 * np.max(np.abs(stacked))
+
+
 def test_defect_checks_stay_within_memory():
-    # One step per interval puts the whole grid in one block.  The checks
-    # gather R a chunk of at most _BLOCK_BYTES at a time: here 1.3 MB over
-    # R, as when each point was checked after its step, against 28 MB when
-    # the block's points were gathered at once.
+    # One step per interval puts 25 grid points in each block.  The checks
+    # gather R a chunk of at most _BLOCK_BYTES at a time, and the block's
+    # maps take at most _BLOCK_BYTES: here 1.6 MB over R, against 28 MB
+    # when a whole block's points were gathered at once.
     spec = _coupled_spec(n=64)
     grid = np.linspace(0.0, 1.0, 101)
     integrate_R(spec, grid[:3], dt=0.01)  # first-call allocations
