@@ -50,7 +50,9 @@ import numpy as np
 from .errors import IntegrationError
 from .perturb import NoiseSet
 from .profiles import TimeProfile, tabulate
-from .propagate import _resolving_step, frozen, linear_flow
+from .propagate import (
+    _check_grid, _resolving_step, frozen, linear_flow, scatter,
+)
 from .reduced import CentralGaussian
 
 __all__ = [
@@ -182,7 +184,7 @@ def _moment_run(
     covs = np.empty((ts.size, 2, 2))
     means[0], covs[0] = initial.mean, C
     for end in linear_flow(z, ts, dt, *frozen(
-        np.zeros((6, 6)), _MOMENT_ENTRIES, entries, profiles
+        np.zeros((6, 6)), scatter(_MOMENT_ENTRIES, entries), profiles
     )):
         if not np.all(np.isfinite(z)):
             raise IntegrationError(
@@ -208,13 +210,6 @@ def _drift_diffusion(model: LangevinModel, nodes: np.ndarray) -> tuple:
 def _default_model_step(model: LangevinModel, grid: np.ndarray) -> float:
     w_max = max(float(np.max(np.abs(model.omega.values(grid)))), model.omega0)
     return _resolving_step(w_max, (model.gamma, model.omega))
-
-
-def _check_grid(grid) -> np.ndarray:
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("grid must be 1-d and strictly increasing")
-    return ts
 
 
 def evolve_moments(
@@ -336,8 +331,8 @@ def epsilon_solver(
     eps_out[0], deps_out[0] = z
     max_drift = 0.0
     for end in linear_flow(z, ts, dt, *frozen(
-        np.array([[0.0, 1.0], [0.0, 0.0]]), ((1,), (0,)), coefficients,
-        (model.omega, model.gamma),
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        scatter(((1,), (0,)), coefficients), (model.omega, model.gamma),
     )):
         e, de = z
         eps_out[end], deps_out[end] = e, de

@@ -3,33 +3,28 @@
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
 (2N+2)-dimensional generator, by fixed-step classical Runge-Kutta taken a
 block of steps at a time: the frequency and coupling profiles are
-tabulated on the stage nodes of the whole block, then every step adds its
-increment to R.  The same RK4 map is taken in one of three forms:
+tabulated on the stage nodes of the whole block, then the block's steps
+are built at once.  The same RK4 map is taken in one of two forms:
 
-- for a frequency and a coupling both of type exactly :class:`Constant`,
-  each interval's n steps are one power of the step map, R <- R + Q_n R,
-  through :func:`linear_flow`;
-- otherwise, below ``_DIRECT_MIN_DIM`` (small baths) the increments
-  Q = P - I of a block's steps are built with stacked (B, d, d) products,
-  and R advances by one product per step;
+- below ``_DIRECT_MIN_DIM`` (small baths), and for a constant generator
+  at any size, by :func:`linear_flow`, the core that also steps the local
+  model: the increments Q = P - I of a block's steps are stacked (B, d, d)
+  products, composed per grid interval, or, when the frequency and the
+  coupling are exactly :class:`Constant`, one power of the step map per
+  interval;
 - otherwise (wide baths) each step applies the map in factored form: a
   closed-form 2x2 per bath mode plus a coupling update of rank <= 8, at
   one 10 x d x d product per step instead of four d^3 products.
 
-The stacked increments, composed per grid interval, also step the local
-model and the free central block (:func:`linear_flow`, which powers the
-step map when every profile they read is exactly :class:`Constant`).  The
-symplectic defect || R^T J R - J ||_F is checked at every grid point, not
-projected away, so a drifting integration fails loudly.  The stepped forms
-only store R at the grid points; after each block one stacked defect
-checks the points stored in it, so a failure is raised at its first grid
-point after at most one more block of steps.  With the coupling profile
-identically zero the off-diagonal blocks stay exactly zero in every form:
-every coupling term is a product with an exactly zero block.
+The symplectic defect || R^T J R - J ||_F of R at every grid point is
+checked, a chunk of at most ``_BLOCK_BYTES`` of stored points at a time,
+so a drifting integration fails at its first bad grid point after at most
+one chunk of grid points.  With the coupling profile identically zero the
+off-diagonal blocks stay exactly zero in every form: every coupling term
+is a product with an exactly zero block.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +52,7 @@ DEFECT_HARD_LIMIT = 1e-6
 _STEPS_PER_TIMESCALE = 400
 
 # Stage nodes of a classical RK4 step, as fractions of the step: one node
-# per stage, so the profiles are evaluated four times per step.
+# per stage, so integrate_R evaluates the profiles four times per step.
 _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
 # A block of steps is built in five (B, d, d) stacks of at most
 # _BLOCK_BYTES each, or on the direct path in one (B, 10, d) stack of
@@ -72,8 +67,8 @@ _SCHEDULE_STEPS = 1024
 # 10 x d x d product per step) instead of stacking dense increments (four
 # d^3 products per step).  On a 2-core host with OpenBLAS 0.3 the forms
 # cross between d = 28 and 32 (60 intervals of 70 steps, min of 5 runs);
-# the factored map won every run at d = 32 and from d = 36 on.  d = 34
-# stays stacked, which keeps the default scenarios' data files unchanged.
+# the factored map won every run at d = 32 and from d = 36 on.  d = 34,
+# rwa-check's, stays on the stacked increments.
 _DIRECT_MIN_DIM = 36
 
 
@@ -100,13 +95,6 @@ class PropagatorState:
     @property
     def R22(self) -> np.ndarray:  # (2N, 2N)   bath-to-bath
         return self.R[2:, 2:]
-
-    def full(self) -> np.ndarray:
-        return self.R
-
-    @property
-    def n_bath(self) -> int:
-        return self.R.shape[0] // 2 - 1
 
 
 class PropagatorTrajectory:
@@ -212,14 +200,19 @@ def default_time_step(spec: SystemSpec) -> float:
     return _resolving_step(w_max, (spec.bath.nu, spec.omega))
 
 
-def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
+def _check_grid(grid) -> np.ndarray:
+    """The grid as floats: 1-d, 2 points or more, finite, increasing."""
     ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 2:
-        raise ValueError("grid must be a 1-d array with at least two points")
+    if (ts.ndim != 1 or ts.size < 2 or not np.isfinite(ts).all()
+            or not (np.diff(ts) > 0.0).all()):
+        raise ValueError("grid must be 1-d, finite and strictly increasing")
+    return ts
+
+
+def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
+    ts = _check_grid(grid)
     if ts[0] != 0.0:
         raise ValueError(f"grid must start at 0, got {ts[0]}")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
     if ts[-1] > t_max * (1.0 + 1e-12):
         raise ValueError(f"grid ends at {ts[-1]}, beyond t_max={t_max}")
     return ts
@@ -324,7 +317,8 @@ def _step_increments(
 
 def _compose(Q: np.ndarray) -> np.ndarray:
     """Increment of consecutive steps with increments Q[0], Q[1], ...,
-    merging neighbours a, b pairwise, Q_ab = (Q_a + Q_b) + Q_b Q_a."""
+    merging neighbours a, b pairwise, Q_ab = (Q_a + Q_b) + Q_b Q_a; each
+    Q[i] may also be a stack of several runs' increments."""
     while len(Q) > 1:
         even = len(Q) - len(Q) % 2
         a, b = Q[0:even:2], Q[1:even:2]
@@ -334,54 +328,83 @@ def _compose(Q: np.ndarray) -> np.ndarray:
     return Q[0]
 
 
-def linear_flow(z, ts, dt, T, entries, coefficients):
+def linear_flow(z, ts, dt, T, block_fill, stages=(0.0, 0.5, 1.0)):
     """Advance z' = A(t) z in place over the grid by RK4 at target step dt
     (the sub-steps of :func:`rk4_blocks`), yielding each grid index once z
     has reached it.  z is a vector, or a matrix of such columns.
 
-    A(t) is T with the entries (rows, cols) = ``entries`` set from
-    ``coefficients(nodes)``, one array per entry over the nodes t, t + h/2,
-    t + h of every step of a block.  The block's RK4 increments are
-    composed per grid interval and z advances by z += Q z.  With no
-    entries A is T throughout, and :func:`_powered_flow` powers the step
-    map instead; :func:`frozen` gives a constant generator that form.
+    A(t) is T with the entries that ``block_fill(h, nodes)`` sets, given a
+    block's step lengths (B,) and stage nodes t + f h (B, len(stages)): it
+    returns the ``fill`` of :func:`_step_increments`.  The increments are
+    composed per grid interval and z advances by z += Q z.  With no fill A
+    is T throughout, and :func:`_powered_flow` powers the step map instead
+    (:func:`frozen` gives a constant generator that form).
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    rows, cols = entries
-    if not rows:
-        yield from _powered_flow(z, ts, dt, T)
-        return
+    if block_fill is None:
+        return _powered_flow(z, ts, dt, T)
+    return _composed_flow(z, ts, dt, T, block_fill, stages)
+
+
+def _composed_flow(z, ts, dt, T, block_fill, stages):
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * T.size)))
     work = np.empty((5, steps) + T.shape)
-    for h, nodes, ends in rk4_blocks(ts, dt, (0.0, 0.5, 1.0), steps):
-        E = np.stack(coefficients(nodes), axis=-1).reshape(h.size, 3, -1)
+    for h, nodes, ends in rk4_blocks(ts, dt, stages, steps):
+        fill = block_fill(h, nodes.reshape(h.size, -1))
+        Q = _step_increments(h, T, fill, work)
+        # the block's part of each grid interval; the parts of m steps are
+        # composed together, gathered as Q[step, part]
+        cuts = sorted({0, *(np.flatnonzero(ends >= 0) + 1).tolist(), h.size})
+        parts = {}  # steps -> starts of the parts of that many steps
+        for lo, hi in zip(cuts, cuts[1:]):
+            parts.setdefault(hi - lo, []).append(lo)
+        C = {}
+        for m, starts in parts.items():
+            if len(starts) == 1:
+                C[starts[0]] = _compose(Q[starts[0] : starts[0] + m])
+            else:
+                C.update(zip(starts, _compose(Q[np.add.outer(range(m), starts)])))
+        for lo, hi in zip(cuts, cuts[1:]):
+            z += C[lo] @ z
+            if ends[hi - 1] >= 0:
+                yield int(ends[hi - 1])
+
+
+def scatter(entries, coefficients):
+    """:func:`linear_flow`'s fill for the entries (rows, cols) =
+    ``entries``, set from ``coefficients(nodes)``, one array per entry
+    over the nodes t, t + h/2, t + h of every step."""
+    rows, cols = entries
+
+    def block(h: np.ndarray, nodes: np.ndarray):
+        E = np.stack(coefficients(nodes.ravel()), axis=-1)
+        E = E.reshape(*nodes.shape, -1)
         E *= h[:, None, None]
 
         def fill(j: int, out: np.ndarray) -> None:
             # the two midpoint stages share the middle node
             out[:, rows, cols] = E[:, (0, 1, 1, 2)[j]]
 
-        Q = _step_increments(h, T, fill, work)
-        lo = 0
-        for hi in [*(np.flatnonzero(ends >= 0) + 1).tolist(), h.size]:
-            if hi == lo:
-                continue
-            z += _compose(Q[lo:hi]) @ z
-            lo = hi
-            if ends[hi - 1] >= 0:
-                yield int(ends[hi - 1])
+        return fill
+
+    return block
 
 
-def frozen(T, entries, coefficients, profiles):
-    """:func:`linear_flow`'s (T, entries, coefficients), with the entries
-    set in a copy of T when ``profiles``, those the coefficients read, are
-    all of type exactly :class:`Constant` (a subclass may override value)."""
-    if not profiles or any(type(p) is not Constant for p in profiles):
-        return T, entries, coefficients
+def _constant(profiles) -> bool:
+    # an exact type test: a subclass may override value
+    return bool(profiles) and all(type(p) is Constant for p in profiles)
+
+
+def frozen(T, block_fill, profiles):
+    """:func:`linear_flow`'s (T, block_fill), with the fill written into a
+    copy of T at h = 1 when ``profiles``, those the fill reads, are all
+    :class:`Constant`."""
+    if not _constant(profiles):
+        return T, block_fill
     T = T.copy()
-    T[entries] = [c[0] for c in coefficients(np.zeros(1))]
-    return T, ((), ()), None
+    block_fill(np.ones(1), np.zeros((1, 1)))(0, T[None])
+    return T, None
 
 
 def _powered_flow(z, ts, dt, T):
@@ -407,56 +430,29 @@ def _powered_flow(z, ts, dt, T):
         yield i + 1
 
 
-def _stacked_steps(R, hs, w, nu, ends, Rs, *, T, L12, L21, work):
-    """Advance R through a block of steps by its stacked increments, into
-    Rs[end] at each step's grid index end >= 0 (see :func:`rk4_blocks`).
-    ``w`` and ``nu`` hold the frequency and the coupling at the four stage
-    nodes of each step, shape (B, 4); T is the constant part of the
-    generator, L12 and L21 the unit coupling layouts."""
-    hnu = (hs[:, None] * nu)[:, :, None, None]
-    hw2 = -hs[:, None] * w * w
+def _generator_fill(spec: SystemSpec, couple):
+    """:func:`linear_flow`'s fill for a generator of R, whose time-dependent
+    entries are -omega^2 at (0, 1) and the coupling nu times a unit layout:
+    ``couple(out, hnu)`` writes the latter into ``out`` (B, n, n) for the
+    values hnu (B,) of h nu."""
 
-    def fill(j: int, out: np.ndarray) -> None:
-        # the nu-scaled coupling blocks and the omega^2 entry of h A(t_j)
-        out[:, :2, 2:] = hnu[:, j] * L12
-        out[:, 2:, :2] = hnu[:, j] * L21
-        out[:, 0, 1] = hw2[:, j]
+    def block(h: np.ndarray, nodes: np.ndarray):
+        w = spec.omega.values(nodes.ravel()).reshape(nodes.shape)
+        nu = spec.bath.nu.values(nodes.ravel()).reshape(nodes.shape)
+        hnu, hw2 = h[:, None] * nu, -h[:, None] * w * w
 
-    Q = _step_increments(hs, T, fill, work)
-    for k, end in enumerate(ends.tolist()):
-        # R + Q R, not P R: adding the increment keeps the roundoff
-        # of each step relative to the change, not to R itself.
-        R += Q[k] @ R
-        if end >= 0:
-            Rs[end] = R
+        def fill(j: int, out: np.ndarray) -> None:
+            couple(out, hnu[:, j])
+            out[:, 0, 1] = hw2[:, j]
+
+        return fill
+
+    return block
 
 
-def _direct_operators(bath, L12, L21):
-    """Constant operands of :func:`_direct_steps`: the squared bath
-    frequencies, Lstack = [L12; L12 Omega; L12 Omega^2; L12 Omega^3]
-    (8 x 2N), Mstack = [L21, Omega L21, Omega^2 L21, Omega^3 L21] (2N x 8),
-    and the constant part T and the unit-coupling part N of the generator
-    of its reduced system."""
-    A22 = build_A22(bath)
-    Ls, Ms = [L12], [L21]
-    for _ in range(3):
-        Ls.append(Ls[-1] @ A22)
-        Ms.append(A22 @ Ms[-1])
-    # rows (c, z_0..z_3, t_0..t_3), two each: x0' = p0, z_(k+1)' = z_k and
-    # t_m' = t_(m+1) in T; c' = nu t_0, z_0' = nu c, t_m' = nu C_m c in N
-    T, N = np.zeros((18, 18)), np.zeros((18, 18))
-    T[1, 0] = 1.0
-    T[4:10, 2:8] = T[10:16, 12:18] = np.eye(6)
-    N[0:2, 10:12] = N[2:4, 0:2] = np.eye(2)
-    N[10:16, 0:2] = np.vstack([L @ L21 for L in Ls[:3]])
-    return dict(omega2=bath.omegas**2, Lstack=np.vstack(Ls),
-                Mstack=np.hstack(Ms), T=T, N=N)
-
-
-def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, Lstack, Mstack, T, N,
-                  work):
-    """Advance R through a block of steps by the factored RK4 map, storing
-    it in Rs[end] at each step's grid index end >= 0.
+def _direct_steps(R, ts, dt, spec: SystemSpec):
+    """Advance R over the grid by the factored RK4 map, a block of steps
+    at a time, yielding each grid index once R has reached it.
 
     The bath block Omega is constant and every coupling is nu(t) times L12
     or L21.  Along the RK4 stages, the bath rows of a column (c, b) of R
@@ -465,7 +461,8 @@ def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, Lstack, Mstack, T, N,
 
     - the bath rows gain (p4(h Omega) - 1) b per mode, with z = h w_k,
       p4 - 1 = (alpha - 1) + beta Omega, alpha - 1 = -z^2/2 + z^4/24 and
-      beta = h (1 - z^2/6), plus Mstack Z, Z = (Z_0..Z_3);
+      beta = h (1 - z^2/6), plus Mstack Z, Z = (Z_0..Z_3), where
+      Mstack = [L21, Omega L21, Omega^2 L21, Omega^3 L21] (2N x 8);
     - the central increment and Z are the RK4 increment Q of the linear
       system c' = A11 c + nu t_0, t_m' = t_(m+1) + nu C_m c (C_m = L12
       Omega^m L21, t_3' = 0: the increments of t_m after the stage that
@@ -473,7 +470,8 @@ def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, Lstack, Mstack, T, N,
       c = R_c, t_m = S_m = L12 Omega^m R_b, z = 0 (:func:`_step_increments`
       on its 18 rows (c, z_0..z_3, t_0..t_3), a block at a time).
 
-    With Psi = [Q[:, c] | Q[:, t] Lstack] on the rows (c, z) of Q, one step
+    With Psi = [Q[:, c] | Q[:, t] Lstack] on the rows (c, z) of Q, where
+    Lstack = [L12; L12 Omega; L12 Omega^2; L12 Omega^3] (8 x 2N), one step
     is
 
         Y = Psi R,  R_b <- R_b + ((alpha - 1) R_b + beta Omega R_b
@@ -481,38 +479,57 @@ def _direct_steps(R, hs, w, nu, ends, Rs, *, omega2, Lstack, Mstack, T, N,
 
     one 10 x d x d product and O(N d) more.  R gains its increment, not
     P R, which keeps the roundoff of each step relative to the change.
-    ``work`` holds :func:`_step_increments`' stacks and two (d - 2, d)
-    buffers, reused every block.
     """
-    stacks, inc, rot = work
-    hnu, mask = hs[:, None] * nu, N != 0.0
-    hw2 = -hs[:, None] * w * w
+    bath = spec.bath
+    A22 = build_A22(bath)
+    Ls, Ms = [coupling_layout_12(bath)], [coupling_layout_21(bath)]
+    for _ in range(3):
+        Ls.append(Ls[-1] @ A22)
+        Ms.append(A22 @ Ms[-1])
+    del A22  # not held while stepping
+    Lstack, Mstack = np.vstack(Ls), np.hstack(Ms)
+    # rows (c, z_0..z_3, t_0..t_3), two each: x0' = p0, z_(k+1)' = z_k and
+    # t_m' = t_(m+1) in T; c' = nu t_0, z_0' = nu c, t_m' = nu C_m c in N
+    T, N = np.zeros((18, 18)), np.zeros((18, 18))
+    T[1, 0] = 1.0
+    T[4:10, 2:8] = T[10:16, 12:18] = np.eye(6)
+    N[0:2, 10:12] = N[2:4, 0:2] = np.eye(2)
+    N[10:16, 0:2] = np.vstack([L @ Ms[0] for L in Ls[:3]])
+    mask = N != 0.0
 
-    def fill(j: int, out: np.ndarray) -> None:
-        out[:, mask] = hnu[:, j, None] * N[mask]
-        out[:, 0, 1] = hw2[:, j]
+    def couple(out: np.ndarray, hnu: np.ndarray) -> None:
+        out[:, mask] = hnu[:, None] * N[mask]
 
-    Q = _step_increments(hs, T, fill, stacks)[:, :10]
-    Psi = np.concatenate((Q[:, :, :2], Q[:, :, 10:] @ Lstack), axis=2)
-    # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]] on
-    # (p_k, x_k), applied to the (N, 2, d) views of the bath rows
-    z2 = hs[:, None] ** 2 * omega2
-    beta = hs[:, None] * (1.0 - z2 / 6.0)
-    am1 = z2 * (z2 / 24.0 - 0.5)
-    D = np.stack((am1, -beta * omega2, beta, am1), axis=-1)
-    D = D.reshape(hs.size, -1, 2, 2)
-    n = omega2.size  # views, as R is C-ordered
-    modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)
-    rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)
-    for k, end in enumerate(ends.tolist()):
-        Y = Psi[k] @ R
-        np.matmul(Mstack, Y[2:], out=inc)
-        np.matmul(D[k], modes, out=rot_modes)
-        inc += rot
-        R[2:] += inc
-        R[:2] += Y[:2]
-        if end >= 0:
-            Rs[end] = R
+    block_fill = _generator_fill(spec, couple)
+    omega2 = bath.omegas**2
+    n, dim = omega2.size, R.shape[0]
+    # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the stacks of
+    # _step_increments and two (d - 2, d) buffers are reused every block
+    steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (80 * dim)))
+    stacks = np.empty((5, steps, 18, 18))
+    inc, rot = np.empty((2, dim - 2, dim))
+    modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)  # views, as R is
+    rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)  # C-ordered
+    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_STAGES, steps):
+        fill = block_fill(hs, nodes.reshape(hs.size, -1))
+        Q = _step_increments(hs, T, fill, stacks)[:, :10]
+        Psi = np.concatenate((Q[:, :, :2], Q[:, :, 10:] @ Lstack), axis=2)
+        # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]] on
+        # (p_k, x_k), applied to the (N, 2, d) views of the bath rows
+        z2 = hs[:, None] ** 2 * omega2
+        beta = hs[:, None] * (1.0 - z2 / 6.0)
+        am1 = z2 * (z2 / 24.0 - 0.5)
+        D = np.stack((am1, -beta * omega2, beta, am1), axis=-1)
+        D = D.reshape(hs.size, -1, 2, 2)
+        for k, end in enumerate(ends.tolist()):
+            Y = Psi[k] @ R
+            np.matmul(Mstack, Y[2:], out=inc)
+            np.matmul(D[k], modes, out=rot_modes)
+            inc += rot
+            R[2:] += inc
+            R[:2] += Y[:2]
+            if end >= 0:
+                yield end
 
 
 def integrate_R(
@@ -536,7 +553,7 @@ def integrate_R(
     defect_limit : float
         Hard bound on the symplectic defect at grid points; exceeding it
         raises :class:`IntegrationError` naming the first such point, once
-        the block of steps that reached it is done.
+        the chunk of grid points that holds it has been reached.
     """
     ts = _validate_grid(grid, spec.t_max)
     if dt is None:
@@ -551,31 +568,16 @@ def integrate_R(
     reach = int(tiny[0]) if tiny.size else ts.size - 1
 
     bath = spec.bath
-    n = bath.n
-    dim = 2 * n + 2
-    L12 = coupling_layout_12(bath)
-    L21 = coupling_layout_21(bath)
-    # An exact type test: a subclass may override ``value``.
-    powered = type(spec.omega) is Constant and type(bath.nu) is Constant
-    if powered or dim < _DIRECT_MIN_DIM:
-        T = np.zeros((dim, dim))
-        T[2:, 2:] = build_A22(bath)
-        T[1, 0] = 1.0
-    if powered:  # the whole generator, which linear_flow powers
-        T[0, 1] = -spec.omega.value_const ** 2
-        T[:2, 2:] = bath.nu.value_const * L12
-        T[2:, :2] = bath.nu.value_const * L21
-    J = symplectic_unit(n)
+    dim = 2 * bath.n + 2
+    J = symplectic_unit(bath.n)
     J_cols = _signed_columns(J)
     Rs = np.empty((ts.size, dim, dim))
     defects = np.empty(ts.size)
     Rs[0] = R = np.eye(dim)
 
     def check(lo: int, hi: int) -> None:
-        # Grid points lo..hi-1, stored since the last check; a failing
-        # point and the steps after it to the end of its block may overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            defects[lo:hi], finite = _defects(Rs[lo:hi], J, *J_cols)
+        # stored grid points lo..hi-1; those after a failing one may overflow
+        defects[lo:hi], finite = _defects(Rs[lo:hi], J, *J_cols)
         bad = np.flatnonzero(~finite | (defects[lo:hi] > defect_limit))
         if bad.size:
             i = lo + int(bad[0])
@@ -583,42 +585,37 @@ def integrate_R(
                 f"symplectic defect {defects[i]:.3e} exceeds {defect_limit:.1e}")
             raise IntegrationError(f"{what} at t={ts[i]:.6g}", t=float(ts[i]))
 
-    check(0, 1)
-    if powered:
-        for end in linear_flow(R, ts[: reach + 1], dt, T, ((), ()), None):
-            Rs[end] = R
-            check(end, end + 1)
-    else:
-        if dim < _DIRECT_MIN_DIM:
-            block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * dim**2)))
-            advance = functools.partial(
-                _stacked_steps, T=T, L12=L12, L21=L21,
-                work=np.empty((5, block_steps, dim, dim)),
-            )
-        else:
-            # a block's (B, 10, d) maps Psi within _BLOCK_BYTES
-            block_steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (80 * dim)))
-            advance = functools.partial(
-                _direct_steps, **_direct_operators(bath, L12, L21),
-                work=(np.empty((5, block_steps, 18, 18)),
-                      *np.empty((2, dim - 2, dim))),
-            )
-        for hs, nodes, ends in rk4_blocks(
-            ts[: reach + 1], dt, _RK4_STAGES, block_steps
-        ):
-            w = spec.omega.values(nodes).reshape(hs.size, -1)
-            nu = bath.nu.values(nodes).reshape(hs.size, -1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                advance(R, hs, w, nu, ends, Rs)
-            reached = ends[ends >= 0]
-            if reached.size:
-                check(reached[0], reached[-1] + 1)
-    if tiny.size:
-        t_hi = ts[reach + 1]
-        raise IntegrationError(
-            f"step underflow ({h_grid[reach]:.3e}) near t={t_hi:.6g}",
-            t=float(t_hi),
+    profiles = (spec.omega, bath.nu)
+    if dim < _DIRECT_MIN_DIM or _constant(profiles):
+        L12, L21 = coupling_layout_12(bath), coupling_layout_21(bath)
+        T = np.zeros((dim, dim))
+        T[2:, 2:] = build_A22(bath)
+        T[1, 0] = 1.0
+
+        def couple(out: np.ndarray, hnu: np.ndarray) -> None:
+            hnu = hnu[:, None, None]
+            out[:, :2, 2:] = hnu * L12
+            out[:, 2:, :2] = hnu * L21
+
+        flow = linear_flow(
+            R, ts[: reach + 1], dt,
+            *frozen(T, _generator_fill(spec, couple), profiles), _RK4_STAGES,
         )
+    else:
+        flow = _direct_steps(R, ts[: reach + 1], dt, spec)
+    chunk = max(1, _BLOCK_BYTES // (8 * dim * dim))
+    check(0, 1)
+    lo = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for end in flow:
+            Rs[end] = R
+            if end + 1 - lo >= chunk or end == reach:
+                check(lo, end + 1)
+                lo = end + 1
+    if tiny.size:
+        t_hi = float(ts[reach + 1])
+        raise IntegrationError(
+            f"step underflow ({h_grid[reach]:.3e}) near t={t_hi:.6g}", t=t_hi)
     Rs.flags.writeable = False
     return PropagatorTrajectory(ts, Rs, defects)
 
@@ -640,8 +637,9 @@ def free_central_R11(
     out = np.empty((ts.size, 2, 2))
     out[0] = R11
     for end in linear_flow(R11, ts, dt, *frozen(
-        np.array([[0.0, 0.0], [1.0, 0.0]]), ((0,), (1,)),
-        lambda nodes: (-spec.omega.values(nodes) ** 2,), (spec.omega,),
+        np.array([[0.0, 0.0], [1.0, 0.0]]),
+        scatter(((0,), (1,)), lambda nodes: (-spec.omega.values(nodes) ** 2,)),
+        (spec.omega,),
     )):
         out[end] = R11
     return out

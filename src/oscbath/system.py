@@ -145,10 +145,6 @@ class SystemSpec:
                 )
             raise ValueError(f"nu(t) must be non-negative; fails near t={ts[i]}")
 
-    @property
-    def n_bath(self) -> int:
-        return self.bath.n
-
 
 def build_A11(spec: SystemSpec, t: float) -> np.ndarray:
     """Central block [[0, -omega(t)^2], [1, 0]] in (p0, x0) ordering."""

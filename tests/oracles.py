@@ -295,4 +295,4 @@ def hamiltonian_hessian(spec, t):
 
 def generator(spec, t):
     """The full (2N+2) x (2N+2) generator J B(t) at time t."""
-    return symplectic_unit(spec.n_bath) @ hamiltonian_hessian(spec, t)
+    return symplectic_unit(spec.bath.n) @ hamiltonian_hessian(spec, t)

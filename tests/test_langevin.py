@@ -399,6 +399,18 @@ def test_sampler_step_bias_is_first_order():
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.25)
 
 
+def test_non_finite_grids_are_rejected():
+    # NaN and inf pass a check of np.diff(ts) > 0 alone; the grid check
+    # rejects them before any step is scheduled.
+    m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.1))
+    init = CentralGaussian.vacuum()
+    for grid in ([0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_moments(m, init, np.array(grid))
+        with pytest.raises(ValueError, match="finite"):
+            epsilon_solver(m, np.array(grid))
+
+
 def test_sampler_input_validation():
     m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.1))
     init = CentralGaussian.vacuum()

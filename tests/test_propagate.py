@@ -76,7 +76,7 @@ def _reference_R(spec, grid, dt):
     """R at every grid point from one RK4 map per step, with the dense
     generator J B(t) of the oracles at every stage: the stepping
     integrate_R must reproduce."""
-    R = np.eye(2 * spec.n_bath + 2)
+    R = np.eye(2 * spec.bath.n + 2)
     out = [R]
     for t_lo, t_hi in zip(grid[:-1], grid[1:]):
         n_sub = max(1, math.ceil((t_hi - t_lo) / dt))
@@ -155,13 +155,13 @@ def test_constant_generator_matches_expm():
     spec = _coupled_spec(nu=Constant(0.4))
     A = oracles.generator(spec, 0.0)
     traj = integrate_R(spec, np.array([0.0, 3.0]), dt=2e-3)
-    np.testing.assert_allclose(traj[-1].full(), expm(A * 3.0), atol=1e-11)
+    np.testing.assert_allclose(traj[-1].R, expm(A * 3.0), atol=1e-11)
 
 
 def test_time_dependent_generator_matches_solve_ivp():
     omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
     spec = _coupled_spec(omega=omega)
-    n = 2 * spec.n_bath + 2
+    n = 2 * spec.bath.n + 2
 
     def rhs(t, y):
         return (oracles.generator(spec, t) @ y.reshape(n, n)).ravel()
@@ -171,7 +171,7 @@ def test_time_dependent_generator_matches_solve_ivp():
     )
     oracle = sol.y[:, -1].reshape(n, n)
     traj = integrate_R(spec, np.array([0.0, 6.0]))
-    np.testing.assert_allclose(traj[-1].full(), oracle, atol=1e-8)
+    np.testing.assert_allclose(traj[-1].R, oracle, atol=1e-8)
     assert traj.max_defect < 1e-10
 
 
@@ -181,7 +181,7 @@ def test_grid_composition_consistency():
     one_leg = integrate_R(spec, np.array([0.0, 6.0]), dt=0.01)
     two_leg = integrate_R(spec, grid2, dt=0.01)
     np.testing.assert_allclose(
-        two_leg[-1].full(), one_leg[-1].full(), atol=1e-12
+        two_leg[-1].R, one_leg[-1].R, atol=1e-12
     )
     assert len(two_leg) == 3
     assert two_leg.ts[1] == 2.5
@@ -229,22 +229,41 @@ def test_symplectic_defect_refines_at_high_order():
     assert defects[2] < 1e-9
 
 
-def test_defect_limit_raises_with_failure_time():
+def test_defect_limit_raises_with_failure_time(monkeypatch):
     stiff = BathSpec(
         omegas=[40.0], U=[0.5], V=[0.3], G=[0.2], Z=[0.1], nu=Constant(1.0)
     )
-    spec = SystemSpec(omega=Constant(1.0), bath=stiff, t_max=10.0)
+    spec = SystemSpec(omega=Constant(1.0), bath=stiff, t_max=15.0)
     with pytest.raises(IntegrationError, match="symplectic defect") as exc:
         integrate_R(spec, np.array([0.0, 10.0]), dt=0.5)
     assert exc.value.t is not None
     assert 0.0 < exc.value.t <= 10.0
+    # The powered form checks its stored points a chunk at a time (here
+    # the whole grid at once) and names the first one past the limit, as
+    # the per-step oracle finds it.  At h omega = 1/14 the RK4 map's own
+    # defect, about (h omega)^6 / 72 per step, builds up over the grid.
+    grid, dt = np.linspace(0.0, 2.0, 41), 0.05 / 28
+    defects = np.array([
+        symplectic_defect(R, symplectic_unit(1))
+        for R in _reference_R(spec, grid, dt)
+    ])
+    first = np.flatnonzero(defects > 1e-6)[0]
+    assert 5 < first < 35
+    # the crossing is far from roundoff, which could move it a point
+    assert defects[first] > 1.005e-6 and defects[first - 1] < 0.995e-6
+    taken = _step_forms(monkeypatch)
+    with pytest.raises(IntegrationError, match="symplectic defect") as exc:
+        integrate_R(spec, grid, dt=dt)
+    assert taken == ["_powered_flow"]
+    assert exc.value.t == grid[first]
 
 
 def _step_forms(monkeypatch) -> list[str]:
-    """Record which step form each block of integrate_R takes; the powered
-    form is recorded once per run."""
+    """Record which form each integrate_R run takes, once per run: the
+    composed stacked increments or the powered map of linear_flow, or the
+    direct (factored) steps."""
     taken = []
-    for name in ("_stacked_steps", "_direct_steps", "_powered_flow"):
+    for name in ("_composed_flow", "_direct_steps", "_powered_flow"):
         original = getattr(propagate, name)
 
         def recording(*args, _name=name, _original=original, **kwargs):
@@ -281,9 +300,9 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
         want = _reference_R(spec, grid, dt)
         taken.clear()
         traj = integrate_R(spec, grid, dt=dt)
-        form = "_stacked_steps" if _stacks(spec.n_bath) else "_direct_steps"
+        form = "_composed_flow" if _stacks(spec.bath.n) else "_direct_steps"
         assert set(taken) == {form}
-        got = np.array([state.full() for state in traj])
+        got = np.array([state.R for state in traj])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -309,7 +328,7 @@ def test_powered_constant_generator_matches_stepped(monkeypatch):
         assert taken == ["_powered_flow"]
         taken.clear()
         want = integrate_R(stepped, grid, dt=3e-3)
-        form = "_stacked_steps" if _stacks(n) else "_direct_steps"
+        form = "_composed_flow" if _stacks(n) else "_direct_steps"
         assert set(taken) == {form}
         scale = np.max(np.abs(want.R))
         assert np.max(np.abs(powered.R - want.R)) <= 1e-11 * scale
@@ -326,7 +345,7 @@ def test_powered_constant_generator_converges_at_fourth_order():
     grid = np.array([0.0, 1.0, 3.0])
     want = expm(oracles.generator(spec, 0.0) * 3.0)
     errors = [
-        np.max(np.abs(integrate_R(spec, grid, dt=dt)[-1].full() - want))
+        np.max(np.abs(integrate_R(spec, grid, dt=dt)[-1].R - want))
         for dt in (0.02, 0.01, 0.005)
     ]
     assert errors[2] > 1e-10  # well above roundoff
@@ -344,7 +363,7 @@ def test_constant_subclass_takes_the_stepped_form(monkeypatch):
     grid = np.array([0.0, 0.5, 2.0])
     taken = _step_forms(monkeypatch)
     subclass = integrate_R(_coupled_spec(nu=Doubled(0.2)), grid, dt=5e-3)
-    assert set(taken) == {"_stacked_steps"}
+    assert set(taken) == {"_composed_flow"}
     exact = integrate_R(_coupled_spec(nu=Constant(0.4)), grid, dt=5e-3)
     scale = np.max(np.abs(exact.R))
     assert np.max(np.abs(subclass.R - exact.R)) <= 1e-11 * scale
@@ -412,7 +431,7 @@ def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
         with pytest.raises(IntegrationError, match="non-finite") as exc:
             integrate_R(spec, grid, dt=0.1, defect_limit=math.inf)
         assert exc.value.t == grid[first_non_finite]
-        assert set(taken) == {"_stacked_steps" if n == 1 else "_direct_steps"}
+        assert set(taken) == {"_composed_flow" if n == 1 else "_direct_steps"}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(IntegrationError, match="symplectic defect") as exc:
@@ -427,7 +446,7 @@ def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
     cases = [
         (_coupled_spec(nu=Constant(0.4)), "_powered_flow"),
-        (_coupled_spec(), "_stacked_steps"),
+        (_coupled_spec(), "_composed_flow"),
         (_coupled_spec(n=n_switch), "_direct_steps"),
         (_coupled_spec(n=64), "_direct_steps"),
     ]
@@ -436,7 +455,7 @@ def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
         taken.clear()
         traj = integrate_R(spec, grid, dt=0.01)
         assert set(taken) == {form}
-        J = symplectic_unit(spec.n_bath)
+        J = symplectic_unit(spec.bath.n)
         for R, defect in zip(traj.R, traj.defects):
             assert defect == symplectic_defect(R, J)
 
@@ -506,22 +525,38 @@ def test_stacked_and_direct_forms_agree(
         ),
         t_max=grid[-1],
     )
+    # Exact Constant omega and nu are powered; the same values as
+    # PiecewiseLinear profiles are stepped, in both forms.
+    const = dataclasses.replace(
+        spec, omega=Constant(omega0),
+        bath=dataclasses.replace(spec.bath, nu=Constant(pulse[0])),
+    )
+    flat = dataclasses.replace(
+        spec, omega=_flat(omega0, grid[-1]),
+        bath=dataclasses.replace(spec.bath, nu=_flat(pulse[0], grid[-1])),
+    )
     # Bath modes up to h omega = 0.15 may pass the default defect limit;
     # the forms are compared whatever their defect.
-    runs = []
+    runs, flats = [], []
     with pytest.MonkeyPatch.context() as patch:
         taken = _step_forms(patch)
         # every dimension stacked, then every dimension direct
-        for min_dim, form in ((10**9, "_stacked_steps"), (0, "_direct_steps")):
+        for min_dim, form in ((10**9, "_composed_flow"), (0, "_direct_steps")):
             patch.setattr(propagate, "_DIRECT_MIN_DIM", min_dim)
             taken.clear()
             runs.append(integrate_R(spec, grid, dt, defect_limit=math.inf).R)
+            flats.append(integrate_R(flat, grid, dt, defect_limit=math.inf).R)
             assert set(taken) == {form}
+        taken.clear()
+        powered = integrate_R(const, grid, dt, defect_limit=math.inf).R
+        assert taken == ["_powered_flow"]
     stacked, direct = runs
     assert np.max(np.abs(stacked - direct)) <= 1e-13 * np.max(np.abs(stacked))
     if couplings == "zero":
         for R in runs:
             assert not R[:, :2, 2:].any() and not R[:, 2:, :2].any()
+    for R in flats:
+        assert np.max(np.abs(powered - R)) <= 1e-11 * np.max(np.abs(R))
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +616,20 @@ def test_grid_validation_errors():
         integrate_R(spec, np.array([0.0, 2.0, 1.5]))  # not increasing
     with pytest.raises(ValueError):
         integrate_R(spec, np.array([0.0, 7.0]))  # beyond t_max
+    for grid in ([0.0, math.nan], [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_R(spec, np.array(grid))
 
 
 def test_state_round_trip():
     spec = _coupled_spec()
     traj = integrate_R(spec, np.array([0.0, 1.0]), dt=0.01)
     state = traj[-1]
-    full = state.full()
     from oscbath import PropagatorState
 
-    rebuilt = PropagatorState(state.t, full)
+    rebuilt = PropagatorState(state.t, state.R)
     np.testing.assert_array_equal(rebuilt.R11, state.R11)
     np.testing.assert_array_equal(rebuilt.R21, state.R21)
-    assert rebuilt.n_bath == spec.n_bath
     # the blocks are views of the trajectory's read-only stack
     assert np.shares_memory(state.R11, traj.R)
     with pytest.raises(ValueError):

@@ -100,12 +100,12 @@ def test_marginal_matches_joint_block_propagation():
     F = thermal_F(spec.bath)
     init = CentralGaussian.vacuum()
     traj = integrate_R(spec, np.linspace(0.0, 4.0, 9), dt=2e-3)
-    n = 2 * spec.n_bath + 2
+    n = 2 * spec.bath.n + 2
     Sigma0 = np.zeros((n, n))
     Sigma0[:2, :2] = init.cov
     Sigma0[2:, 2:] = F
     for state in traj:
-        R = state.full()
+        R = state.R
         joint = R @ Sigma0 @ R.T
         out = evolve_gaussian(init, state, F)
         np.testing.assert_allclose(out.cov, joint[:2, :2], atol=1e-12)
@@ -128,7 +128,7 @@ def test_marginal_matches_classical_monte_carlo():
     state = traj[-1]
     exact = evolve_gaussian(init, state, F)
 
-    n = 2 * spec.n_bath + 2
+    n = 2 * spec.bath.n + 2
     Sigma0 = np.zeros((n, n))
     Sigma0[:2, :2] = init.cov
     Sigma0[2:, 2:] = F
@@ -136,7 +136,7 @@ def test_marginal_matches_classical_monte_carlo():
     xs = rng.multivariate_normal(
         np.zeros(n), Sigma0, size=200_000, method="cholesky"
     )
-    sub = xs @ state.full().T[:, :2]
+    sub = xs @ state.R.T[:, :2]
     emp = np.cov(sub.T)
     # standard error of a Gaussian covariance estimate
     se = np.sqrt(
