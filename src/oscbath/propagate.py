@@ -220,8 +220,10 @@ def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
 
 def _schedule(ts: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Steps n = max(1, ceil(span / dt)) and length span / n per interval,
-    refusing 2^53 steps or more, whose counts are not exact integers."""
+    refusing dt <= 0 and 2^53 steps or more (counts no longer exact)."""
     spans = np.diff(ts)
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     n_sub = np.maximum(1.0, np.ceil(spans / dt))
     if not n_sub.sum() < 2.0**53:
         raise ValueError(f"dt={dt} needs too many steps over the grid")
@@ -328,43 +330,40 @@ def _compose(Q: np.ndarray) -> np.ndarray:
     return Q[0]
 
 
-def linear_flow(z, ts, dt, T, block_fill, stages=(0.0, 0.5, 1.0)):
+def linear_flow(z, ts, dt, T, block_fill):
     """Advance z' = A(t) z in place over the grid by RK4 at target step dt
     (the sub-steps of :func:`rk4_blocks`), yielding each grid index once z
     has reached it.  z is a vector, or a matrix of such columns.
 
-    A(t) is T with the entries that ``block_fill(h, nodes)`` sets, given a
-    block's step lengths (B,) and stage nodes t + f h (B, len(stages)): it
-    returns the ``fill`` of :func:`_step_increments`.  The increments are
-    composed per grid interval and z advances by z += Q z.  With no fill A
-    is T throughout, and :func:`_powered_flow` powers the step map instead
-    (:func:`frozen` gives a constant generator that form).
+    A(t) is T with the entries that ``block_fill = (fractions, block)``
+    sets: ``block(h, nodes)`` of a block's step lengths (B,) and stage
+    nodes t + f h (B, len(fractions)) is the ``fill`` of
+    :func:`_step_increments`.  The increments are composed per grid
+    interval and z advances by z += Q z.  With no fill A is T throughout,
+    and :func:`_powered_flow` powers the step map instead (:func:`frozen`
+    gives a constant generator that form).
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     if block_fill is None:
         return _powered_flow(z, ts, dt, T)
-    return _composed_flow(z, ts, dt, T, block_fill, stages)
+    return _composed_flow(z, ts, dt, T, *block_fill)
 
 
-def _composed_flow(z, ts, dt, T, block_fill, stages):
+def _composed_flow(z, ts, dt, T, fractions, block):
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * T.size)))
     work = np.empty((5, steps) + T.shape)
-    for h, nodes, ends in rk4_blocks(ts, dt, stages, steps):
-        fill = block_fill(h, nodes.reshape(h.size, -1))
+    for h, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
+        fill = block(h, nodes.reshape(h.size, -1))
         Q = _step_increments(h, T, fill, work)
         # the block's part of each grid interval; the parts of m steps are
-        # composed together, gathered as Q[step, part]
+        # composed together, gathered as Q[step, part] (a lone part too)
         cuts = sorted({0, *(np.flatnonzero(ends >= 0) + 1).tolist(), h.size})
         parts = {}  # steps -> starts of the parts of that many steps
         for lo, hi in zip(cuts, cuts[1:]):
             parts.setdefault(hi - lo, []).append(lo)
         C = {}
         for m, starts in parts.items():
-            if len(starts) == 1:
-                C[starts[0]] = _compose(Q[starts[0] : starts[0] + m])
-            else:
-                C.update(zip(starts, _compose(Q[np.add.outer(range(m), starts)])))
+            gathered = Q.take(np.add.outer(np.arange(m), starts), axis=0)
+            C.update(zip(starts, _compose(gathered)))
         for lo, hi in zip(cuts, cuts[1:]):
             z += C[lo] @ z
             if ends[hi - 1] >= 0:
@@ -388,7 +387,7 @@ def scatter(entries, coefficients):
 
         return fill
 
-    return block
+    return (0.0, 0.5, 1.0), block
 
 
 def _constant(profiles) -> bool:
@@ -403,7 +402,7 @@ def frozen(T, block_fill, profiles):
     if not _constant(profiles):
         return T, block_fill
     T = T.copy()
-    block_fill(np.ones(1), np.zeros((1, 1)))(0, T[None])
+    block_fill[1](np.ones(1), np.zeros((1, 1)))(0, T[None])
     return T, None
 
 
@@ -430,15 +429,17 @@ def _powered_flow(z, ts, dt, T):
         yield i + 1
 
 
-def _generator_fill(spec: SystemSpec, couple):
+def _generator_fill(spec: SystemSpec, couple, errs: dict):
     """:func:`linear_flow`'s fill for a generator of R, whose time-dependent
     entries are -omega^2 at (0, 1) and the coupling nu times a unit layout:
     ``couple(out, hnu)`` writes the latter into ``out`` (B, n, n) for the
-    values hnu (B,) of h nu."""
+    values hnu (B,) of h nu, on the four nodes of ``_RK4_STAGES``.  The
+    profiles are evaluated under the floating-point settings ``errs``."""
 
     def block(h: np.ndarray, nodes: np.ndarray):
-        w = spec.omega.values(nodes.ravel()).reshape(nodes.shape)
-        nu = spec.bath.nu.values(nodes.ravel()).reshape(nodes.shape)
+        with np.errstate(**errs):
+            w = spec.omega.values(nodes.ravel()).reshape(nodes.shape)
+            nu = spec.bath.nu.values(nodes.ravel()).reshape(nodes.shape)
         hnu, hw2 = h[:, None] * nu, -h[:, None] * w * w
 
         def fill(j: int, out: np.ndarray) -> None:
@@ -447,10 +448,10 @@ def _generator_fill(spec: SystemSpec, couple):
 
         return fill
 
-    return block
+    return _RK4_STAGES, block
 
 
-def _direct_steps(R, ts, dt, spec: SystemSpec):
+def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     """Advance R over the grid by the factored RK4 map, a block of steps
     at a time, yielding each grid index once R has reached it.
 
@@ -500,7 +501,7 @@ def _direct_steps(R, ts, dt, spec: SystemSpec):
     def couple(out: np.ndarray, hnu: np.ndarray) -> None:
         out[:, mask] = hnu[:, None] * N[mask]
 
-    block_fill = _generator_fill(spec, couple)
+    fractions, block = _generator_fill(spec, couple, errs)
     omega2 = bath.omegas**2
     n, dim = omega2.size, R.shape[0]
     # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the stacks of
@@ -510,8 +511,8 @@ def _direct_steps(R, ts, dt, spec: SystemSpec):
     inc, rot = np.empty((2, dim - 2, dim))
     modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)  # views, as R is
     rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)  # C-ordered
-    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_STAGES, steps):
-        fill = block_fill(hs, nodes.reshape(hs.size, -1))
+    for hs, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
+        fill = block(hs, nodes.reshape(hs.size, -1))
         Q = _step_increments(hs, T, fill, stacks)[:, :10]
         Psi = np.concatenate((Q[:, :, :2], Q[:, :, 10:] @ Lstack), axis=2)
         # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]] on
@@ -558,8 +559,6 @@ def integrate_R(
     ts = _validate_grid(grid, spec.t_max)
     if dt is None:
         dt = default_time_step(spec)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
 
     # Steps are taken up to the first interval whose step underflows; the
     # error is raised once the grid points before it have been checked.
@@ -572,7 +571,7 @@ def integrate_R(
     J = symplectic_unit(bath.n)
     J_cols = _signed_columns(J)
     Rs = np.empty((ts.size, dim, dim))
-    defects = np.empty(ts.size)
+    defects = np.zeros(ts.size)  # none at R(0) = I
     Rs[0] = R = np.eye(dim)
 
     def check(lo: int, hi: int) -> None:
@@ -585,6 +584,7 @@ def integrate_R(
                 f"symplectic defect {defects[i]:.3e} exceeds {defect_limit:.1e}")
             raise IntegrationError(f"{what} at t={ts[i]:.6g}", t=float(ts[i]))
 
+    errs = np.geterr()  # for the profiles; the steps and checks ignore overflow
     profiles = (spec.omega, bath.nu)
     if dim < _DIRECT_MIN_DIM or _constant(profiles):
         L12, L21 = coupling_layout_12(bath), coupling_layout_21(bath)
@@ -597,14 +597,11 @@ def integrate_R(
             out[:, :2, 2:] = hnu * L12
             out[:, 2:, :2] = hnu * L21
 
-        flow = linear_flow(
-            R, ts[: reach + 1], dt,
-            *frozen(T, _generator_fill(spec, couple), profiles), _RK4_STAGES,
-        )
+        flow = linear_flow(R, ts[: reach + 1], dt, *frozen(
+            T, _generator_fill(spec, couple, errs), profiles))
     else:
-        flow = _direct_steps(R, ts[: reach + 1], dt, spec)
+        flow = _direct_steps(R, ts[: reach + 1], dt, spec, errs)
     chunk = max(1, _BLOCK_BYTES // (8 * dim * dim))
-    check(0, 1)
     lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for end in flow:

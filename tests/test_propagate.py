@@ -439,6 +439,26 @@ def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
         assert exc.value.t == grid[first_over]
 
 
+class _Overflowing(Constant):
+    """A Constant whose evaluation overflows in a term it then drops."""
+
+    def values(self, ts):
+        np.exp(np.full(np.shape(ts), 1e3))
+        return super().values(ts)
+
+
+def test_profile_warnings_reach_the_caller(monkeypatch):
+    # The steps ignore overflow, which R shows as non-finite values; a
+    # profile's own warning is not silenced with them, in either form.
+    taken = _step_forms(monkeypatch)
+    for n in (1, 64):
+        with np.errstate(over="ignore"):  # the spec's checks evaluate nu
+            spec = _coupled_spec(n=n, nu=_Overflowing(0.4))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            integrate_R(spec, np.array([0.0, 0.05]), dt=0.01)
+    assert taken == ["_composed_flow", "_direct_steps"]
+
+
 def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
     # One case per form; at d = 36 the direct form checks several grid
     # points per chunk and at d = 130 one.
