@@ -31,10 +31,13 @@ Runge-Kutta through one core, :func:`oscbath.propagate.linear_flow`: the
 moments as z = (m_p, m_x, c_pp, c_px, c_xx, 1), whose 6x6 generator holds
 the diffusion 2 D in its last column (the augmented form of Van Loan, IEEE
 TAC 23:395, 1978), and the amplitude as the complex z = (eps, eps') under
-the real generator [[0, 1], [-omega_ef^2, 0]].  The coefficients are
-tabulated on the stage nodes of a block of steps, each profile once per
-node set; when omega and gamma are both exactly :class:`Constant` the
-generator is fixed and each grid interval is one power of the RK4 map.
+the real generator [[0, 1], [-omega_ef^2, 0]].  The core returns z at
+every grid point as one stacked array, and each run checks its invariant
+(finite moments, the Wronskian) once, on the whole stack.  The
+coefficients are tabulated on the stage nodes of a block of steps, each
+profile once per node set; when omega and gamma are both exactly
+:class:`Constant` the generator is fixed and each grid interval is one
+power of the RK4 map.
 The trajectory sampler is Euler-Maruyama driven by counter-based random
 substreams, one per trajectory, so results are bit-reproducible for a
 given seed.
@@ -180,20 +183,14 @@ def _moment_run(
 
     C = initial.cov
     z = np.array([*initial.mean, C[0, 0], C[0, 1], C[1, 1], 1.0], float)
-    means = np.empty((ts.size, 2))
-    covs = np.empty((ts.size, 2, 2))
-    means[0], covs[0] = initial.mean, C
-    for end in linear_flow(z, ts, dt, *frozen(
-        np.zeros((6, 6)), scatter(_MOMENT_ENTRIES, entries), profiles
-    )):
-        if not np.all(np.isfinite(z)):
-            raise IntegrationError(
-                f"moments became non-finite at t={ts[end]:.6g}",
-                t=float(ts[end]),
-            )
-        means[end] = z[:2]
-        covs[end] = ((z[2], z[3]), (z[3], z[4]))
-    return MomentTrajectory(ts=ts, means=means, covs=covs)
+    Z = linear_flow(z, ts, dt, *frozen(
+        np.zeros((6, 6)), scatter(_MOMENT_ENTRIES, entries), profiles))
+    bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
+    if bad.size:
+        t = float(ts[bad[0]])
+        raise IntegrationError(f"moments became non-finite at t={t:.6g}", t=t)
+    covs = Z[:, (2, 3, 3, 4)].reshape(-1, 2, 2)
+    return MomentTrajectory(ts=ts, means=Z[:, :2].copy(), covs=covs)
 
 
 def _drift_diffusion(model: LangevinModel, nodes: np.ndarray) -> tuple:
@@ -309,9 +306,10 @@ def epsilon_solver(
     eps'(0) = i omega0.
 
     The Wronskian eps' eps* - eps'* eps (equal to 2 i omega0 initially) is
-    conserved by the exact flow; its relative drift is monitored at every
-    grid point and a violation of ``wronskian_tol`` raises
-    :class:`IntegrationError`.
+    conserved by the exact flow; its relative drift is computed at every
+    grid point once the whole grid has been stepped, and a violation of
+    ``wronskian_tol`` raises :class:`IntegrationError` naming the first
+    violating point.
     """
     ts = _check_grid(grid)
     if dt is None:
@@ -324,29 +322,24 @@ def epsilon_solver(
         w2, delta_dot, delta2 = effective_frequency_terms(model, nodes)
         return (-(w2 + delta_dot - delta2),)
 
-    z = np.array([1.0 + 0.0j, 1j * model.omega0])
-    w0 = z[1] * z[0].conjugate() - z[1].conjugate() * z[0]
-    eps_out = np.empty(ts.size, dtype=complex)
-    deps_out = np.empty(ts.size, dtype=complex)
-    eps_out[0], deps_out[0] = z
-    max_drift = 0.0
-    for end in linear_flow(z, ts, dt, *frozen(
-        np.array([[0.0, 1.0], [0.0, 0.0]]),
-        scatter(((1,), (0,)), coefficients), (model.omega, model.gamma),
-    )):
-        e, de = z
-        eps_out[end], deps_out[end] = e, de
-        wr = de * e.conjugate() - de.conjugate() * e
-        drift = float(abs(wr - w0) / abs(w0))
-        if not drift <= wronskian_tol:
-            raise IntegrationError(
-                f"Wronskian drift {drift:.3e} exceeds {wronskian_tol:.1e}"
-                f" at t={ts[end]:.6g}",
-                t=float(ts[end]),
-            )
-        max_drift = max(max_drift, drift)
+    eps, deps = linear_flow(
+        np.array([1.0 + 0.0j, 1j * model.omega0]), ts, dt, *frozen(
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            scatter(((1,), (0,)), coefficients), (model.omega, model.gamma),
+        )).T.copy()
+    # eps' eps* - eps'* eps = 2 i w with w = Im(eps' eps*); formed from
+    # the parts, w rounds as the scalar complex products do (the array
+    # complex product rounds differently), so the drift is theirs bitwise
+    w = deps.imag * eps.real - deps.real * eps.imag
+    drift = np.abs(w - w[0]) / np.abs(w[0])
+    bad = np.flatnonzero(~(drift <= wronskian_tol))
+    if bad.size:
+        i = bad[0]
+        raise IntegrationError(
+            f"Wronskian drift {drift[i]:.3e} exceeds {wronskian_tol:.1e}"
+            f" at t={ts[i]:.6g}", t=float(ts[i]))
     return EpsilonSolution(
-        ts=ts, eps=eps_out, eps_dot=deps_out, wronskian_drift=max_drift
+        ts=ts, eps=eps, eps_dot=deps, wronskian_drift=float(drift.max())
     )
 
 

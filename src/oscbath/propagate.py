@@ -16,12 +16,12 @@ are built at once.  The same RK4 map is taken in one of two forms:
   closed-form 2x2 per bath mode plus a coupling update of rank <= 8, at
   one 10 x d x d product per step instead of four d^3 products.
 
-The symplectic defect || R^T J R - J ||_F of R at every grid point is
-checked, a chunk of at most ``_BLOCK_BYTES`` of stored points at a time,
-so a drifting integration fails at its first bad grid point after at most
-one chunk of grid points.  With the coupling profile identically zero the
-off-diagonal blocks stay exactly zero in every form: every coupling term
-is a product with an exactly zero block.
+Each form returns R at every grid point as one stacked array.  The
+symplectic defect || R^T J R - J ||_F of every grid point is then checked
+in one call, so a drifting integration is stepped to the end of its grid
+and fails at its first bad grid point.  With the coupling profile
+identically zero the off-diagonal blocks stay exactly zero in every form:
+every coupling term is a product with an exactly zero block.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
     """Symplectic defects of a (B, d, d) stack of R, and whether each R is
     finite, a chunk of at most _BLOCK_BYTES at a time."""
     out, finite = np.empty(len(Rs)), np.empty(len(Rs), dtype=bool)
-    step = max(1, _BLOCK_BYTES // (8 * Rs[0].size))
+    step = max(1, _BLOCK_BYTES // (8 * J.size))
     for lo in range(0, len(Rs), step):
         R = Rs[lo : lo + step]
         finite[lo : lo + step] = np.isfinite(R).all(axis=(1, 2))
@@ -152,6 +152,7 @@ def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
         M = np.matmul(RtJ, R) - J
         M = M.reshape(len(R), -1)
         out[lo : lo + step] = np.sqrt(np.vecdot(M, M))
+        del RtJ, M  # so that one chunk's arrays are held at a time
     return out, finite
 
 
@@ -331,9 +332,10 @@ def _compose(Q: np.ndarray) -> np.ndarray:
 
 
 def linear_flow(z, ts, dt, T, block_fill):
-    """Advance z' = A(t) z in place over the grid by RK4 at target step dt
-    (the sub-steps of :func:`rk4_blocks`), yielding each grid index once z
-    has reached it.  z is a vector, or a matrix of such columns.
+    """z' = A(t) z over the grid by RK4 at target step dt (the sub-steps of
+    :func:`rk4_blocks`): z at every grid point, stacked as Z[i] at ts[i]
+    with Z[0] = z.  z is a vector, or a matrix of such columns; the
+    caller's array is not changed.
 
     A(t) is T with the entries that ``block_fill = (fractions, block)``
     sets: ``block(h, nodes)`` of a block's step lengths (B,) and stage
@@ -349,6 +351,8 @@ def linear_flow(z, ts, dt, T, block_fill):
 
 
 def _composed_flow(z, ts, dt, T, fractions, block):
+    Z = np.empty((len(ts),) + z.shape, z.dtype)
+    Z[0] = z = z.copy()  # advanced in place
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * T.size)))
     work = np.empty((5, steps) + T.shape)
     for h, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
@@ -367,7 +371,8 @@ def _composed_flow(z, ts, dt, T, fractions, block):
         for lo, hi in zip(cuts, cuts[1:]):
             z += C[lo] @ z
             if ends[hi - 1] >= 0:
-                yield int(ends[hi - 1])
+                Z[ends[hi - 1]] = z
+    return Z
 
 
 def scatter(entries, coefficients):
@@ -407,12 +412,14 @@ def frozen(T, block_fill, profiles):
 
 
 def _powered_flow(z, ts, dt, T):
-    """Advance z' = T z over each grid interval, n steps of length h, by
-    z += Q_n z, yielding the interval's end index.  The one-step increment
+    """z' = T z at every grid point: over each grid interval of n steps of
+    length h, z becomes z + Q_n z.  The one-step increment
     Q is raised to n by binary powering, Q_2m = 2 Q_m + Q_m Q_m and
     Q_(a+b) = Q_a + Q_b + Q_b Q_a, and rebuilt only when (h, n) changes,
     so one map is held at a time."""
     n_sub, h_int = _schedule(np.asarray(ts, dtype=float), dt)
+    Z = np.empty((len(ts),) + z.shape, z.dtype)
+    Z[0] = z
     work = np.empty((5, 1) + T.shape)
     key = None
     for i, (h, n) in enumerate(zip(h_int.tolist(), n_sub.tolist())):
@@ -425,8 +432,8 @@ def _powered_flow(z, ts, dt, T):
                     Q = 2.0 * Q + Q @ Q
                 if bit == "1":
                     Qn = Q if Qn is None else Qn + Q + Q @ Qn
-        z += Qn @ z
-        yield i + 1
+        Z[i + 1] = Z[i] + Qn @ Z[i]
+    return Z
 
 
 def _generator_fill(spec: SystemSpec, couple, errs: dict):
@@ -452,8 +459,8 @@ def _generator_fill(spec: SystemSpec, couple, errs: dict):
 
 
 def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
-    """Advance R over the grid by the factored RK4 map, a block of steps
-    at a time, yielding each grid index once R has reached it.
+    """R at every grid point, stacked as :func:`linear_flow` stacks z, by
+    the factored RK4 map, a block of steps at a time.
 
     The bath block Omega is constant and every coupling is nu(t) times L12
     or L21.  Along the RK4 stages, the bath rows of a column (c, b) of R
@@ -503,6 +510,8 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
 
     fractions, block = _generator_fill(spec, couple, errs)
     omega2 = bath.omegas**2
+    Rs = np.empty((len(ts),) + R.shape)
+    Rs[0] = R = R.copy()  # advanced in place
     n, dim = omega2.size, R.shape[0]
     # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the stacks of
     # _step_increments and two (d - 2, d) buffers are reused every block
@@ -530,7 +539,8 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
             R[2:] += inc
             R[:2] += Y[:2]
             if end >= 0:
-                yield end
+                Rs[end] = R
+    return Rs
 
 
 def integrate_R(
@@ -554,7 +564,7 @@ def integrate_R(
     defect_limit : float
         Hard bound on the symplectic defect at grid points; exceeding it
         raises :class:`IntegrationError` naming the first such point, once
-        the chunk of grid points that holds it has been reached.
+        the whole grid has been stepped.
     """
     ts = _validate_grid(grid, spec.t_max)
     if dt is None:
@@ -569,46 +579,33 @@ def integrate_R(
     bath = spec.bath
     dim = 2 * bath.n + 2
     J = symplectic_unit(bath.n)
-    J_cols = _signed_columns(J)
-    Rs = np.empty((ts.size, dim, dim))
-    defects = np.zeros(ts.size)  # none at R(0) = I
-    Rs[0] = R = np.eye(dim)
-
-    def check(lo: int, hi: int) -> None:
-        # stored grid points lo..hi-1; those after a failing one may overflow
-        defects[lo:hi], finite = _defects(Rs[lo:hi], J, *J_cols)
-        bad = np.flatnonzero(~finite | (defects[lo:hi] > defect_limit))
-        if bad.size:
-            i = lo + int(bad[0])
-            what = "propagator became non-finite" if not finite[bad[0]] else (
-                f"symplectic defect {defects[i]:.3e} exceeds {defect_limit:.1e}")
-            raise IntegrationError(f"{what} at t={ts[i]:.6g}", t=float(ts[i]))
-
     errs = np.geterr()  # for the profiles; the steps and checks ignore overflow
     profiles = (spec.omega, bath.nu)
-    if dim < _DIRECT_MIN_DIM or _constant(profiles):
-        L12, L21 = coupling_layout_12(bath), coupling_layout_21(bath)
-        T = np.zeros((dim, dim))
-        T[2:, 2:] = build_A22(bath)
-        T[1, 0] = 1.0
-
-        def couple(out: np.ndarray, hnu: np.ndarray) -> None:
-            hnu = hnu[:, None, None]
-            out[:, :2, 2:] = hnu * L12
-            out[:, 2:, :2] = hnu * L21
-
-        flow = linear_flow(R, ts[: reach + 1], dt, *frozen(
-            T, _generator_fill(spec, couple, errs), profiles))
-    else:
-        flow = _direct_steps(R, ts[: reach + 1], dt, spec, errs)
-    chunk = max(1, _BLOCK_BYTES // (8 * dim * dim))
-    lo = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for end in flow:
-            Rs[end] = R
-            if end + 1 - lo >= chunk or end == reach:
-                check(lo, end + 1)
-                lo = end + 1
+        if dim < _DIRECT_MIN_DIM or _constant(profiles):
+            L12, L21 = coupling_layout_12(bath), coupling_layout_21(bath)
+            T = np.zeros((dim, dim))
+            T[2:, 2:] = build_A22(bath)
+            T[1, 0] = 1.0
+
+            def couple(out: np.ndarray, hnu: np.ndarray) -> None:
+                hnu = hnu[:, None, None]
+                out[:, :2, 2:] = hnu * L12
+                out[:, 2:, :2] = hnu * L21
+
+            Rs = linear_flow(np.eye(dim), ts[: reach + 1], dt, *frozen(
+                T, _generator_fill(spec, couple, errs), profiles))
+        else:
+            Rs = _direct_steps(np.eye(dim), ts[: reach + 1], dt, spec, errs)
+        # none at R(0) = I; the points after a failing one may overflow
+        defects = np.zeros(len(Rs))
+        defects[1:], finite = _defects(Rs[1:], J, *_signed_columns(J))
+    bad = np.flatnonzero(~finite | (defects[1:] > defect_limit))
+    if bad.size:
+        i = 1 + int(bad[0])
+        what = "propagator became non-finite" if not finite[bad[0]] else (
+            f"symplectic defect {defects[i]:.3e} exceeds {defect_limit:.1e}")
+        raise IntegrationError(f"{what} at t={ts[i]:.6g}", t=float(ts[i]))
     if tiny.size:
         t_hi = float(ts[reach + 1])
         raise IntegrationError(
@@ -630,13 +627,8 @@ def free_central_R11(
     if dt is None:
         dt = default_time_step(spec)
     # generator [[0, -omega^2], [1, 0]] on the columns of R11
-    R11 = np.eye(2)
-    out = np.empty((ts.size, 2, 2))
-    out[0] = R11
-    for end in linear_flow(R11, ts, dt, *frozen(
+    return linear_flow(np.eye(2), ts, dt, *frozen(
         np.array([[0.0, 0.0], [1.0, 0.0]]),
         scatter(((0,), (1,)), lambda nodes: (-spec.omega.values(nodes) ** 2,)),
         (spec.omega,),
-    )):
-        out[end] = R11
-    return out
+    ))

@@ -74,10 +74,6 @@ class CentralGaussian:
     def vacuum(cls) -> "CentralGaussian":
         return cls(mean=np.zeros(2), cov=0.5 * np.eye(2))
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        """Uncertainty check det(cov) >= 1/4, up to tolerance."""
-        return float(np.linalg.det(self.cov)) >= 0.25 - tol
-
 
 @dataclass(frozen=True)
 class ReducedDynamics:

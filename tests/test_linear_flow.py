@@ -26,6 +26,7 @@ from oscbath import (
     BathSpec,
     CentralGaussian,
     Constant,
+    ExpPulse,
     GaussianPulse,
     IntegrationError,
     LangevinModel,
@@ -36,6 +37,7 @@ from oscbath import (
     epsilon_solver,
     evolve_moments,
     free_central_R11,
+    profile_from_dict,
 )
 from oscbath import propagate
 from oscbath.propagate import _BLOCK_STEPS, rk4_blocks
@@ -244,6 +246,85 @@ def test_wronskian_violation_raises_at_the_oracle_time():
     with pytest.raises(IntegrationError, match="Wronskian") as got:
         epsilon_solver(model, grid, dt=0.2, wronskian_tol=1e-5)
     assert grid[1] < got.value.t == want.value.t < grid[-1]
+
+
+# Profile kinds of PROFILE_KINDS, with bounded fields, that are smooth
+# within every step of a grid whose points are multiples of 1/8: their
+# kinks and onsets sit on that lattice, where a step ends.
+_LATTICE = st.integers(0, 24).map(lambda k: k / 8.0)
+
+
+def _knots(inner: list[float]):
+    """Knots at 0, 4 (the longest run) and ``inner``, with their values."""
+    times = sorted({0.0, 4.0, *inner})
+    return st.fixed_dictionaries({"times": st.just(times), "values": st.lists(
+        st.floats(-0.3, 0.3), min_size=len(times), max_size=len(times))})
+
+
+_BASES = {
+    "gaussian-pulse": st.fixed_dictionaries({
+        "amplitude": st.floats(-0.3, 0.3), "center": st.floats(0.0, 3.0),
+        "width": st.floats(0.3, 1.0)}),
+    "exp-rise-decay-pulse": st.fixed_dictionaries({
+        "amplitude": st.floats(-0.3, 0.3), "center": _LATTICE,
+        "decay": st.floats(0.3, 2.0), "rise": st.floats(0.1, 1.0)}),
+    "pulse-train": st.fixed_dictionaries({
+        "base": st.fixed_dictionaries({
+            "kind": st.just("gaussian-pulse"),
+            "amplitude": st.floats(-0.3, 0.3), "center": st.floats(0.0, 1.0),
+            "width": st.floats(0.2, 0.5)}),
+        "count": st.integers(1, 4), "period": st.floats(0.5, 1.5)}),
+    "piecewise-linear": st.lists(_LATTICE, max_size=3, unique=True).flatmap(
+        _knots),
+}
+
+
+@st.composite
+def _frequencies(draw):
+    """omega0 and an omega of a profile kind around it."""
+    omega0 = draw(st.floats(0.5, 2.0))
+    kind = draw(st.sampled_from(["constant", *_BASES]))
+    if kind == "constant":
+        return omega0, profile_from_dict({"kind": kind, "value": omega0})
+    base = profile_from_dict({"kind": kind, **draw(_BASES[kind])})
+    return omega0, Affine(base, offset=omega0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    frequencies=_frequencies(),
+    gamma=st.one_of(
+        st.builds(GaussianPulse, st.floats(0.05, 0.5), st.floats(0.0, 3.0),
+                  st.floats(0.3, 1.0)),
+        # continuous, with its onset no later than t = 0
+        st.builds(ExpPulse, st.floats(0.05, 0.5), st.floats(-1.0, 0.0),
+                  st.floats(0.5, 2.0), st.floats(0.1, 1.0)),
+    ),
+    y=st.floats(-0.95, 0.95).filter(bool),
+    log2_dt=st.integers(-4, -3),
+    steps=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+)
+def test_wronskian_drift_falls_as_dt4(frequencies, gamma, y, log2_dt, steps):
+    # Grid points on multiples of dt = 2^-m, so halving dt halves every
+    # step, and RK4's drift falls about 2^5 = 32 times (30.2 to 32.0 over
+    # these draws, at drifts of 2e-10 to 9e-6); a dt^4 bound asks for 8.
+    omega0, omega = frequencies
+    model = LangevinModel(omega=omega, gamma=gamma, y=y, omega0=omega0)
+    dt = 2.0**log2_dt
+    grid = dt * np.cumsum([0.0, *steps])
+    coarse, fine = (
+        epsilon_solver(model, grid, dt=h, wronskian_tol=math.inf).wronskian_drift
+        for h in (dt, dt / 2.0)
+    )
+    assert fine <= coarse / 8.0 + 1e-13
+    # below the run's own drift, the first violating point is the oracle's
+    tol = coarse / 4.0
+    with pytest.raises(IntegrationError) as want:
+        oracles.epsilon(lambda t: effective_frequency_squared(model, t),
+                        omega0, grid, dt, tol)
+    with pytest.raises(IntegrationError, match="Wronskian") as got:
+        epsilon_solver(model, grid, dt=dt, wronskian_tol=tol)
+    assert got.value.t == want.value.t
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oscbath import (
     Affine,
     BathSpec,
     Constant,
+    ExpPulse,
     GaussianPulse,
     IntegrationError,
     PiecewiseLinear,
@@ -238,9 +239,9 @@ def test_defect_limit_raises_with_failure_time(monkeypatch):
         integrate_R(spec, np.array([0.0, 10.0]), dt=0.5)
     assert exc.value.t is not None
     assert 0.0 < exc.value.t <= 10.0
-    # The powered form checks its stored points a chunk at a time (here
-    # the whole grid at once) and names the first one past the limit, as
-    # the per-step oracle finds it.  At h omega = 1/14 the RK4 map's own
+    # The powered form's run is checked on its whole stack of grid points
+    # at once, and names the first one past the limit, as the per-step
+    # oracle finds it.  At h omega = 1/14 the RK4 map's own
     # defect, about (h omega)^6 / 72 per step, builds up over the grid.
     grid, dt = np.linspace(0.0, 2.0, 41), 0.05 / 28
     defects = np.array([
@@ -411,10 +412,9 @@ def _pulsed_stiff_spec(n: int, amplitude: float) -> SystemSpec:
 
 
 def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
-    # N = 1 takes the stacked steps, N = 64 the direct ones.  A block's
-    # grid points are checked after all its steps (the whole grid at
-    # N = 1, 25 points at N = 64), which may have gone on past the
-    # failing point, into overflow.
+    # N = 1 takes the stacked steps, N = 64 the direct ones.  The grid
+    # points are checked after the whole grid has been stepped, past the
+    # failing point and into overflow.
     grid = np.linspace(0.0, 20.0, 101)
     taken = _step_forms(monkeypatch)
     for n, amplitude in ((1, 1000.0), (64, 200.0)):
@@ -497,10 +497,10 @@ def test_direct_form_roundoff_stays_at_the_stacked_forms(monkeypatch):
 
 
 def test_defect_checks_stay_within_memory():
-    # One step per interval puts 25 grid points in each block.  The checks
-    # gather R a chunk of at most _BLOCK_BYTES at a time, and the block's
-    # maps take at most _BLOCK_BYTES: here 1.6 MB over R, against 28 MB
-    # when a whole block's points were gathered at once.
+    # One step per interval puts 25 grid points in each block.  The check
+    # of the whole trajectory takes a chunk of at most _BLOCK_BYTES at a
+    # time, and a block's maps at most _BLOCK_BYTES: here 1.8 MB over R,
+    # against 28 MB when a whole block's points were gathered at once.
     spec = _coupled_spec(n=64)
     grid = np.linspace(0.0, 1.0, 101)
     integrate_R(spec, grid[:3], dt=0.01)  # first-call allocations
@@ -511,6 +511,25 @@ def test_defect_checks_stay_within_memory():
     finally:
         tracemalloc.stop()
     assert peak - traj.R.nbytes <= 2e6
+
+
+def test_defects_hold_one_chunk_at_a_time():
+    # At d = 130 a chunk is one matrix.  A call on several peaks as a call
+    # on one does; holding one chunk's R^T J and difference while building
+    # the next read 1.65 times the one-matrix peak.
+    J = symplectic_unit(64)
+    cols = propagate._signed_columns(J)
+    Rs = np.random.default_rng(3).standard_normal((6, 130, 130))
+    peaks = []
+    for stack in (Rs[:1], Rs):
+        propagate._defects(stack, J, *cols)  # first-call allocations
+        tracemalloc.start()
+        try:
+            propagate._defects(stack, J, *cols)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -577,6 +596,67 @@ def test_stacked_and_direct_forms_agree(
             assert not R[:, :2, 2:].any() and not R[:, 2:, :2].any()
     for R in flats:
         assert np.max(np.abs(powered - R)) <= 1e-11 * np.max(np.abs(R))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    couplings=st.sampled_from(("random", "rwa")),
+    seed=st.integers(0, 2**16),
+    omega0=st.floats(0.3, 3.0),
+    amplitude=st.floats(0.2, 1.5),
+    pulse=st.one_of(
+        st.builds(GaussianPulse, st.just(1.0), st.floats(0.0, 3.0),
+                  st.floats(0.2, 1.5)),
+        # the onset no later than t = 0, so that nu is smooth on the run
+        st.builds(ExpPulse, st.just(1.0), st.floats(-1.0, 0.0),
+                  st.floats(0.3, 2.0), st.floats(0.0, 1.0)),
+    ),
+    log2_dt=st.integers(-4, -3),
+    steps=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+)
+def test_symplectic_defect_of_every_form_falls_as_dt4(
+    n, couplings, seed, omega0, amplitude, pulse, log2_dt, steps
+):
+    # Grid points on multiples of dt = 2^-m, so that halving dt halves
+    # every step.  RK4's defect falls about 2^5 = 32 times per halving
+    # (31.4 to 32.0 over these draws, at defects of 2e-7 to 2e-3); a dt^4
+    # bound asks for 2^3 = 8, above a roundoff floor.
+    rng = np.random.default_rng(seed)
+    omegas = rng.uniform(0.3, 3.0, size=n)
+    if couplings == "random":
+        U, V, G, Z = random_couplings(n, scale=0.6, seed=seed)
+    else:
+        rho = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        U, V, G, Z = rwa_couplings(rho, omega0, omegas)
+    dt = 2.0**log2_dt
+    grid = dt * np.cumsum([0.0, *steps])
+    bath = BathSpec(omegas=omegas, U=U, V=V, G=G, Z=Z,
+                    nu=Affine(pulse, scale=amplitude))
+    spec = SystemSpec(
+        omega=Affine(GaussianPulse(1.0, 1.5, 0.5), scale=0.1, offset=omega0),
+        bath=bath, t_max=grid[-1],
+    )
+    const = dataclasses.replace(
+        spec, omega=Constant(omega0),
+        bath=dataclasses.replace(bath, nu=Constant(amplitude)),
+    )
+    forms = (
+        (spec, 10**9, "_composed_flow"),
+        (spec, 0, "_direct_steps"),
+        (const, 10**9, "_powered_flow"),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _step_forms(patch)
+        for case, min_dim, form in forms:
+            patch.setattr(propagate, "_DIRECT_MIN_DIM", min_dim)
+            taken.clear()
+            coarse, fine = (
+                integrate_R(case, grid, h, defect_limit=math.inf).max_defect
+                for h in (dt, dt / 2.0)
+            )
+            assert taken == [form] * 2
+            assert fine <= coarse / 8.0 + 1e-13, form
 
 
 # ---------------------------------------------------------------------------

