@@ -53,9 +53,7 @@ import numpy as np
 from .errors import IntegrationError
 from .perturb import NoiseSet
 from .profiles import TimeProfile, tabulate
-from .propagate import (
-    _check_grid, _resolving_step, frozen, linear_flow, scatter,
-)
+from .propagate import _check_grid, _resolving_step, linear_flow, scatter
 from .reduced import CentralGaussian
 
 __all__ = [
@@ -173,7 +171,8 @@ def _moment_run(
     """Moments on the grid, checked at every grid point.
     ``drift_diffusion(nodes)`` gives (a11, a12, a21, a22, d11, d12, d22)
     over the nodes: mean' = A mean and cov' = A cov + cov A^T + 2 D.
-    ``profiles`` are those it reads, none for tables (see ``frozen``)."""
+    ``profiles`` are those it reads, none for tables (see
+    :func:`~oscbath.propagate.linear_flow`)."""
 
     def entries(nodes: np.ndarray) -> tuple:
         a11, a12, a21, a22, d11, d12, d22 = drift_diffusion(nodes)
@@ -183,8 +182,8 @@ def _moment_run(
 
     C = initial.cov
     z = np.array([*initial.mean, C[0, 0], C[0, 1], C[1, 1], 1.0], float)
-    Z = linear_flow(z, ts, dt, *frozen(
-        np.zeros((6, 6)), scatter(_MOMENT_ENTRIES, entries), profiles))
+    Z = linear_flow(z, ts, dt, np.zeros((6, 6)),
+                    scatter(_MOMENT_ENTRIES, entries), profiles)
     bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
     if bad.size:
         t = float(ts[bad[0]])
@@ -323,10 +322,10 @@ def epsilon_solver(
         return (-(w2 + delta_dot - delta2),)
 
     eps, deps = linear_flow(
-        np.array([1.0 + 0.0j, 1j * model.omega0]), ts, dt, *frozen(
-            np.array([[0.0, 1.0], [0.0, 0.0]]),
-            scatter(((1,), (0,)), coefficients), (model.omega, model.gamma),
-        )).T.copy()
+        np.array([1.0 + 0.0j, 1j * model.omega0]), ts, dt,
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        scatter(((1,), (0,)), coefficients), (model.omega, model.gamma),
+    ).T.copy()
     # eps' eps* - eps'* eps = 2 i w with w = Im(eps' eps*); formed from
     # the parts, w rounds as the scalar complex products do (the array
     # complex product rounds differently), so the drift is theirs bitwise

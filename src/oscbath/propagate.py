@@ -25,6 +25,7 @@ every coupling term is a product with an exactly zero block.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -321,7 +322,7 @@ def _step_increments(
 def _compose(Q: np.ndarray) -> np.ndarray:
     """Increment of consecutive steps with increments Q[0], Q[1], ...,
     merging neighbours a, b pairwise, Q_ab = (Q_a + Q_b) + Q_b Q_a; each
-    Q[i] may also be a stack of several runs' increments."""
+    Q[i] may also be a stack of several parts' increments."""
     while len(Q) > 1:
         even = len(Q) - len(Q) % 2
         a, b = Q[0:even:2], Q[1:even:2]
@@ -331,7 +332,7 @@ def _compose(Q: np.ndarray) -> np.ndarray:
     return Q[0]
 
 
-def linear_flow(z, ts, dt, T, block_fill):
+def linear_flow(z, ts, dt, T, block_fill, profiles):
     """z' = A(t) z over the grid by RK4 at target step dt (the sub-steps of
     :func:`rk4_blocks`): z at every grid point, stacked as Z[i] at ts[i]
     with Z[0] = z.  z is a vector, or a matrix of such columns; the
@@ -341,13 +342,16 @@ def linear_flow(z, ts, dt, T, block_fill):
     sets: ``block(h, nodes)`` of a block's step lengths (B,) and stage
     nodes t + f h (B, len(fractions)) is the ``fill`` of
     :func:`_step_increments`.  The increments are composed per grid
-    interval and z advances by z += Q z.  With no fill A is T throughout,
-    and :func:`_powered_flow` powers the step map instead (:func:`frozen`
-    gives a constant generator that form).
+    interval and z advances by z += Q z.  When ``profiles``, those the
+    fill reads, are all exactly :class:`Constant`, A is constant: the fill
+    is written into a copy of T at h = 1 and :func:`_powered_flow` powers
+    the step map instead.
     """
-    if block_fill is None:
-        return _powered_flow(z, ts, dt, T)
-    return _composed_flow(z, ts, dt, T, *block_fill)
+    if not _constant(profiles):
+        return _composed_flow(z, ts, dt, T, *block_fill)
+    T = T.copy()
+    block_fill[1](np.ones(1), np.zeros((1, 1)))(0, T[None])
+    return _powered_flow(z, ts, dt, T)
 
 
 def _composed_flow(z, ts, dt, T, fractions, block):
@@ -358,20 +362,19 @@ def _composed_flow(z, ts, dt, T, fractions, block):
     for h, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
         fill = block(h, nodes.reshape(h.size, -1))
         Q = _step_increments(h, T, fill, work)
-        # the block's part of each grid interval; the parts of m steps are
-        # composed together, gathered as Q[step, part] (a lone part too)
-        cuts = sorted({0, *(np.flatnonzero(ends >= 0) + 1).tolist(), h.size})
-        parts = {}  # steps -> starts of the parts of that many steps
-        for lo, hi in zip(cuts, cuts[1:]):
-            parts.setdefault(hi - lo, []).append(lo)
-        C = {}
-        for m, starts in parts.items():
-            gathered = Q.take(np.add.outer(np.arange(m), starts), axis=0)
-            C.update(zip(starts, _compose(gathered)))
-        for lo, hi in zip(cuts, cuts[1:]):
-            z += C[lo] @ z
-            if ends[hi - 1] >= 0:
-                Z[ends[hi - 1]] = z
+        # the block's part of each grid interval; a run of consecutive
+        # parts of m steps each is composed together, from the view
+        # Q[step, part] (a lone part too)
+        cuts = [0, *(np.flatnonzero(ends[:-1] >= 0) + 1).tolist(), h.size]
+        lo = 0
+        for m, run in itertools.groupby(np.diff(cuts).tolist()):
+            k = len(list(run))
+            parts = Q[lo : lo + k * m].reshape(k, m, *T.shape).swapaxes(0, 1)
+            for C in _compose(parts):
+                lo += m
+                z += C @ z
+                if ends[lo - 1] >= 0:
+                    Z[ends[lo - 1]] = z
     return Z
 
 
@@ -398,17 +401,6 @@ def scatter(entries, coefficients):
 def _constant(profiles) -> bool:
     # an exact type test: a subclass may override value
     return bool(profiles) and all(type(p) is Constant for p in profiles)
-
-
-def frozen(T, block_fill, profiles):
-    """:func:`linear_flow`'s (T, block_fill), with the fill written into a
-    copy of T at h = 1 when ``profiles``, those the fill reads, are all
-    :class:`Constant`."""
-    if not _constant(profiles):
-        return T, block_fill
-    T = T.copy()
-    block_fill[1](np.ones(1), np.zeros((1, 1)))(0, T[None])
-    return T, None
 
 
 def _powered_flow(z, ts, dt, T):
@@ -593,8 +585,8 @@ def integrate_R(
                 out[:, :2, 2:] = hnu * L12
                 out[:, 2:, :2] = hnu * L21
 
-            Rs = linear_flow(np.eye(dim), ts[: reach + 1], dt, *frozen(
-                T, _generator_fill(spec, couple, errs), profiles))
+            Rs = linear_flow(np.eye(dim), ts[: reach + 1], dt, T,
+                             _generator_fill(spec, couple, errs), profiles)
         else:
             Rs = _direct_steps(np.eye(dim), ts[: reach + 1], dt, spec, errs)
         # none at R(0) = I; the points after a failing one may overflow
@@ -627,8 +619,8 @@ def free_central_R11(
     if dt is None:
         dt = default_time_step(spec)
     # generator [[0, -omega^2], [1, 0]] on the columns of R11
-    return linear_flow(np.eye(2), ts, dt, *frozen(
-        np.array([[0.0, 0.0], [1.0, 0.0]]),
+    return linear_flow(
+        np.eye(2), ts, dt, np.array([[0.0, 0.0], [1.0, 0.0]]),
         scatter(((0,), (1,)), lambda nodes: (-spec.omega.values(nodes) ** 2,)),
         (spec.omega,),
-    ))
+    )

@@ -969,7 +969,7 @@ def run_closure(
     nu = GaussianPulse(1.0, center=0.3 * t_max, width=0.06 * t_max)
     omegas = uniform_bath_frequencies(n_modes, 0.5, 2.0)
     fine = np.linspace(0.0, t_max, fine_points)
-    dt = (fine[1] - fine[0]) / 8.0
+    dt = np.diff(fine).max() / 8.0
     vacuum = CentralGaussian.vacuum()
 
     def gap_for(scale: float) -> float:

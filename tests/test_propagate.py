@@ -285,13 +285,18 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
     # interval ends and hold steps of different lengths; (b) N = 64, where
     # a stacked block would hold a single step; (c) and (d) the same kind
     # of run just below and at the switch to the direct steps, over
-    # several blocks.
+    # several blocks; (e) blocks of 256 steps holding runs of 8-step
+    # intervals broken by one of 3 steps, and an interval of 300 steps
+    # that spans both blocks.
     omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
     unequal = np.array([0.0, 0.013, 0.4, 1.75, 1.7501, 3.3, 6.0])
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
     assert _stacks(n_switch - 1) and not _stacks(n_switch)
+    # dt a power of two and grid points on its multiples: exact step counts
+    runs = 2.0**-7 * np.cumsum([0] + [8] * 10 + [3] + [8] * 5 + [300] + [8] * 4)
     cases = [
         (_coupled_spec(omega=omega), unequal, 3e-3),
+        (_coupled_spec(omega=omega), runs, 2.0**-7),
         (_coupled_spec(n=64, omega=omega), np.array([0.0, 0.05, 0.12]), 0.01),
         (_coupled_spec(n=n_switch - 1, omega=omega), unequal[:4], 3e-3),
         (_coupled_spec(n=n_switch, omega=omega), unequal[:4], 3e-3),
@@ -305,6 +310,29 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
         assert set(taken) == {form}
         got = np.array([state.R for state in traj])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_equal_intervals_are_composed_run_by_run(monkeypatch):
+    # closure's grid at N = 1: every interval takes 8 steps, so a block
+    # of 256 steps composes its head, its run of 8-step intervals and its
+    # tail, at most three _compose calls, not one per interval.
+    fine = np.linspace(0.0, 5.0, 801)
+    U, V, G, Z = random_couplings(1, scale=0.1, seed=9)
+    bath = BathSpec(omegas=[1.0], U=U, V=V, G=G, Z=Z,
+                    nu=GaussianPulse(1.0, 1.5, 0.3))
+    spec = SystemSpec(omega=Constant(1.0), bath=bath, t_max=5.0)
+    calls = {"_compose": 0, "_step_increments": 0}
+    for name in calls:
+        original = getattr(propagate, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(propagate, name, counting)
+    integrate_R(spec, fine, dt=np.diff(fine).max() / 8.0)
+    assert calls["_step_increments"] == 6400 // 256
+    assert calls["_compose"] <= 3 * calls["_step_increments"]
 
 
 def _flat(value: float, t_max: float) -> PiecewiseLinear:

@@ -20,6 +20,7 @@ from oscbath import (
 )
 from oscbath.cli import config_echo, main
 from oscbath.profiles import PROFILE_KINDS
+from oscbath.propagate import _schedule
 from oscbath.scenarios import (
     PARAMS,
     SCENARIOS,
@@ -268,10 +269,17 @@ def test_closure_extracts_each_trajectory_once(monkeypatch):
     integrate, extract = scenarios.integrate_R, scenarios.extract_reduced
     monkeypatch.setattr(scenarios, "integrate_R", propagating)
     monkeypatch.setattr(scenarios, "extract_reduced", extracting)
-    assert run_closure().passed
+    report = run_closure()
+    assert report.passed
     assert len(propagated) == 4
     assert len(extracted) == 4
     assert all(a is b for a, b in zip(extracted, propagated))
+    # the sub-step splits every interval of the fine grid into the 8 steps
+    # it was sized for, on the default 801 points and on 101
+    for points, rep in ((801, report), (101, run_closure(fine_points=101))):
+        fine = np.linspace(0.0, 5.0, points)
+        steps = _schedule(fine, rep.metadata["sub_step"])[0]
+        assert steps.tolist() == [8] * (points - 1)
 
 
 def test_closure_validation():
