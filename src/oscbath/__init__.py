@@ -54,13 +54,13 @@ from .propagate import (
 )
 from .reduced import (
     CentralGaussian,
+    MomentTrajectory,
     ReducedDynamics,
     damping_rate,
     evolve_gaussian,
     extract_reduced,
     noise_matrix,
     photon_number,
-    reduced_covariance,
 )
 from .perturb import (
     D_closed_form,
@@ -79,7 +79,6 @@ from .perturb import (
 from .langevin import (
     EpsilonSolution,
     LangevinModel,
-    MomentTrajectory,
     SampledMoments,
     diffusion_matrix,
     drift_matrix,

@@ -54,11 +54,10 @@ from .errors import IntegrationError
 from .perturb import NoiseSet
 from .profiles import TimeProfile, tabulate
 from .propagate import _check_grid, _resolving_step, linear_flow, scatter
-from .reduced import CentralGaussian
+from .reduced import CentralGaussian, MomentTrajectory
 
 __all__ = [
     "LangevinModel",
-    "MomentTrajectory",
     "EpsilonSolution",
     "SampledMoments",
     "drift_matrix",
@@ -137,31 +136,6 @@ def drift_matrix(model: LangevinModel, t: float) -> np.ndarray:
 
 def diffusion_matrix(model: LangevinModel, t: float) -> np.ndarray:
     return model.chi.diffusion(t)
-
-
-@dataclass(frozen=True)
-class MomentTrajectory:
-    """Moments on a grid, stacked: ``means`` (T, 2) and ``covs`` (T, 2, 2).
-    Indexing and iteration give the :class:`CentralGaussian` at a time."""
-
-    ts: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
-
-    def __len__(self) -> int:
-        return self.ts.size
-
-    def __getitem__(self, i: int) -> CentralGaussian:
-        return CentralGaussian(mean=self.means[i], cov=self.covs[i])
-
-    @property
-    def photons(self) -> np.ndarray:
-        """:func:`oscbath.reduced.photon_number` at each time."""
-        m, c = self.means, self.covs
-        return 0.5 * (
-            c[:, 0, 0] + c[:, 1, 1] + (m[:, 0] * m[:, 0] + m[:, 1] * m[:, 1])
-            - 1.0
-        )
 
 
 def _moment_run(

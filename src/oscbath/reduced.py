@@ -13,7 +13,8 @@ differencing:
     A(t)  = A11(t) + A12(t) R21 R11^{-1}
     2 D(t) = A12 (R22 - R21 R11^{-1} R12) F R12^T  + (transpose of the same)
 
-The damping rate is gamma(t) = -tr(A - A11)/2.  The complex noise kernel is
+The damping rate is gamma(t) = -tr(A - A11)/2, the mean of the diagonal
+of the drift correction mu = A12 R21 R11^{-1}.  The complex noise kernel is
 X = 2 D + i gamma K with K = [[0, 1], [-1, 0]]; its antisymmetric imaginary
 part is what preserves the canonical commutator under the reduced flow.
 """
@@ -25,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import PropagatorState, PropagatorTrajectory
+from .propagate import PropagatorTrajectory
 from .errors import IntegrationError
 from .system import SystemSpec, coupling_layout_12
 
 __all__ = [
     "CentralGaussian",
+    "MomentTrajectory",
     "ReducedDynamics",
-    "reduced_covariance",
     "evolve_gaussian",
     "noise_matrix",
     "damping_rate",
@@ -75,15 +76,50 @@ class CentralGaussian:
         return cls(mean=np.zeros(2), cov=0.5 * np.eye(2))
 
 
+def _photons(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """(cov_pp + cov_xx + |mean|^2 - 1) / 2 of one state or a stack."""
+    p, x = means[..., 0], means[..., 1]
+    return 0.5 * (covs[..., 0, 0] + covs[..., 1, 1] + (p * p + x * x) - 1.0)
+
+
+def photon_number(state: CentralGaussian) -> float:
+    """Mean quantum number (cov_pp + cov_xx + |mean|^2 - 1) / 2 at unit
+    reference frequency."""
+    return float(_photons(state.mean, state.cov))
+
+
+@dataclass(frozen=True)
+class MomentTrajectory:
+    """Moments on a grid, stacked: ``means`` (T, 2) and ``covs`` (T, 2, 2).
+    Indexing and iteration give the :class:`CentralGaussian` at a time."""
+
+    ts: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ts.size
+
+    def __getitem__(self, i: int) -> CentralGaussian:
+        return CentralGaussian(mean=self.means[i], cov=self.covs[i])
+
+    @property
+    def photons(self) -> np.ndarray:
+        """:func:`photon_number` at each time."""
+        return _photons(self.means, self.covs)
+
+
 @dataclass(frozen=True)
 class ReducedDynamics:
     """Local generator data of the reduced evolution, stacked over the
     points of a trajectory that extraction kept: ``ts`` (T,), the drift
-    ``A`` (T, 2, 2) and damping rate ``gamma`` (T,), and when a reservoir
+    correction ``mu`` = A12 R21 R11^{-1} and the drift ``A`` = A11 + mu
+    (T, 2, 2), the damping rate ``gamma`` (T,), and when a reservoir
     covariance was given the diffusion ``D``, the accumulated reservoir
     covariance ``Mstar`` (T, 2, 2) and the complex noise kernel ``X``."""
 
     ts: np.ndarray
+    mu: np.ndarray
     A: np.ndarray
     gamma: np.ndarray
     D: np.ndarray | None = None
@@ -94,19 +130,18 @@ class ReducedDynamics:
         return self.ts.size
 
 
-def reduced_covariance(state: PropagatorState, F: np.ndarray) -> np.ndarray:
-    """Reservoir-injected covariance M* = R12 F R12^T."""
-    return state.R12 @ F @ state.R12.T
-
-
 def evolve_gaussian(
-    initial: CentralGaussian, state: PropagatorState, F: np.ndarray
-) -> CentralGaussian:
-    """Reduced Gaussian state at the propagator's time."""
-    mean = state.R11 @ initial.mean
-    cov = state.R11 @ initial.cov @ state.R11.T + reduced_covariance(state, F)
-    cov = 0.5 * (cov + cov.T)
-    return CentralGaussian(mean=mean, cov=cov)
+    initial: CentralGaussian, traj: PropagatorTrajectory, F: np.ndarray
+) -> MomentTrajectory:
+    """Reduced Gaussian state at every point of ``traj``, in one stacked
+    pass: mean R11 m0 and covariance R11 C0 R11^T + R12 F R12^T,
+    symmetrized."""
+    R = traj.R
+    R11, R12 = R[:, :2, :2], R[:, :2, 2:]
+    covs = R11 @ initial.cov @ R11.transpose(0, 2, 1)
+    covs += R12 @ F @ R12.transpose(0, 2, 1)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    return MomentTrajectory(ts=traj.ts, means=R11 @ initial.mean, covs=covs)
 
 
 def _condition_numbers(M: np.ndarray) -> np.ndarray:
@@ -182,17 +217,17 @@ def extract_reduced(
     adj[:, 0, 1], adj[:, 1, 0] = -R11[:, 0, 1], -R11[:, 1, 0]
     det = R11[:, 0, 0] * R11[:, 1, 1] - R11[:, 0, 1] * R11[:, 1, 0]
     A12 = nu[:, None, None] * coupling_layout_12(spec.bath)
-    B = A12 @ R21 @ (adj / det[:, None, None])  # A12 R21 R11^{-1}
-    A = np.zeros_like(B)  # A11 = [[0, -w^2], [1, 0]]
+    mu = A12 @ R21 @ (adj / det[:, None, None])  # A12 R21 R11^{-1}
+    A = np.zeros_like(mu)  # A11 = [[0, -w^2], [1, 0]]
     A[:, 0, 1] = -w * w
     A[:, 1, 0] = 1.0
-    A += B
+    A += mu
     gamma = damping_rate(A)
     if F is None:
-        return ReducedDynamics(ts=ts, A=A, gamma=gamma)
+        return ReducedDynamics(ts=ts, mu=mu, A=A, gamma=gamma)
 
     M = A12 @ R[:, 2:, 2:]
-    M -= B @ R12
+    M -= mu @ R12
     R12F = R12 @ F
     R12T = R12.transpose(0, 2, 1)
     # The two terms are transposes of each other algebraically; computing
@@ -211,17 +246,6 @@ def extract_reduced(
         )
     D = 0.25 * (two_D + two_D.transpose(0, 2, 1))
     return ReducedDynamics(
-        ts=ts, A=A, gamma=gamma, D=D, Mstar=R12F @ R12T,
+        ts=ts, mu=mu, A=A, gamma=gamma, D=D, Mstar=R12F @ R12T,
         X=noise_matrix(D, gamma),
-    )
-
-
-def photon_number(state: CentralGaussian) -> float:
-    """Mean quantum number (cov_pp + cov_xx + |mean|^2 - 1) / 2 at unit
-    reference frequency."""
-    return 0.5 * (
-        state.cov[0, 0]
-        + state.cov[1, 1]
-        + float(state.mean @ state.mean)
-        - 1.0
     )

@@ -73,8 +73,6 @@ class BathSpec:
     temperature : float
         Reservoir temperature in units of the reference frequency; zero
         selects the ground state.
-    f_values : array, shape (N,), optional
-        Explicit per-mode coordinate variances overriding the thermal law.
     """
 
     omegas: np.ndarray
@@ -84,7 +82,6 @@ class BathSpec:
     Z: np.ndarray
     nu: TimeProfile = field(default_factory=lambda: Constant(0.0))
     temperature: float = 0.0
-    f_values: np.ndarray | None = None
 
     def __post_init__(self):
         omegas = _as_float_array(self.omegas, "omegas")
@@ -101,13 +98,6 @@ class BathSpec:
             object.__setattr__(self, name, arr)
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.f_values is not None:
-            f = _as_float_array(self.f_values, "f_values")
-            if f.size != n:
-                raise ValueError(f"f_values has length {f.size}, expected {n}")
-            if np.any(f <= 0.0):
-                raise ValueError("f_values must be strictly positive")
-            object.__setattr__(self, "f_values", f)
 
     @property
     def n(self) -> int:
@@ -202,10 +192,8 @@ def thermal_f_values(bath: BathSpec) -> np.ndarray:
     """Per-mode coordinate variances f_k of the reservoir state.
 
     Thermal law f = coth(omega / (2 T)) / (2 omega); the zero-temperature
-    limit is 1 / (2 omega).  Explicit overrides on the bath win.
+    limit is 1 / (2 omega).
     """
-    if bath.f_values is not None:
-        return bath.f_values.copy()
     w = bath.omegas
     if bath.temperature == 0.0:
         return 1.0 / (2.0 * w)

@@ -10,10 +10,10 @@ The package steps the same equations as stacked increments composed per
 grid interval (:func:`oscbath.propagate.linear_flow`), so it must agree
 with these loops to roundoff.
 
-Per-point extraction: the reduced drift and diffusion read off the
-propagator one grid point at a time, with the 2x2 inverse and condition
-number of R11 in closed form.  The package extracts all points of a
-trajectory in one stacked pass (:mod:`oscbath.reduced`).
+Per-point extraction: the reduced state, drift and diffusion read off
+the propagator one grid point at a time, with the 2x2 inverse and
+condition number of R11 in closed form.  The package forms all points of
+a trajectory in one stacked pass (:mod:`oscbath.reduced`).
 
 First-order bath response: the RK4 co-integration that builds the dense
 bath rotation at every stage; the package folds the rotation into a
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from oscbath import IntegrationError, MomentTrajectory
+from oscbath import CentralGaussian, IntegrationError, MomentTrajectory
 from oscbath.propagate import expm_bath
 from oscbath.reduced import _SKEW_TOL
 from oscbath.system import coupling_layout_21, symplectic_unit
@@ -220,6 +220,15 @@ def cond_2x2(M):
         return math.inf
     return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) ** 2 / (
         4.0 * abs(det)
+    )
+
+
+def gaussian_at(initial, state, F):
+    """Reduced Gaussian state at one propagator state: mean R11 m0 and
+    covariance R11 C0 R11^T + R12 F R12^T, symmetrized."""
+    cov = state.R11 @ initial.cov @ state.R11.T + state.R12 @ F @ state.R12.T
+    return CentralGaussian(
+        mean=state.R11 @ initial.mean, cov=0.5 * (cov + cov.T)
     )
 
 

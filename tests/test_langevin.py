@@ -437,7 +437,7 @@ def test_photon_trajectory_consistent_with_states():
 
 
 def test_photons_count_the_displacement():
-    # the stacked photon numbers against photon_number state by state,
+    # the stacked photon numbers equal photon_number state by state,
     # with a mean that rotates and decays
     m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.2), G=1.5)
     init = CentralGaussian(np.array([0.8, -0.3]), 0.6 * np.eye(2))
@@ -446,4 +446,4 @@ def test_photons_count_the_displacement():
     assert np.abs(out.means).max() > 0.3
     want = [photon_number(s) for s in out]
     assert len(want) == 11
-    np.testing.assert_allclose(out.photons, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(out.photons, want)

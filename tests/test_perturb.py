@@ -223,20 +223,19 @@ def test_drift_first_order_structure():
 
 
 def test_diffusion_closed_form_single_mode_frozen():
+    # the ground state at omega = 1: f = 1/2
     b = BathSpec(
-        omegas=[1.0], U=[0.0], V=[1.0], G=[0.0], Z=[0.0],
-        nu=Constant(1.0), f_values=[1.0],
+        omegas=[1.0], U=[0.0], V=[1.0], G=[0.0], Z=[0.0], nu=Constant(1.0),
     )
     dpp, dxx, dpx = D_closed_form(b, 2.0)
-    assert (dpp, dxx, dpx) == (pytest.approx(2.0), pytest.approx(0.0), pytest.approx(0.0))
+    assert (dpp, dxx, dpx) == (pytest.approx(1.0), pytest.approx(0.0), pytest.approx(0.0))
     b2 = BathSpec(
-        omegas=[1.0], U=[0.0], V=[1.0], G=[0.0], Z=[1.0],
-        nu=Constant(1.0), f_values=[1.0],
+        omegas=[1.0], U=[0.0], V=[1.0], G=[0.0], Z=[1.0], nu=Constant(1.0),
     )
     dpp, dxx, dpx = D_closed_form(b2, 2.0)
-    assert dpp == pytest.approx(2.0, abs=1e-15)
-    assert dxx == pytest.approx(2.0, abs=1e-15)
-    assert dpx == pytest.approx(-2.0, abs=1e-15)
+    assert dpp == pytest.approx(1.0, abs=1e-15)
+    assert dxx == pytest.approx(1.0, abs=1e-15)
+    assert dpx == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_diffusion_matrix_matches_closed_form_elements():

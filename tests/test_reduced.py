@@ -18,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oscbath import (
@@ -27,6 +29,7 @@ from oscbath import (
     Constant,
     GaussianPulse,
     IntegrationError,
+    MomentTrajectory,
     SystemSpec,
     build_A11,
     damping_rate,
@@ -36,7 +39,6 @@ from oscbath import (
     noise_matrix,
     photon_number,
     random_couplings,
-    reduced_covariance,
     thermal_F,
     uniform_bath_frequencies,
 )
@@ -84,6 +86,20 @@ def test_photon_number_examples():
     assert photon_number(displaced) == pytest.approx(0.5, abs=1e-15)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 5), min_size=1,
+                max_size=20))
+def test_photon_number_is_the_stacked_formula(states):
+    # rows (m_p, m_x, c_pp, c_px, c_xx): one state's number has the bits
+    # of the stacked number at its time
+    rows = np.array(states)
+    traj = MomentTrajectory(
+        ts=np.arange(len(rows), dtype=float), means=rows[:, :2],
+        covs=rows[:, (2, 3, 3, 4)].reshape(-1, 2, 2),
+    )
+    assert [photon_number(g) for g in traj] == traj.photons.tolist()
+
+
 def test_purity_bound_flags_unphysical_covariance():
     # the uncertainty bound det cov >= 1/4
     ok = CentralGaussian(mean=np.zeros(2), cov=0.5 * np.eye(2))
@@ -105,11 +121,11 @@ def test_marginal_matches_joint_block_propagation():
     Sigma0 = np.zeros((n, n))
     Sigma0[:2, :2] = init.cov
     Sigma0[2:, 2:] = F
-    for state in traj:
-        R = state.R
+    evo = evolve_gaussian(init, traj, F)
+    assert len(evo) == len(traj)
+    for R, cov in zip(traj.R, evo.covs):
         joint = R @ Sigma0 @ R.T
-        out = evolve_gaussian(init, state, F)
-        np.testing.assert_allclose(out.cov, joint[:2, :2], atol=1e-12)
+        np.testing.assert_allclose(cov, joint[:2, :2], atol=1e-12)
 
 
 def test_mean_transports_through_system_block():
@@ -117,8 +133,10 @@ def test_mean_transports_through_system_block():
     F = thermal_F(spec.bath)
     init = CentralGaussian(mean=np.array([0.3, -1.1]), cov=0.5 * np.eye(2))
     traj = integrate_R(spec, np.array([0.0, 2.0]), dt=2e-3)
-    out = evolve_gaussian(init, traj[-1], F)
-    np.testing.assert_allclose(out.mean, traj[-1].R11 @ init.mean, atol=0.0)
+    out = evolve_gaussian(init, traj, F)
+    np.testing.assert_allclose(
+        out.means[-1], traj[-1].R11 @ init.mean, atol=0.0
+    )
 
 
 def test_marginal_matches_classical_monte_carlo():
@@ -127,7 +145,7 @@ def test_marginal_matches_classical_monte_carlo():
     init = CentralGaussian.vacuum()
     traj = integrate_R(spec, np.array([0.0, 4.0]), dt=2e-3)
     state = traj[-1]
-    exact = evolve_gaussian(init, state, F)
+    exact = evolve_gaussian(init, traj, F)[-1]
 
     n = 2 * spec.bath.n + 2
     Sigma0 = np.zeros((n, n))
@@ -150,8 +168,9 @@ def test_reservoir_injection_grows_from_zero():
     spec = _spec()
     F = thermal_F(spec.bath)
     traj = integrate_R(spec, np.array([0.0, 2.0]), dt=2e-3)
-    assert np.all(reduced_covariance(traj[0], F) == 0.0)
-    M = reduced_covariance(traj[-1], F)
+    Mstar = extract_reduced(traj, spec, F).Mstar
+    assert np.all(Mstar[0] == 0.0)
+    M = Mstar[-1]
     assert np.trace(M) > 0.0
     np.testing.assert_allclose(M, M.T, atol=1e-15)
 
@@ -238,7 +257,7 @@ def test_stacked_extraction_matches_per_point_oracle(n, monkeypatch):
     np.testing.assert_array_equal(red.A, As)
     np.testing.assert_array_equal(red.D, Ds)
     for Mstar, state in zip(red.Mstar, traj):
-        np.testing.assert_array_equal(Mstar, reduced_covariance(state, F))
+        np.testing.assert_array_equal(Mstar, state.R12 @ F @ state.R12.T)
 
     # one skipped point: the one with the largest cond(R11)
     conds = [oracles.cond_2x2(state.R11) for state in traj]
@@ -269,6 +288,37 @@ def test_stacked_extraction_matches_per_point_oracle(n, monkeypatch):
     with pytest.raises(IntegrationError) as oracle_exc:
         _per_point(traj, spec, F_skew, COND_LIMIT)
     assert exc.value.t == oracle_exc.value.t > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+def test_stacked_gaussian_matches_per_point_oracle(n):
+    spec = _modulated_spec(n)
+    F = thermal_F(spec.bath)
+    init = CentralGaussian(
+        mean=np.array([0.3, -1.1]), cov=np.array([[0.7, 0.1], [0.1, 0.4]])
+    )
+    traj = integrate_R(spec, np.linspace(0.0, 3.0, 13))
+    evo = evolve_gaussian(init, traj, F)
+    np.testing.assert_array_equal(evo.ts, traj.ts)
+    assert len(evo) == len(traj)
+    for state, mean, cov in zip(traj, evo.means, evo.covs):
+        want = oracles.gaussian_at(init, state, F)
+        np.testing.assert_array_equal(mean, want.mean)
+        np.testing.assert_array_equal(cov, want.cov)
+
+
+def test_drift_correction_is_the_drift_less_its_free_block():
+    spec = _modulated_spec(4)
+    traj = integrate_R(spec, np.linspace(0.0, 3.0, 13))
+    red = extract_reduced(traj, spec)
+    diag = (slice(None), [0, 1], [0, 1])
+    np.testing.assert_array_equal(red.mu[diag], red.A[diag])
+    assert np.abs(red.mu).max() > 0.0
+    # A - mu is A11 = [[0, -w^2], [1, 0]] within one ulp
+    w = spec.omega.values(red.ts)
+    A11 = np.zeros_like(red.A)
+    A11[:, 0, 1], A11[:, 1, 0] = -w * w, 1.0
+    assert np.all(np.abs(red.A - red.mu - A11) <= np.spacing(np.abs(A11)))
 
 
 def test_ill_conditioned_points_are_skipped_with_a_warning(monkeypatch):
@@ -311,11 +361,11 @@ def test_extraction_satisfies_covariance_transport():
     traj = integrate_R(spec, fine, dt=2e-3)
     red = extract_reduced(traj, spec, F)
     assert len(red) == fine.size
-    evo = [evolve_gaussian(init, s, F) for s in traj]
+    covs = evolve_gaussian(init, traj, F).covs
     h = fine[1] - fine[0]
     for k in range(5, 396, 40):
-        dcov = (evo[k + 1].cov - evo[k - 1].cov) / (2.0 * h)
-        rhs = red.A[k] @ evo[k].cov + evo[k].cov @ red.A[k].T + 2.0 * red.D[k]
+        dcov = (covs[k + 1] - covs[k - 1]) / (2.0 * h)
+        rhs = red.A[k] @ covs[k] + covs[k] @ red.A[k].T + 2.0 * red.D[k]
         np.testing.assert_allclose(dcov, rhs, atol=1e-4)
 
 

@@ -132,6 +132,27 @@ def test_short_time_control_breaks_symmetry():
     assert control > 2.0 * factorized
 
 
+def test_short_time_rungs_take_the_steps_they_were_sized_for(monkeypatch):
+    # every interval of every rung's grid takes the same number of steps,
+    # 4000 per rung: 40 per interval at the default 101 points, 100 at 41
+    from oscbath import scenarios
+
+    calls = []
+    original = scenarios.integrate_R
+
+    def recording(spec, grid, dt=None, **kwargs):
+        calls.append((grid, dt))
+        return original(spec, grid, dt=dt, **kwargs)
+
+    monkeypatch.setattr(scenarios, "integrate_R", recording)
+    assert run_short_time_convergence().passed
+    assert small_short_time().passed
+    assert len(calls) == 6
+    for (grid, dt), per_interval in zip(calls, [40] * 4 + [100] * 2):
+        steps = _schedule(grid, dt)[0]
+        assert steps.tolist() == [per_interval] * (grid.size - 1)
+
+
 def test_short_time_deterministic():
     a = small_short_time()
     b = small_short_time()

@@ -176,13 +176,14 @@ def test_thermal_f_matches_direct_formula():
     np.testing.assert_allclose(thermal_f_values(bath), want, rtol=1e-14)
 
 
-def test_thermal_F_layout_and_override():
+def test_thermal_F_layout():
     bath = BathSpec(
         omegas=[0.5, 2.0], U=[0, 0], V=[0, 0], G=[0, 0], Z=[0, 0],
-        nu=Constant(0.0), f_values=[0.9, 0.7],
+        nu=Constant(0.0), temperature=0.0,
     )
     F = thermal_F(bath)
-    want = np.diag([0.25 * 0.9, 4.0 * 0.7, 0.9, 0.7])
+    # f = 1 / (2 omega) = [1, 1/4]; momenta take omega^2 f
+    want = np.diag([0.25 * 1.0, 4.0 * 0.25, 1.0, 0.25])
     np.testing.assert_allclose(F, want, atol=0.0)
 
 
@@ -251,8 +252,6 @@ def test_bath_rejects_bad_inputs():
         BathSpec(omegas=[1.0, 2.0], **kw)
     with pytest.raises(ValueError, match="temperature"):
         BathSpec(omegas=[1.0], temperature=-0.1, **kw)
-    with pytest.raises(ValueError, match="f_values"):
-        BathSpec(omegas=[1.0], f_values=[1.0, 2.0], **kw)
 
 
 def test_system_rejects_negative_drive():
