@@ -6,15 +6,16 @@ block of steps at a time: the frequency and coupling profiles are
 tabulated on the stage nodes of the whole block, then the block's steps
 are built at once.  The same RK4 map is taken in one of two forms:
 
-- below ``_DIRECT_MIN_DIM`` (small baths), and for a constant generator
-  at any size, by :func:`linear_flow`, the core that also steps the local
-  model: the increments Q = P - I of a block's steps are stacked (B, d, d)
-  products, composed per grid interval, or, when the frequency and the
-  coupling are exactly :class:`Constant`, one power of the step map per
-  interval;
-- otherwise (wide baths) each step applies the map in factored form: a
-  closed-form 2x2 per bath mode plus a coupling update of rank <= 8, at
-  one 10 x d x d product per step instead of four d^3 products.
+- below ``_DIRECT_MIN_DIM`` (d < 28, baths of up to 12 modes), and for a
+  constant generator at any size, by :func:`linear_flow`, the core that
+  also steps the local model: the increments Q = P - I of a block's steps
+  are stacked (B, d, d) products, composed per grid interval, or, when the
+  frequency and the coupling are exactly :class:`Constant`, one power of
+  the step map per interval;
+- otherwise (13 modes or more, rwa-check's 16 among them) each step
+  applies the map in factored form: a closed-form 2x2 per bath mode plus
+  a coupling update of rank <= 8, at one 10 x d x d product per step
+  instead of four d^3 products.
 
 Each form returns R at every grid point as one stacked array.  The
 symplectic defect || R^T J R - J ||_F of every grid point is then checked
@@ -66,11 +67,21 @@ _BLOCK_STEPS = 256
 _SCHEDULE_STEPS = 1024
 # From this dimension d = 2N + 2 on, steps apply the factored map (one
 # 10 x d x d product per step) instead of stacking dense increments (four
-# d^3 products per step).  On a 2-core host with OpenBLAS 0.3 the forms
-# cross between d = 28 and 32 (60 intervals of 70 steps, min of 5 runs);
-# the factored map won every run at d = 32 and from d = 36 on.  d = 34,
-# rwa-check's, stays on the stacked increments.
-_DIRECT_MIN_DIM = 36
+# d^3 products per step).  The value is the smallest even d at which the
+# factored map won on all three step shapes of the scenarios: a 61-point
+# grid at 8, 40 and 67 steps per interval (closure, short-time-convergence
+# and rwa-check).  Time in the form, us per step, stacked / factored, min
+# of 7 alternating runs on a 2-core host with OpenBLAS 0.3:
+#
+#     d    8 steps        40 steps       67 steps
+#     26   17.6 / 20.8    11.5 / 13.3    12.0 / 12.3
+#     28   13.4 / 12.8    13.4 / 12.3    13.1 / 12.1
+#     30   14.9 / 13.1    14.3 / 12.4    14.3 / 12.3
+#     34   18.9 / 13.6    18.9 / 13.0    18.8 / 13.1
+#
+# In five such sweeps the factored map won every shape at d = 28, by
+# 0.2-18 %, and lost at least two of the three at d = 26.
+_DIRECT_MIN_DIM = 28
 
 
 @dataclass(frozen=True)
@@ -299,9 +310,9 @@ def _step_increments(
     """
     K1, G, X, K, Q = (a[: h.size] for a in work)
 
-    def next_stage(j: int, prev: np.ndarray, c: float) -> np.ndarray:
-        # h A(t_j) + h A(t_j) (c prev), into K
-        np.multiply(prev, c, out=X)
+    def next_stage(j: int, prev: np.ndarray) -> np.ndarray:
+        # h A(t_j) + h A(t_j) (prev / 2), into K
+        np.multiply(prev, 0.5, out=X)
         fill(j, G)
         np.matmul(G, X, out=K)
         return np.add(K, G, out=K)
@@ -309,12 +320,16 @@ def _step_increments(
     np.multiply(h[:, None, None], T, out=G)
     np.copyto(K1, G)
     fill(0, K1)
-    np.multiply(next_stage(1, K1, 0.5), 2.0, out=Q)
+    np.multiply(next_stage(1, K1), 2.0, out=Q)
     Q += K1
-    next_stage(2, K, 0.5)
+    next_stage(2, K)
     Q += K
     Q += K
-    Q += next_stage(3, K, 1.0)
+    # K4 into X: K3 enters unscaled, so the product reads it in K
+    fill(3, G)
+    np.matmul(G, K, out=X)
+    X += G
+    Q += X
     Q /= 6.0
     return Q
 
@@ -505,17 +520,21 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     Rs = np.empty((len(ts),) + R.shape)
     Rs[0] = R = R.copy()  # advanced in place
     n, dim = omega2.size, R.shape[0]
-    # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the stacks of
-    # _step_increments and two (d - 2, d) buffers are reused every block
+    # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the maps, the
+    # stacks of _step_increments and two (d - 2, d) buffers are reused
+    # every block, so the maps' product needs no stack of its own
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (80 * dim)))
     stacks = np.empty((5, steps, 18, 18))
+    maps = np.empty((steps, 10, dim))
     inc, rot = np.empty((2, dim - 2, dim))
     modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)  # views, as R is
     rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)  # C-ordered
     for hs, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
         fill = block(hs, nodes.reshape(hs.size, -1))
         Q = _step_increments(hs, T, fill, stacks)[:, :10]
-        Psi = np.concatenate((Q[:, :, :2], Q[:, :, 10:] @ Lstack), axis=2)
+        Psi = maps[: hs.size]
+        Psi[:, :, :2] = Q[:, :, :2]
+        np.matmul(Q[:, :, 10:], Lstack, out=Psi[:, :, 2:])
         # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]] on
         # (p_k, x_k), applied to the (N, 2, d) views of the bath rows
         z2 = hs[:, None] ** 2 * omega2

@@ -26,6 +26,7 @@ from oscbath import (
     PiecewiseLinear,
     SystemSpec,
     UnsupportedFormError,
+    bath_from_rwa,
     default_time_step,
     expm_bath,
     free_central_R11,
@@ -488,7 +489,7 @@ def test_profile_warnings_reach_the_caller(monkeypatch):
 
 
 def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
-    # One case per form; at d = 36 the direct form checks several grid
+    # One case per form; at d = 28 the direct form checks several grid
     # points per chunk and at d = 130 one.
     grid = np.linspace(0.0, 3.0, 13)
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
@@ -512,16 +513,32 @@ def test_direct_form_roundoff_stays_at_the_stacked_forms(monkeypatch):
     # The direct form adds each step's increment to R: here 1.3e-15 of
     # max|R| from the stacked form after 800 steps.  Taking R <- P R
     # instead, with the mode rotation's alpha in place of alpha - 1, moved
-    # R 2.1e-14.
+    # R 2.1e-14.  The second case is rwa-check's first extraction run, the
+    # d = 34 run of a default scenario that the direct form steps: 4,020
+    # steps, 4.3e-15 of max|R|.
     omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
-    spec = _coupled_spec(n=16, omega=omega)
-    grid = np.linspace(0.0, 5.0, 101)
-    runs = []
-    for min_dim in (10**9, 0):
-        monkeypatch.setattr(propagate, "_DIRECT_MIN_DIM", min_dim)
-        runs.append(integrate_R(spec, grid, dt=0.05 / 8).R)
-    stacked, direct = runs
-    assert np.max(np.abs(direct - stacked)) <= 1e-14 * np.max(np.abs(stacked))
+    t_pulse = 0.05 / 3.0
+    rwa = SystemSpec(
+        omega=Constant(1.0),
+        bath=bath_from_rwa(
+            np.full(16, 0.3 + 0.2j), uniform_bath_frequencies(16, 0.2, 3.0),
+            GaussianPulse(1.0, 0.5 * t_pulse, t_pulse / 6.0), 1.0, 0.5,
+        ),
+        t_max=1.1 * t_pulse,
+    )
+    cases = [
+        (_coupled_spec(n=16, omega=omega), np.linspace(0.0, 5.0, 101),
+         0.05 / 8),
+        (rwa, np.linspace(0.0, t_pulse, 61), t_pulse / 4000.0),
+    ]
+    for spec, grid, dt in cases:
+        runs = []
+        for min_dim in (10**9, 0):
+            monkeypatch.setattr(propagate, "_DIRECT_MIN_DIM", min_dim)
+            runs.append(integrate_R(spec, grid, dt=dt).R)
+        stacked, direct = runs
+        assert (np.max(np.abs(direct - stacked))
+                <= 1e-14 * np.max(np.abs(stacked)))
 
 
 def test_defect_checks_stay_within_memory():
