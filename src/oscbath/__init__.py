@@ -10,12 +10,7 @@ commutator-preserving noise set); and exercises a phenomenological damped
 oscillator model with an asymmetric damping split against those results.
 """
 
-from .errors import (
-    ConfigError,
-    IntegrationError,
-    ProfileDomainError,
-    UnsupportedFormError,
-)
+from .errors import ConfigError, IntegrationError, ProfileDomainError
 from .profiles import (
     Affine,
     Constant,
@@ -32,7 +27,6 @@ from .system import (
     BathSpec,
     SystemSpec,
     bath_from_rwa,
-    build_A11,
     build_A22,
     coupling_layout_12,
     coupling_layout_21,
@@ -50,7 +44,6 @@ from .propagate import (
     expm_bath,
     free_central_R11,
     integrate_R,
-    symplectic_defect,
 )
 from .reduced import (
     CentralGaussian,
@@ -66,11 +59,7 @@ from .perturb import (
     D_closed_form,
     MuMatrix,
     NoiseSet,
-    R12_first_order,
-    R21_first_order,
     coupling_profiles,
-    diffusion_first_order,
-    drift_first_order,
     min_noise_set,
     mu_elements,
     mu_single_factor,
@@ -82,7 +71,6 @@ from .langevin import (
     SampledMoments,
     diffusion_matrix,
     drift_matrix,
-    effective_frequency_squared,
     effective_frequency_terms,
     epsilon_solver,
     evolve_moments,

@@ -1,15 +1,10 @@
 """Exception types shared across the package."""
 
-__all__ = ["ProfileDomainError", "UnsupportedFormError", "IntegrationError",
-           "ConfigError"]
+__all__ = ["ProfileDomainError", "IntegrationError", "ConfigError"]
 
 
 class ProfileDomainError(ValueError):
     """Time argument lies outside a profile's declared domain."""
-
-
-class UnsupportedFormError(ValueError):
-    """Input matrix lacks the structure a closed form requires."""
 
 
 class IntegrationError(RuntimeError):

@@ -22,7 +22,8 @@ x = eps(t) exp(-int gamma) turns the damped equation into
     omega_ef^2 = omega^2 + delta' - delta^2,    delta = (gamma_x - gamma_p)/2,
 
 so an asymmetric split (y != 0) shifts the effective frequency through
-delta' even when the mean damping is unchanged.  A jump in gamma would make
+delta' even when the mean damping is unchanged.  For y = 0, delta and
+delta' vanish and omega_ef^2 is exactly omega^2.  A jump in gamma would make
 delta' distributional, hence discontinuous gamma profiles are rejected
 whenever y != 0; callers must smooth them (finite rise times).
 
@@ -37,10 +38,14 @@ every grid point as one stacked array, and each run checks its invariant
 coefficients are tabulated on the stage nodes of a block of steps, each
 profile once per node set; when omega and gamma are both exactly
 :class:`Constant` the generator is fixed and each grid interval is one
-power of the RK4 map.
+power of the RK4 map.  Every coefficient is evaluated on an array of
+times: :func:`effective_frequency_terms` gives (omega^2, delta', delta^2)
+at each time (a scalar counts as one time), and ``_drift_diffusion`` the
+drift and diffusion entries at each node.
+
 The trajectory sampler is Euler-Maruyama driven by counter-based random
 substreams, one per trajectory, so results are bit-reproducible for a
-given seed.
+given seed.  No scenario runs it yet.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ __all__ = [
     "diffusion_matrix",
     "evolve_moments",
     "evolve_moments_tabulated",
-    "effective_frequency_squared",
     "effective_frequency_terms",
     "epsilon_solver",
     "sample_trajectories",
@@ -247,15 +251,6 @@ def effective_frequency_terms(
     return w * w, delta_dot, delta * delta
 
 
-def effective_frequency_squared(model: LangevinModel, t: float) -> float:
-    """omega_ef^2(t) = omega^2 + delta' - delta^2 at one time.
-
-    For y = 0 this is exactly omega^2(t): delta and delta' are zeros.
-    """
-    w2, delta_dot, delta2 = effective_frequency_terms(model, t)
-    return float(w2[0] + delta_dot[0] - delta2[0])
-
-
 @dataclass(frozen=True)
 class EpsilonSolution:
     """Complex amplitude solution with its conservation diagnostic."""
@@ -264,9 +259,6 @@ class EpsilonSolution:
     eps: np.ndarray       # complex amplitudes
     eps_dot: np.ndarray   # complex derivatives
     wronskian_drift: float
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.eps)
 
 
 def epsilon_solver(

@@ -1,11 +1,12 @@
-"""Short-time perturbation theory for the reduced drift and diffusion.
+"""Short-time closed forms for the reduced drift and diffusion.
 
 To first order in the coupling the bath response block is
 
     R21(t) = exp(A22 t) int_0^t exp(-A22 tau) A21(tau) R11free(tau) dtau,
 
 and on windows short compared with every mode period the free rotations
-drop out, leaving the drift correction
+drop out, so R21 ~ int_0^t A21 and the central response R12 ~ int_0^t A12.
+The drift A11 + A12 R21 R11^-1 then carries the correction
 
     mu(t) = A12(t) int_0^t A21(tau) dtau
 
@@ -29,6 +30,10 @@ diagonal reservoir covariance, and for excitation-exchange couplings the
 cross diffusion vanishes while D_pp = omega0^2 D_xx.  The minimum
 commutator-preserving noise set then has equal damping rates and
 chi_pp = omega0^2 chi_xx = gamma omega0 G with G = coth(omega0 / 2T) >= 1.
+
+The blocks R12 and R21 themselves are not formed here: the scenarios
+compare these closed forms with the drift and diffusion that
+:func:`oscbath.reduced.extract_reduced` reads off the exact propagator.
 """
 
 from __future__ import annotations
@@ -40,16 +45,8 @@ from typing import Sequence
 import numpy as np
 
 from .profiles import Affine, TimeProfile, lambda_factor
-from .propagate import default_time_step, expm_bath, free_central_R11
 from .reduced import noise_matrix
-from .system import (
-    BathSpec,
-    SystemSpec,
-    build_A11,
-    coupling_layout_12,
-    coupling_layout_21,
-    thermal_f_values,
-)
+from .system import BathSpec, thermal_f_values
 
 __all__ = [
     "MuMatrix",
@@ -57,10 +54,6 @@ __all__ = [
     "coupling_profiles",
     "mu_elements",
     "mu_single_factor",
-    "R21_first_order",
-    "R12_first_order",
-    "drift_first_order",
-    "diffusion_first_order",
     "D_closed_form",
     "min_noise_set",
     "thermal_G",
@@ -76,17 +69,6 @@ class MuMatrix:
     mu_px: float
     mu_xp: float
     mu_xx: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.mu_pp, self.mu_px], [self.mu_xp, self.mu_xx]])
-
-    @property
-    def gamma_p(self) -> float:
-        return -self.mu_pp
-
-    @property
-    def gamma_x(self) -> float:
-        return -self.mu_xx
 
 
 def coupling_profiles(
@@ -154,61 +136,6 @@ def mu_single_factor(bath: BathSpec, t: float) -> MuMatrix:
     return MuMatrix(t=t, mu_pp=d, mu_px=0.0, mu_xp=0.0, mu_xx=d)
 
 
-def R21_first_order(spec: SystemSpec, t: float) -> np.ndarray:
-    """First-order bath response block (2N x 2).
-
-    Composite Simpson on the response integral at the step of
-    :func:`default_time_step`, with the free central propagator from
-    :func:`free_central_R11` at the nodes.  exp(-A22 tau) rotates mode k
-    by [[c, w s], [-s / w, c]], c, s = cos, sin(w_k tau), so the weighted
-    sum over nodes folds into two 2x2 sums per mode, C_k and S_k, before
-    the coupling rows are applied; the closed-form bath rotation follows.
-    """
-    bath = spec.bath
-    if t == 0.0:
-        return np.zeros((2 * bath.n, 2))
-    dt = default_time_step(spec)
-    m = math.ceil(t / dt)
-    nodes = np.linspace(0.0, t, 2 * m + 1)
-    R11 = free_central_R11(spec, nodes, dt).reshape(-1, 4)
-    # Simpson weights (1, 4, 2, ..., 4, 1) h / 6 on panels of width h = t/m
-    a = bath.nu.values(nodes) * (t / (6.0 * m))
-    a[1::2] *= 4.0
-    a[2:-1:2] *= 2.0
-    wt = nodes[:, None] * bath.omegas
-    C = ((np.cos(wt) * a[:, None]).T @ R11).reshape(-1, 2, 2)
-    S = ((np.sin(wt) * a[:, None]).T @ R11).reshape(-1, 2, 2)
-    L21 = coupling_layout_21(bath)[:, None, :]
-    up, lo = L21[: bath.n], L21[bath.n :]  # (-U_k, -G_k) and (Z_k, V_k)
-    w = bath.omegas[:, None, None]
-    Y = np.concatenate((up @ C + w * (lo @ S), lo @ C - (up @ S) / w))
-    return expm_bath(bath.omegas, t) @ Y[:, 0, :]
-
-
-def R12_first_order(spec: SystemSpec, t: float) -> np.ndarray:
-    """Short-time central response block: int_0^t A12(tau) dtau, exact via
-    the profile integral."""
-    area = spec.bath.nu.integral(0.0, t)
-    return area * coupling_layout_12(spec.bath)
-
-
-def drift_first_order(spec: SystemSpec, t: float) -> np.ndarray:
-    """Free drift plus the short-time correction mu(t)."""
-    return build_A11(spec, t) + mu_single_factor(spec.bath, t).as_matrix()
-
-
-def diffusion_first_order(spec: SystemSpec, F: np.ndarray, t: float) -> np.ndarray:
-    """Short-time diffusion 2 D = A12(t) F Int(A12)^T + transpose, for a
-    general (not necessarily diagonal) reservoir covariance."""
-    L12 = coupling_layout_12(spec.bath)
-    A12_t = spec.bath.nu.value(t) * L12
-    I12 = spec.bath.nu.integral(0.0, t) * L12
-    term1 = A12_t @ F @ I12.T
-    term2 = I12 @ F @ A12_t.T
-    two_D = term1 + term2
-    return 0.25 * (two_D + two_D.T)
-
-
 def D_closed_form(bath: BathSpec, t: float) -> tuple[float, float, float]:
     """Closed-form short-time diffusion (D_pp, D_xx, D_px) from the bath's
     own diagonal reservoir state, f_k from :func:`thermal_f_values`:
@@ -216,8 +143,7 @@ def D_closed_form(bath: BathSpec, t: float) -> tuple[float, float, float]:
         D_xx =  lambda sum_k f_k (omega_k^2 Z_k^2 + U_k^2)
         D_px = -lambda sum_k f_k (omega_k^2 V_k Z_k + G_k U_k)
     For excitation-exchange couplings D_px vanishes and
-    D_pp = omega0^2 D_xx.  Any other reservoir covariance F takes
-    :func:`diffusion_first_order`.
+    D_pp = omega0^2 D_xx.
     """
     f = thermal_f_values(bath)
     lam = lambda_factor(bath.nu, t)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, UnsupportedFormError
+from .errors import IntegrationError
 from .profiles import Constant
 from .system import SystemSpec, build_A22, coupling_layout_12, coupling_layout_21, symplectic_unit
 
@@ -43,7 +43,6 @@ __all__ = [
     "integrate_R",
     "free_central_R11",
     "default_time_step",
-    "symplectic_defect",
     "DEFECT_HARD_LIMIT",
 ]
 
@@ -133,24 +132,20 @@ class PropagatorTrajectory:
 
 
 def _signed_columns(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and value of the one non-zero of each column of J.
+    """Row and value of the one non-zero of each column of the symplectic
+    unit J of :func:`symplectic_unit`.
 
-    A symplectic unit is a signed permutation, so R^T J is the columns of
-    R^T picked by ``rows`` and scaled by ``vals``.
+    J is a signed permutation, so R^T J is the columns of R^T picked by
+    ``rows`` and scaled by ``vals``.
     """
-    cols = np.arange(J.shape[1])
     rows = np.argmax(J != 0.0, axis=0)
-    vals = J[rows, cols]
-    if np.count_nonzero(J) != np.count_nonzero(vals):
-        raise UnsupportedFormError(
-            "J must hold at most one non-zero entry per column"
-        )
-    return rows, vals
+    return rows, J[rows, np.arange(J.shape[1])]
 
 
 def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
-    """Symplectic defects of a (B, d, d) stack of R, and whether each R is
-    finite, a chunk of at most _BLOCK_BYTES at a time."""
+    """Symplectic defects || R^T J R - J ||_F of a (B, d, d) stack of R,
+    and whether each R is finite, a chunk of at most _BLOCK_BYTES at a
+    time; ``rows`` and ``vals`` are :func:`_signed_columns` of J."""
     out, finite = np.empty(len(Rs)), np.empty(len(Rs), dtype=bool)
     step = max(1, _BLOCK_BYTES // (8 * J.size))
     for lo in range(0, len(Rs), step):
@@ -166,13 +161,6 @@ def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
         out[lo : lo + step] = np.sqrt(np.vecdot(M, M))
         del RtJ, M  # so that one chunk's arrays are held at a time
     return out, finite
-
-
-def symplectic_defect(R: np.ndarray, J: np.ndarray) -> float:
-    """Frobenius norm of R^T J R - J, for J with one non-zero per column
-    (every symplectic unit); raises :class:`UnsupportedFormError` for any
-    other J."""
-    return float(_defects(R[None], J, *_signed_columns(J))[0][0])
 
 
 def expm_bath(omegas: np.ndarray, t: float) -> np.ndarray:

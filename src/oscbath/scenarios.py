@@ -172,9 +172,6 @@ class ScenarioReport:
                 return v
         raise KeyError(f"no verdict named {name!r}")
 
-    def table_column(self, table: str, column: str) -> list[float]:
-        return self.tables[table][column]
-
 
 # ---------------------------------------------------------------------------
 # parameter tables

@@ -30,7 +30,6 @@ from .profiles import Constant, TimeProfile
 __all__ = [
     "BathSpec",
     "SystemSpec",
-    "build_A11",
     "build_A22",
     "coupling_layout_12",
     "coupling_layout_21",
@@ -109,9 +108,10 @@ class SystemSpec:
     """Central oscillator profile plus bath, validated on a run window.
 
     ``omega`` must stay positive on [0, t_max], and ``nu`` non-negative;
-    the reference frequency is omega(0) itself.  Positivity is checked by
-    sampling, which is exact for the parametric profile kinds used in
-    practice.
+    the reference frequency is omega(0) itself.  Both are checked only at
+    1001 evenly spaced times (``_VALIDATION_SAMPLES``), so a dip narrower
+    than their spacing passes unseen; ROADMAP item 11 (profiles that
+    declare their bounds) would make the check exact.
     """
 
     omega: TimeProfile
@@ -134,12 +134,6 @@ class SystemSpec:
                     f"omega(t) must stay positive; fails near t={ts[i]}"
                 )
             raise ValueError(f"nu(t) must be non-negative; fails near t={ts[i]}")
-
-
-def build_A11(spec: SystemSpec, t: float) -> np.ndarray:
-    """Central block [[0, -omega(t)^2], [1, 0]] in (p0, x0) ordering."""
-    w = spec.omega.value(t)
-    return np.array([[0.0, -w * w], [1.0, 0.0]])
 
 
 def build_A22(bath: BathSpec) -> np.ndarray:
@@ -173,7 +167,9 @@ def coupling_layout_21(bath: BathSpec) -> np.ndarray:
 
 
 def symplectic_unit(n_bath: int) -> np.ndarray:
-    """Block-diagonal symplectic unit for the (p0, x0, p_k.., x_k..) ordering."""
+    """Block-diagonal symplectic unit for the (p0, x0, p_k.., x_k..)
+    ordering: a signed permutation, one non-zero of +-1 per column, which
+    the propagator's defect check relies on."""
     dim = 2 * n_bath + 2
     J = np.zeros((dim, dim))
     J[0, 1] = -1.0

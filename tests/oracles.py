@@ -16,8 +16,15 @@ condition number of R11 in closed form.  The package forms all points of
 a trajectory in one stacked pass (:mod:`oscbath.reduced`).
 
 First-order bath response: the RK4 co-integration that builds the dense
-bath rotation at every stage; the package folds the rotation into a
-Simpson sum mode by mode (:func:`oscbath.perturb.R21_first_order`).
+bath rotation at every stage, the first-order part of the R21 that
+:func:`oscbath.propagate.integrate_R` steps exactly.
+
+Short-time diffusion for a general reservoir covariance F, the matrix
+route that :func:`oscbath.perturb.D_closed_form` sums in closed form for
+the bath's own diagonal state.
+
+Effective frequency at one time, summed from the stacked terms of
+:func:`oscbath.langevin.effective_frequency_terms`.
 
 Dense generator: J B(t), with the Hessian B(t) of the quadratic
 Hamiltonian written term by term; the package builds only the blocks its
@@ -31,9 +38,14 @@ import math
 import numpy as np
 
 from oscbath import CentralGaussian, IntegrationError, MomentTrajectory
+from oscbath.langevin import effective_frequency_terms
 from oscbath.propagate import expm_bath
 from oscbath.reduced import _SKEW_TOL
-from oscbath.system import coupling_layout_21, symplectic_unit
+from oscbath.system import (
+    coupling_layout_12,
+    coupling_layout_21,
+    symplectic_unit,
+)
 
 
 def substeps(ts, dt):
@@ -232,10 +244,15 @@ def gaussian_at(initial, state, F):
     )
 
 
+def central_block(w):
+    """A11 = [[0, -w^2], [1, 0]], the central block of the generator at
+    frequency w, in (p0, x0) ordering."""
+    return np.array([[0.0, -w * w], [1.0, 0.0]])
+
+
 def drift_at(state, w, A12):
     """A = A11 + A12 R21 R11^{-1} at one propagator state, frequency w."""
-    A11 = np.array([[0.0, -w * w], [1.0, 0.0]])  # build_A11 at omega = w
-    return A11 + A12 @ state.R21 @ inv_2x2(state.R11)
+    return central_block(w) + A12 @ state.R21 @ inv_2x2(state.R11)
 
 
 def diffusion_at(state, F, A12):
@@ -264,8 +281,7 @@ def R21_first_order(spec, t, steps=2000):
     h = t / steps
 
     def f_pair(tau, R11):
-        w = spec.omega.value(tau)
-        dR11 = np.array([[0.0, -w * w], [1.0, 0.0]]) @ R11
+        dR11 = central_block(spec.omega.value(tau)) @ R11
         dY = expm_bath(bath.omegas, -tau) @ (bath.nu.value(tau) * L21) @ R11
         return dR11, dY
 
@@ -279,6 +295,22 @@ def R21_first_order(spec, t, steps=2000):
         R11 = R11 + (h / 6.0) * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
         Y = Y + (h / 6.0) * (k1Y + 2.0 * k2Y + 2.0 * k3Y + k4Y)
     return expm_bath(bath.omegas, t) @ Y
+
+
+def diffusion_first_order(spec, F, t):
+    """Short-time diffusion 2 D = A12(t) F Int(A12)^T + transpose, for a
+    general (not necessarily diagonal) reservoir covariance F."""
+    L12 = coupling_layout_12(spec.bath)
+    A12_t = spec.bath.nu.value(t) * L12
+    I12 = spec.bath.nu.integral(0.0, t) * L12
+    two_D = A12_t @ F @ I12.T + I12 @ F @ A12_t.T
+    return 0.25 * (two_D + two_D.T)
+
+
+def omega_ef2(model, t):
+    """omega_ef^2 = omega^2 + delta' - delta^2 at one time t."""
+    w2, delta_dot, delta2 = effective_frequency_terms(model, t)
+    return float(w2[0] + delta_dot[0] - delta2[0])
 
 
 def hamiltonian_hessian(spec, t):

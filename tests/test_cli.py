@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -102,6 +103,81 @@ def test_exports_name_what_each_module_defines():
         declared = getattr(module, "__all__", [])
         assert [n for n in declared if not hasattr(module, n)] == []
         assert [n for n in reexports.get(name, []) if n not in declared] == []
+
+
+# One small run of every scenario, with profile mappings for the model so
+# that the profile parser and the config echo's serializer run too.
+ALL_SCENARIOS = """\
+scenario: [closure, mir-pulse-train, rwa-check, short-time-convergence]
+seed: 3
+system:
+  n_modes: 1
+  omega_max: 2.0
+grid:
+  t_max: 1.0
+  steps: 5
+  dt: 0.01
+model:
+  omega: {kind: constant, value: 1.0}
+  gamma: {kind: exp-rise-decay-pulse, amplitude: 0.005, center: 0.5,
+          decay: 0.5, rise: 0.1}
+params:
+  count: 1
+  coupling_scales: [0.1, 0.05]
+  ladder: [0.2, 0.1]
+  rho_values: [[0.3, 0.2]]
+  window: [2.0, 4.0]
+"""
+
+# Public functions that no run reaches, each with its reason.
+UNREACHED = {
+    "sample_trajectories": "north-star sampler layer; no scenario runs it yet",
+    "param_docs": "runs once, when oscbath.cli is imported",
+}
+
+
+def _oscbath_imports(path: Path) -> set:
+    """The functions a file imports from oscbath and its modules."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "oscbath"):
+            module = importlib.import_module(node.module)
+            objs = (getattr(module, alias.name) for alias in node.names)
+            found.update(filter(inspect.isfunction, objs))
+    return found
+
+
+def test_every_public_function_is_on_a_run_path(tmp_path):
+    # A function in a module's __all__ is run by the CLI, read by the
+    # pinned acceptance criteria or bound by the benchmark, or named above.
+    cfg = write(tmp_path, ALL_SCENARIOS)
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        sys.setprofile(previous)
+    assert code in (0, 1)
+    root = Path(__file__).resolve().parent.parent
+    imported = _oscbath_imports(root / "tests" / "test_acceptance.py")
+    for path in sorted((root / "perfbench").glob("*.py")):
+        imported |= _oscbath_imports(path)
+    unreached = []
+    for info in pkgutil.iter_modules(oscbath.__path__):
+        module = importlib.import_module(f"oscbath.{info.name}")
+        for name in getattr(module, "__all__", []):
+            fn = getattr(module, name)
+            if (inspect.isfunction(fn) and fn.__code__ not in called
+                    and fn not in imported and name not in UNREACHED):
+                unreached.append(f"{info.name}.{name}")
+    assert unreached == []
 
 
 def test_run_writes_csv_and_metadata(tmp_path, capsys):

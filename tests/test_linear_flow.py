@@ -33,7 +33,6 @@ from oscbath import (
     SystemSpec,
     diffusion_matrix,
     drift_matrix,
-    effective_frequency_squared,
     epsilon_solver,
     evolve_moments,
     free_central_R11,
@@ -97,7 +96,7 @@ def test_epsilon_matches_scalar_loop(y):
     model = _model(y)
     sol = epsilon_solver(model, GRID, dt=DT)
     eps, deps, drift = oracles.epsilon(
-        lambda t: effective_frequency_squared(model, t),
+        lambda t: oracles.omega_ef2(model, t),
         model.omega0, GRID, DT, 1e-8,
     )
     _close(sol.eps, eps)
@@ -242,7 +241,7 @@ def test_wronskian_violation_raises_at_the_oracle_time():
     grid = np.linspace(0.0, 40.0, 81)
     args = (model.omega0, grid, 0.2, 1e-5)
     with pytest.raises(IntegrationError) as want:
-        oracles.epsilon(lambda t: effective_frequency_squared(model, t), *args)
+        oracles.epsilon(lambda t: oracles.omega_ef2(model, t), *args)
     with pytest.raises(IntegrationError, match="Wronskian") as got:
         epsilon_solver(model, grid, dt=0.2, wronskian_tol=1e-5)
     assert grid[1] < got.value.t == want.value.t < grid[-1]
@@ -320,7 +319,7 @@ def test_wronskian_drift_falls_as_dt4(frequencies, gamma, y, log2_dt, steps):
     # below the run's own drift, the first violating point is the oracle's
     tol = coarse / 4.0
     with pytest.raises(IntegrationError) as want:
-        oracles.epsilon(lambda t: effective_frequency_squared(model, t),
+        oracles.epsilon(lambda t: oracles.omega_ef2(model, t),
                         omega0, grid, dt, tol)
     with pytest.raises(IntegrationError, match="Wronskian") as got:
         epsilon_solver(model, grid, dt=dt, wronskian_tol=tol)

@@ -25,7 +25,6 @@ from oscbath import (
     IntegrationError,
     PiecewiseLinear,
     SystemSpec,
-    UnsupportedFormError,
     bath_from_rwa,
     default_time_step,
     expm_bath,
@@ -33,11 +32,15 @@ from oscbath import (
     integrate_R,
     random_couplings,
     rwa_couplings,
-    symplectic_defect,
     symplectic_unit,
     thermal_F,
     uniform_bath_frequencies,
 )
+
+
+def _dense_defect(R, J):
+    """|| R^T J R - J ||_F by two dense products: the defect's definition."""
+    return float(np.linalg.norm(R.T @ J @ R - J))
 
 
 def _coupled_spec(n=3, seed=1, nu=None, omega=None, t_max=6.0):
@@ -128,25 +131,8 @@ def test_expm_bath_is_symplectic_and_preserves_thermal_state():
     J = symplectic_unit(4)[2:, 2:]
     for t in (0.5, 3.0, 20.0):
         M = expm_bath(omegas, t)
-        assert symplectic_defect(M, J) < 1e-12
+        assert _dense_defect(M, J) < 1e-12
         np.testing.assert_allclose(M @ F @ M.T, F, atol=1e-12)
-
-
-def test_symplectic_defect_equals_dense_formula_bitwise():
-    # R^T J is formed by picking and negating columns; the norm must be
-    # the very float the two dense products give.  An F-ordered R^T J
-    # rounds differently in a few of these 735 matrices.
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 4, 8, 16, 40, 64):
-        J = symplectic_unit(n)
-        for scale in (1e-6, 1.0, 1e6):
-            for _ in range(35):
-                R = scale * rng.standard_normal((2 * n + 2, 2 * n + 2))
-                assert symplectic_defect(R, J) == float(
-                    np.linalg.norm(R.T @ J @ R - J)
-                )
-    with pytest.raises(UnsupportedFormError):
-        symplectic_defect(np.eye(4), np.ones((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +232,7 @@ def test_defect_limit_raises_with_failure_time(monkeypatch):
     # defect, about (h omega)^6 / 72 per step, builds up over the grid.
     grid, dt = np.linspace(0.0, 2.0, 41), 0.05 / 28
     defects = np.array([
-        symplectic_defect(R, symplectic_unit(1))
+        _dense_defect(R, symplectic_unit(1))
         for R in _reference_R(spec, grid, dt)
     ])
     first = np.flatnonzero(defects > 1e-6)[0]
@@ -452,7 +438,7 @@ def test_stepped_forms_raise_at_the_first_failing_point(monkeypatch):
         with np.errstate(over="ignore", invalid="ignore"):
             want = _reference_R(spec, grid, 0.1)
             finite = np.isfinite(want).all(axis=(1, 2))
-            defects = [symplectic_defect(R, J) for R in want]
+            defects = [_dense_defect(R, J) for R in want]
         first_non_finite = np.flatnonzero(~finite)[0]
         first_over = np.flatnonzero(np.array(defects) > 1e-6)[0]
         assert 0 < first_over < first_non_finite
@@ -488,6 +474,22 @@ def test_profile_warnings_reach_the_caller(monkeypatch):
     assert taken == ["_composed_flow", "_direct_steps"]
 
 
+def test_symplectic_defect_equals_dense_formula_bitwise():
+    # R^T J is formed by picking and negating columns; the norm must be
+    # the very float the two dense products give, one chunk of the stack
+    # at a time.  An F-ordered R^T J rounds differently in a few of these
+    # 735 matrices.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 8, 16, 40, 64):
+        J = symplectic_unit(n)
+        for scale in (1e-6, 1.0, 1e6):
+            Rs = scale * rng.standard_normal((35, 2 * n + 2, 2 * n + 2))
+            defects, finite = propagate._defects(
+                Rs, J, *propagate._signed_columns(J))
+            assert finite.all()
+            assert defects.tolist() == [_dense_defect(R, J) for R in Rs]
+
+
 def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
     # One case per form; at d = 28 the direct form checks several grid
     # points per chunk and at d = 130 one.
@@ -505,8 +507,7 @@ def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
         traj = integrate_R(spec, grid, dt=0.01)
         assert set(taken) == {form}
         J = symplectic_unit(spec.bath.n)
-        for R, defect in zip(traj.R, traj.defects):
-            assert defect == symplectic_defect(R, J)
+        assert traj.defects.tolist() == [_dense_defect(R, J) for R in traj.R]
 
 
 def test_direct_form_roundoff_stays_at_the_stacked_forms(monkeypatch):

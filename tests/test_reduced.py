@@ -31,7 +31,6 @@ from oscbath import (
     IntegrationError,
     MomentTrajectory,
     SystemSpec,
-    build_A11,
     damping_rate,
     evolve_gaussian,
     extract_reduced,
@@ -186,7 +185,7 @@ def test_drift_reduces_to_free_block_without_coupling():
     traj = integrate_R(spec, grid, dt=2e-3)
     red = extract_reduced(traj, spec, F)
     for t, A in zip(red.ts, red.A):
-        np.testing.assert_allclose(A, build_A11(spec, t), atol=1e-11)
+        np.testing.assert_allclose(A, oracles.central_block(spec.omega.value(t)), atol=1e-11)
     for D in red.D:
         np.testing.assert_allclose(D, 0.0, atol=1e-12)
 
@@ -378,7 +377,7 @@ def test_extracted_gamma_consistent_with_drift():
     for t, A, D, X, gamma in zip(red.ts, red.A, red.D, red.X, red.gamma):
         assert gamma == -0.5 * (A[0, 0] + A[1, 1])
         assert gamma == pytest.approx(
-            -0.5 * np.trace(A - build_A11(spec, t)), abs=1e-15
+            -0.5 * np.trace(A - oracles.central_block(spec.omega.value(t))), abs=1e-15
         )
         np.testing.assert_array_equal(X, 2.0 * D + 1j * gamma * K)
 

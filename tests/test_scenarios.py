@@ -88,7 +88,6 @@ def test_report_helpers():
     )
     assert not rep.passed
     assert rep.verdict("b") is bad
-    assert rep.table_column("t", "x") == [1.0, 2.0]
     with pytest.raises(KeyError):
         rep.verdict("missing")
     rep.verdicts = [good]
