@@ -58,7 +58,7 @@ import numpy as np
 from .errors import IntegrationError
 from .perturb import NoiseSet
 from .profiles import TimeProfile, tabulate
-from .propagate import _check_grid, _resolving_step, linear_flow, scatter
+from .propagate import _check_grid, _resolving_step, linear_flow
 from .reduced import CentralGaussian, MomentTrajectory
 
 __all__ = [
@@ -152,7 +152,7 @@ def _moment_run(
     ``profiles`` are those it reads, none for tables (see
     :func:`~oscbath.propagate.linear_flow`)."""
 
-    def entries(nodes: np.ndarray) -> tuple:
+    def coefficients(nodes: np.ndarray) -> tuple:
         a11, a12, a21, a22, d11, d12, d22 = drift_diffusion(nodes)
         return (a11, a12, a21, a22, 2.0 * a11, 2.0 * a12, 2.0 * d11,
                 a21, a11 + a22, a12, 2.0 * d12, 2.0 * a21, 2.0 * a22,
@@ -160,8 +160,8 @@ def _moment_run(
 
     C = initial.cov
     z = np.array([*initial.mean, C[0, 0], C[0, 1], C[1, 1], 1.0], float)
-    Z = linear_flow(z, ts, dt, np.zeros((6, 6)),
-                    scatter(_MOMENT_ENTRIES, entries), profiles)
+    Z = linear_flow(z, ts, dt, np.zeros((6, 6)), _MOMENT_ENTRIES,
+                    coefficients, profiles)
     bad = np.flatnonzero(~np.isfinite(Z).all(axis=1))
     if bad.size:
         t = float(ts[bad[0]])
@@ -289,8 +289,8 @@ def epsilon_solver(
 
     eps, deps = linear_flow(
         np.array([1.0 + 0.0j, 1j * model.omega0]), ts, dt,
-        np.array([[0.0, 1.0], [0.0, 0.0]]),
-        scatter(((1,), (0,)), coefficients), (model.omega, model.gamma),
+        np.array([[0.0, 1.0], [0.0, 0.0]]), ((1,), (0,)), coefficients,
+        (model.omega, model.gamma),
     ).T.copy()
     # eps' eps* - eps'* eps = 2 i w with w = Im(eps' eps*); formed from
     # the parts, w rounds as the scalar complex products do (the array

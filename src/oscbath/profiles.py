@@ -12,7 +12,8 @@ antiderivative difference, so a reversed interval negates it).  The scalar
 ``value(t)`` and ``derivative(t)`` are their one-element forms, defined
 once on :class:`TimeProfile`, so a time gives the same number whichever
 form asks.  ``Constant`` alone keeps a scalar ``value``, which its
-``values`` calls once per time.
+``values`` calls once per time; ``tabulate`` fills an exact ``Constant``
+with its value instead.
 
 ``lambda_factor`` builds the memory factor nu(t) * int_0^t nu that controls
 every short-time damping and diffusion coefficient downstream.
@@ -420,16 +421,26 @@ class Affine(TimeProfile):
         return self.base.timescale()
 
 
+def is_exact_constant(p: TimeProfile) -> bool:
+    """True when p is a :class:`Constant` itself: a subclass may override
+    ``value``, as the benchmark's counting profile does, so only the exact
+    type may be read as its ``value_const`` without being evaluated."""
+    return type(p) is Constant
+
+
 def tabulate(profiles: Sequence[TimeProfile], ts: np.ndarray) -> list:
     """``values(ts)`` of each profile.  Each distinct profile (by identity)
     is evaluated once, and an :class:`Affine` is formed from its base's
     table as ``offset + scale * base``, the arithmetic of its ``values``:
-    profiles derived from one pulse train share one evaluation of it."""
+    profiles derived from one pulse train share one evaluation of it.  An
+    exact :class:`Constant` is filled with its value, not evaluated."""
     tables: dict[int, np.ndarray] = {}
 
     def table(p: TimeProfile) -> np.ndarray:
         if id(p) not in tables:
-            tables[id(p)] = p.values(ts)
+            tables[id(p)] = (
+                np.full(np.shape(ts), p.value_const, dtype=float)
+                if is_exact_constant(p) else p.values(ts))
         return tables[id(p)]
 
     return [p.offset + p.scale * table(p.base) if isinstance(p, Affine)

@@ -2,27 +2,36 @@
 
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
 (2N+2)-dimensional generator, by fixed-step classical Runge-Kutta taken a
-block of steps at a time: the frequency and coupling profiles are
-tabulated on the stage nodes of the whole block, then the block's steps
-are built at once.  The same RK4 map is taken in one of two forms:
+block of steps at a time.  Every coupling shares the one profile nu(t), so
+A(t) = T - omega(t)^2 E + nu(t) L, with T constant, E the unit at the
+frequency entry (0, 1) and L the coupling layout; an exactly
+:class:`Constant` omega or nu is folded into T.  The RK4 increment
+Q = P - I of a step is then a sum over the products ("words") of 1 to 4
+of the remaining letters, each weighted by a product of the letters'
+values on the step's four stage nodes: the profiles are tabulated on the
+stage nodes of a whole block, and the block's increments are one product
+of its (B, 30 or 120) word coefficients with the words, formed once per
+run (:func:`_word_increments`).  The same RK4 map is taken in one of three
+forms:
 
-- below ``_DIRECT_MIN_DIM`` (d < 28, baths of up to 12 modes), and for a
-  constant generator at any size, by :func:`linear_flow`, the core that
-  also steps the local model: the increments Q = P - I of a block's steps
-  are stacked (B, d, d) products, composed per grid interval, or, when the
-  frequency and the coupling are exactly :class:`Constant`, one power of
-  the step map per interval;
-- otherwise (13 modes or more, rwa-check's 16 among them) each step
-  applies the map in factored form: a closed-form 2x2 per bath mode plus
-  a coupling update of rank <= 8, at one 10 x d x d product per step
-  instead of four d^3 products.
+- with T the only letter, one power of the step map per grid interval
+  (:func:`_powered_flow`);
+- otherwise below ``_DIRECT_MIN_DIM`` (d < 42, baths of up to 19 modes),
+  the increments of a block's steps are composed per grid interval by
+  :func:`_composed_flow`, the path that :func:`linear_flow` also steps
+  the local model by;
+- otherwise (20 modes or more) each step applies the map in factored
+  form: a closed-form 2x2 per bath mode plus a coupling update of
+  rank <= 8, at one 10 x d x d product per step, its 10 x 18 reduced
+  increment from the same letters' words.
 
 Each form returns R at every grid point as one stacked array.  The
 symplectic defect || R^T J R - J ||_F of every grid point is then checked
 in one call, so a drifting integration is stepped to the end of its grid
 and fails at its first bad grid point.  With the coupling profile
 identically zero the off-diagonal blocks stay exactly zero in every form:
-every coupling term is a product with an exactly zero block.
+every coupling term is a product with an exactly zero coefficient or
+block.
 """
 from __future__ import annotations
 
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .profiles import Constant
+from .profiles import is_exact_constant, tabulate
 from .system import SystemSpec, build_A22, coupling_layout_12, coupling_layout_21, symplectic_unit
 
 __all__ = [
@@ -55,32 +64,41 @@ _STEPS_PER_TIMESCALE = 400
 # Stage nodes of a classical RK4 step, as fractions of the step: one node
 # per stage, so integrate_R evaluates the profiles four times per step.
 _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
-# A block of steps is built in five (B, d, d) stacks of at most
-# _BLOCK_BYTES each, or on the direct path in one (B, 10, d) stack of
-# maps.  That bounds memory at large d, and _BLOCK_STEPS bounds the block
-# at small d.
+# A block of steps is built in (B, d, d) stacks of at most _BLOCK_BYTES
+# each (one of word products, or five of stages for the local model), or
+# on the direct path in one (B, 10, d) stack of maps.  That bounds memory
+# at large d, and _BLOCK_STEPS bounds the block at small d.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_STEPS = 256
 # Steps whose schedule :func:`rk4_blocks` forms in one pass (rounded to
 # whole blocks), so its fixed cost per pass is shared by many small blocks.
 _SCHEDULE_STEPS = 1024
 # From this dimension d = 2N + 2 on, steps apply the factored map (one
-# 10 x d x d product per step) instead of stacking dense increments (four
-# d^3 products per step).  The value is the smallest even d at which the
-# factored map won on all three step shapes of the scenarios: a 61-point
-# grid at 8, 40 and 67 steps per interval (closure, short-time-convergence
-# and rwa-check).  Time in the form, us per step, stacked / factored, min
-# of 7 alternating runs on a 2-core host with OpenBLAS 0.3:
+# 10 x d x d product per step) instead of composing the block's (B, d, d)
+# word increments.  Time in the form, us per step, composed / factored, on
+# a 61-point grid at 8, 40 and 67 steps per interval (the step shapes of
+# closure, short-time-convergence and rwa-check), min of 7 alternating runs
+# on a 2-core host with OpenBLAS 0.3 (tools/form_crossover.py):
 #
-#     d    8 steps        40 steps       67 steps
-#     26   17.6 / 20.8    11.5 / 13.3    12.0 / 12.3
-#     28   13.4 / 12.8    13.4 / 12.3    13.1 / 12.1
-#     30   14.9 / 13.1    14.3 / 12.4    14.3 / 12.3
-#     34   18.9 / 13.6    18.9 / 13.0    18.8 / 13.1
+#           letters T, L (constant omega)    letters T, E, L
+#    d    8 steps     40 steps    67 steps    8 steps     40 steps    67 steps
+#    26    6.1/10.1    4.9/ 8.7    4.7/ 8.8    8.8/12.8    7.0/ 9.8    6.8/ 9.8
+#    30    7.8/10.6    6.2/ 9.2    6.1/ 9.1   11.0/12.1    9.8/10.6   10.0/10.7
+#    34    9.2/10.9    7.4/ 9.6    7.2/ 9.3   13.0/12.6   11.6/10.7   11.8/10.7
+#    38   11.2/11.7    9.4/10.2    9.1/ 9.9   18.1/13.7   16.0/11.4   15.9/11.2
+#    40   12.0/12.0   10.5/10.4    9.9/10.1   19.2/14.0   21.3/18.5   21.6/18.0
+#    42   13.3/12.6   11.7/11.3   11.4/11.1   27.7/22.1   24.7/19.2   24.5/18.4
+#    44   13.2/12.9   12.0/11.5   11.9/11.0   29.7/22.5   26.1/19.6   21.7/13.5
+#    50   17.0/13.9   16.0/12.6   16.1/12.5   28.2/15.2   29.0/14.4   30.2/13.9
 #
-# In five such sweeps the factored map won every shape at d = 28, by
-# 0.2-18 %, and lost at least two of the three at d = 26.
-_DIRECT_MIN_DIM = 28
+# In three such sweeps, with two letters the composed form won every shape
+# up to d = 38, the two were within 2 % at d = 40, and the factored map won
+# every shape from d = 42 on; with three letters the factored map won
+# every shape from d = 34 on, by 3-10 % at d = 34.  42 is where the
+# two-letter forms cross; one switch keeps both of rwa-check's d = 34 runs
+# composed, its modulated-omega run (4,020 steps) at 3-5 ms more than
+# factored.
+_DIRECT_MIN_DIM = 42
 
 
 @dataclass(frozen=True)
@@ -277,11 +295,19 @@ def rk4_blocks(
             yield hs[b:e], nodes[b:e].ravel(), ends[b:e]
 
 
+def _block_steps(n: int) -> int:
+    """Steps per block of an n x n system: a (B, n, n) stack of at most
+    _BLOCK_BYTES, and at most _BLOCK_STEPS steps."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * n * n)))
+
+
 def _step_increments(
     h: np.ndarray, T: np.ndarray, fill, work: np.ndarray
 ) -> np.ndarray:
     """Increments Q = P - I of the RK4 maps P of a block of B steps of
-    z' = A(t) z.
+    z' = A(t) z, for a generator whose entries are arbitrary tables: the
+    local model's, and the oracle of :func:`_word_increments`; also the one
+    step that :func:`_powered_flow` raises to a power.
 
     T is the constant part of A.  ``fill(j, out)`` writes the other entries
     of the generator h A(t_j) of stage j = 0..3 into ``out``, a (B, n, n)
@@ -322,6 +348,69 @@ def _step_increments(
     return Q
 
 
+def _words(letters: np.ndarray) -> np.ndarray:
+    """The products ("words") of 1 to 4 of the k letters (k, n, n): the k
+    letters, then the k^2 products X_a X_b, the k^3 and the k^4, each
+    length in the order of its letters' indices read left to right."""
+    k, n = letters.shape[:2]
+    words = np.empty((k + k**2 + k**3 + k**4, n, n))
+    words[:k] = letters
+    lo, hi = 0, k
+    for _ in range(3):  # each length from the last, into its own rows
+        m = hi - lo
+        np.matmul(letters[:, None], words[lo:hi],
+                  out=words[hi : hi + k * m].reshape(k, m, n, n))
+        lo, hi = hi, hi + k * m
+    return words
+
+
+def _word_increments(
+    c: np.ndarray, W: np.ndarray, C: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Increments Q = P - I, flattened, of the RK4 maps P of a block of B
+    steps of z' = A(t) z whose stage generators are h A(t_j) = a_j =
+    sum_l c[j, l] X_l, j = 0..3, for the (4, k, B) coefficients c.
+
+    Expanding the stages K1..K4 of :func:`_step_increments`,
+
+        Q = (a1 + 2 a2 + 2 a3 + a4) / 6 + (a2 a1 + a3 a2 + a4 a3) / 6
+            + (a3 a2 a1 + a4 a3 a2) / 12 + a4 a3 a2 a1 / 24,
+
+    so each word of the letters X_l (:func:`_words`) enters Q with a
+    product of stage coefficients, and the block's increments are one
+    product C^T W of the words' coefficients C (n_words, B) and the words
+    W, flattened to (n_words, size).  C is formed in the buffer ``C``
+    (n_words, B'), and Q in ``out`` (B', size), B' >= B, so that no large
+    array is allocated and faulted in at every block.
+    """
+    k, B = c.shape[1:]
+    c1, c2, c3, c4 = c
+    # the coefficients of the words of length m = 1..4, as views of C:
+    # (the first m - 1 letters, the last letter, the steps)
+    at = np.cumsum([0, k, k**2, k**3, k**4]).tolist()
+    C1, C2, C3, C4 = (
+        C[at[m - 1] : at[m]].reshape(k ** (m - 1), k, -1)[..., :B]
+        for m in range(1, 5))
+    np.add(c2, c3, out=C1)
+    C1 *= 2.0
+    C1 += c1
+    C1 += c4
+    C1 /= 6.0
+    c32 = c3[:, None] * c2
+    np.multiply(c2[:, None], c1, out=C2)
+    C2 += c32
+    C2 += c4[:, None] * c3
+    C2 /= 6.0
+    c32 = c32.reshape(k * k, 1, B)
+    c432 = (c4[:, None] * c32.reshape(1, k * k, B)).reshape(k**3, 1, B)
+    np.multiply(c32, c1, out=C3)
+    C3 += c432.reshape(k * k, k, B)
+    C3 /= 12.0
+    np.multiply(c432, c1, out=C4)
+    C4 /= 24.0
+    return np.matmul(C[:, :B].T, W, out=out[:B])
+
+
 def _compose(Q: np.ndarray) -> np.ndarray:
     """Increment of consecutive steps with increments Q[0], Q[1], ...,
     merging neighbours a, b pairwise, Q_ab = (Q_a + Q_b) + Q_b Q_a; each
@@ -335,59 +424,29 @@ def _compose(Q: np.ndarray) -> np.ndarray:
     return Q[0]
 
 
-def linear_flow(z, ts, dt, T, block_fill, profiles):
+def linear_flow(z, ts, dt, T, entries, coefficients, profiles):
     """z' = A(t) z over the grid by RK4 at target step dt (the sub-steps of
     :func:`rk4_blocks`): z at every grid point, stacked as Z[i] at ts[i]
     with Z[0] = z.  z is a vector, or a matrix of such columns; the
     caller's array is not changed.
 
-    A(t) is T with the entries that ``block_fill = (fractions, block)``
-    sets: ``block(h, nodes)`` of a block's step lengths (B,) and stage
-    nodes t + f h (B, len(fractions)) is the ``fill`` of
-    :func:`_step_increments`.  The increments are composed per grid
-    interval and z advances by z += Q z.  When ``profiles``, those the
-    fill reads, are all exactly :class:`Constant`, A is constant: the fill
-    is written into a copy of T at h = 1 and :func:`_powered_flow` powers
-    the step map instead.
+    A(t) is T with the entries (rows, cols) = ``entries`` set from
+    ``coefficients(nodes)``, one array per entry, tabulated over the nodes
+    t, t + h/2, t + h of every step of a block.  The block's
+    :func:`_step_increments` are composed by :func:`_composed_flow`.  When
+    ``profiles``, those the coefficients read, are all exactly
+    :class:`Constant`, A is constant: the coefficients at t = 0 are
+    written into a copy of T and :func:`_powered_flow` powers the step map
+    instead.
     """
-    if not _constant(profiles):
-        return _composed_flow(z, ts, dt, T, *block_fill)
-    T = T.copy()
-    block_fill[1](np.ones(1), np.zeros((1, 1)))(0, T[None])
-    return _powered_flow(z, ts, dt, T)
-
-
-def _composed_flow(z, ts, dt, T, fractions, block):
-    Z = np.empty((len(ts),) + z.shape, z.dtype)
-    Z[0] = z = z.copy()  # advanced in place
-    steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * T.size)))
-    work = np.empty((5, steps) + T.shape)
-    for h, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
-        fill = block(h, nodes.reshape(h.size, -1))
-        Q = _step_increments(h, T, fill, work)
-        # the block's part of each grid interval; a run of consecutive
-        # parts of m steps each is composed together, from the view
-        # Q[step, part] (a lone part too)
-        cuts = [0, *(np.flatnonzero(ends[:-1] >= 0) + 1).tolist(), h.size]
-        lo = 0
-        for m, run in itertools.groupby(np.diff(cuts).tolist()):
-            k = len(list(run))
-            parts = Q[lo : lo + k * m].reshape(k, m, *T.shape).swapaxes(0, 1)
-            for C in _compose(parts):
-                lo += m
-                z += C @ z
-                if ends[lo - 1] >= 0:
-                    Z[ends[lo - 1]] = z
-    return Z
-
-
-def scatter(entries, coefficients):
-    """:func:`linear_flow`'s fill for the entries (rows, cols) =
-    ``entries``, set from ``coefficients(nodes)``, one array per entry
-    over the nodes t, t + h/2, t + h of every step."""
     rows, cols = entries
+    if _constant(profiles):
+        T = T.copy()
+        T[rows, cols] = np.stack(coefficients(np.zeros(1)), axis=-1)[0]
+        return _powered_flow(z, ts, dt, T)
+    work = np.empty((5, _block_steps(len(T))) + T.shape)
 
-    def block(h: np.ndarray, nodes: np.ndarray):
+    def increments(h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         E = np.stack(coefficients(nodes.ravel()), axis=-1)
         E = E.reshape(*nodes.shape, -1)
         E *= h[:, None, None]
@@ -396,14 +455,40 @@ def scatter(entries, coefficients):
             # the two midpoint stages share the middle node
             out[:, rows, cols] = E[:, (0, 1, 1, 2)[j]]
 
-        return fill
+        return _step_increments(h, T, fill, work)
 
-    return (0.0, 0.5, 1.0), block
+    return _composed_flow(z, ts, dt, (0.0, 0.5, 1.0), increments)
+
+
+def _composed_flow(z, ts, dt, fractions, increments):
+    """z at every grid point, as :func:`linear_flow` stacks it, from the
+    increments Q (B, n, n) that ``increments(h, nodes)`` gives for a
+    block's step lengths (B,) and stage nodes t + f h (B, len(fractions)),
+    f in ``fractions``: the increments are composed per grid interval and
+    z advances by z += Q z."""
+    Z = np.empty((len(ts),) + z.shape, z.dtype)
+    Z[0] = z = z.copy()  # advanced in place
+    n = z.shape[0]
+    for h, nodes, ends in rk4_blocks(ts, dt, fractions, _block_steps(n)):
+        Q = increments(h, nodes.reshape(h.size, -1))
+        # the block's part of each grid interval; a run of consecutive
+        # parts of m steps each is composed together, from the view
+        # Q[step, part] (a lone part too)
+        cuts = [0, *(np.flatnonzero(ends[:-1] >= 0) + 1).tolist(), h.size]
+        lo = 0
+        for m, run in itertools.groupby(np.diff(cuts).tolist()):
+            k = len(list(run))
+            parts = Q[lo : lo + k * m].reshape(k, m, n, n).swapaxes(0, 1)
+            for C in _compose(parts):
+                lo += m
+                z += C @ z
+                if ends[lo - 1] >= 0:
+                    Z[ends[lo - 1]] = z
+    return Z
 
 
 def _constant(profiles) -> bool:
-    # an exact type test: a subclass may override value
-    return bool(profiles) and all(type(p) is Constant for p in profiles)
+    return bool(profiles) and all(map(is_exact_constant, profiles))
 
 
 def _powered_flow(z, ts, dt, T):
@@ -431,26 +516,55 @@ def _powered_flow(z, ts, dt, T):
     return Z
 
 
-def _generator_fill(spec: SystemSpec, couple, errs: dict):
-    """:func:`linear_flow`'s fill for a generator of R, whose time-dependent
-    entries are -omega^2 at (0, 1) and the coupling nu times a unit layout:
-    ``couple(out, hnu)`` writes the latter into ``out`` (B, n, n) for the
-    values hnu (B,) of h nu, on the four nodes of ``_RK4_STAGES``.  The
-    profiles are evaluated under the floating-point settings ``errs``."""
+def _word_flow(spec: SystemSpec, T, L, errs: dict, steps: int, rows=None):
+    """R's generator T - omega(t)^2 E + nu(t) L, E the unit at (0, 1), as
+    sum_l v_l(t) X_l over the letters X_l: T, whose value is 1, then E
+    unless omega is exactly :class:`Constant`, and L unless nu is; an
+    exactly Constant profile is folded into T instead.
 
-    def block(h: np.ndarray, nodes: np.ndarray):
+    Returns that T and, unless T is the only letter, the increments of a
+    block of at most ``steps`` RK4 steps, as ``increments(h, nodes)`` of
+    :func:`_composed_flow` on the stage nodes of ``_RK4_STAGES``: the
+    first ``rows`` rows of Q only, when given.  The words are formed once,
+    each block is one :func:`_word_increments`, and the profiles are
+    tabulated (:func:`~oscbath.profiles.tabulate`) under the floating-point
+    settings ``errs``.
+    """
+    T = T.copy()
+    letters, profiles = [T], []
+    omega, nu = spec.omega, spec.bath.nu
+    stepped_omega = not is_exact_constant(omega)
+    if stepped_omega:
+        letters.append(np.zeros_like(T))
+        letters[-1][0, 1] = 1.0
+        profiles.append(omega)
+    else:
+        w = float(omega.value_const)
+        T[0, 1] = -(w * w)
+    if is_exact_constant(nu):
+        T += float(nu.value_const) * L
+    else:
+        letters.append(L)
+        profiles.append(nu)
+    if not profiles:
+        return T, None
+    W = _words(np.stack(letters))[:, :rows]
+    W = W.reshape(len(W), -1)
+    C, out = np.empty((len(W), steps)), np.empty((steps, W.shape[1]))
+    c = np.empty((len(_RK4_STAGES), len(letters), steps))
+
+    def increments(h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         with np.errstate(**errs):
-            w = spec.omega.values(nodes.ravel()).reshape(nodes.shape)
-            nu = spec.bath.nu.values(nodes.ravel()).reshape(nodes.shape)
-        hnu, hw2 = h[:, None] * nu, -h[:, None] * w * w
+            v = np.stack(tabulate(profiles, nodes.ravel()))
+        if stepped_omega:  # -omega^2
+            v[0] *= -v[0]
+        cb = c[:, :, : h.size]
+        cb[:, 0] = h
+        v = v.reshape(len(profiles), h.size, -1).transpose(2, 0, 1)
+        np.multiply(v, h, out=cb[:, 1:])
+        return _word_increments(cb, W, C, out).reshape(h.size, -1, len(T))
 
-        def fill(j: int, out: np.ndarray) -> None:
-            couple(out, hnu[:, j])
-            out[:, 0, 1] = hw2[:, j]
-
-        return fill
-
-    return _RK4_STAGES, block
+    return T, increments
 
 
 def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
@@ -470,8 +584,9 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
       system c' = A11 c + nu t_0, t_m' = t_(m+1) + nu C_m c (C_m = L12
       Omega^m L21, t_3' = 0: the increments of t_m after the stage that
       reads them never reach c or Z), z_0' = nu c, z_(k+1)' = z_k, from
-      c = R_c, t_m = S_m = L12 Omega^m R_b, z = 0 (:func:`_step_increments`
-      on its 18 rows (c, z_0..z_3, t_0..t_3), a block at a time).
+      c = R_c, t_m = S_m = L12 Omega^m R_b, z = 0.  Its generator on the
+      18 rows (c, z_0..z_3, t_0..t_3) has R's letters, so a block's Q
+      comes from the first 10 rows of their words (:func:`_word_flow`).
 
     With Psi = [Q[:, c] | Q[:, t] Lstack] on the rows (c, z) of Q, where
     Lstack = [L12; L12 Omega; L12 Omega^2; L12 Omega^3] (8 x 2N), one step
@@ -498,28 +613,21 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     T[4:10, 2:8] = T[10:16, 12:18] = np.eye(6)
     N[0:2, 10:12] = N[2:4, 0:2] = np.eye(2)
     N[10:16, 0:2] = np.vstack([L @ Ms[0] for L in Ls[:3]])
-    mask = N != 0.0
-
-    def couple(out: np.ndarray, hnu: np.ndarray) -> None:
-        out[:, mask] = hnu[:, None] * N[mask]
-
-    fractions, block = _generator_fill(spec, couple, errs)
     omega2 = bath.omegas**2
     Rs = np.empty((len(ts),) + R.shape)
     Rs[0] = R = R.copy()  # advanced in place
     n, dim = omega2.size, R.shape[0]
     # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the maps, the
-    # stacks of _step_increments and two (d - 2, d) buffers are reused
-    # every block, so the maps' product needs no stack of its own
+    # increments and two (d - 2, d) buffers are reused every block, so the
+    # maps' product needs no stack of its own
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (80 * dim)))
-    stacks = np.empty((5, steps, 18, 18))
+    increments = _word_flow(spec, T, N, errs, steps, rows=10)[1]
     maps = np.empty((steps, 10, dim))
     inc, rot = np.empty((2, dim - 2, dim))
     modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)  # views, as R is
     rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)  # C-ordered
-    for hs, nodes, ends in rk4_blocks(ts, dt, fractions, steps):
-        fill = block(hs, nodes.reshape(hs.size, -1))
-        Q = _step_increments(hs, T, fill, stacks)[:, :10]
+    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_STAGES, steps):
+        Q = increments(hs, nodes.reshape(hs.size, -1))
         Psi = maps[: hs.size]
         Psi[:, :, :2] = Q[:, :, :2]
         np.matmul(Q[:, :, 10:], Lstack, out=Psi[:, :, 2:])
@@ -579,23 +687,22 @@ def integrate_R(
     dim = 2 * bath.n + 2
     J = symplectic_unit(bath.n)
     errs = np.geterr()  # for the profiles; the steps and checks ignore overflow
-    profiles = (spec.omega, bath.nu)
+    stepped = ts[: reach + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        if dim < _DIRECT_MIN_DIM or _constant(profiles):
-            L12, L21 = coupling_layout_12(bath), coupling_layout_21(bath)
-            T = np.zeros((dim, dim))
+        if dim < _DIRECT_MIN_DIM or _constant((spec.omega, bath.nu)):
+            T, L = np.zeros((2, dim, dim))
             T[2:, 2:] = build_A22(bath)
             T[1, 0] = 1.0
-
-            def couple(out: np.ndarray, hnu: np.ndarray) -> None:
-                hnu = hnu[:, None, None]
-                out[:, :2, 2:] = hnu * L12
-                out[:, 2:, :2] = hnu * L21
-
-            Rs = linear_flow(np.eye(dim), ts[: reach + 1], dt, T,
-                             _generator_fill(spec, couple, errs), profiles)
+            L[:2, 2:] = coupling_layout_12(bath)
+            L[2:, :2] = coupling_layout_21(bath)
+            T, increments = _word_flow(spec, T, L, errs, _block_steps(dim))
+            if increments is None:
+                Rs = _powered_flow(np.eye(dim), stepped, dt, T)
+            else:
+                Rs = _composed_flow(
+                    np.eye(dim), stepped, dt, _RK4_STAGES, increments)
         else:
-            Rs = _direct_steps(np.eye(dim), ts[: reach + 1], dt, spec, errs)
+            Rs = _direct_steps(np.eye(dim), stepped, dt, spec, errs)
         # none at R(0) = I; the points after a failing one may overflow
         defects = np.zeros(len(Rs))
         defects[1:], finite = _defects(Rs[1:], J, *_signed_columns(J))
@@ -627,7 +734,6 @@ def free_central_R11(
         dt = default_time_step(spec)
     # generator [[0, -omega^2], [1, 0]] on the columns of R11
     return linear_flow(
-        np.eye(2), ts, dt, np.array([[0.0, 0.0], [1.0, 0.0]]),
-        scatter(((0,), (1,)), lambda nodes: (-spec.omega.values(nodes) ** 2,)),
-        (spec.omega,),
+        np.eye(2), ts, dt, np.array([[0.0, 0.0], [1.0, 0.0]]), ((0,), (1,)),
+        lambda nodes: (-spec.omega.values(nodes) ** 2,), (spec.omega,),
     )

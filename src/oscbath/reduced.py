@@ -28,6 +28,7 @@ import numpy as np
 
 from .propagate import PropagatorTrajectory
 from .errors import IntegrationError
+from .profiles import tabulate
 from .system import SystemSpec, coupling_layout_12
 
 __all__ = [
@@ -187,9 +188,10 @@ def extract_reduced(
     ``traj`` where R11 is invertible within ``COND_LIMIT`` (read at call
     time), in one stacked pass.
 
-    Each skipped point warns once.  Each profile is evaluated once, on all
-    the trajectory's times, and A12 = nu L12 from ``coupling_layout_12``.
-    The diffusion is formed from the 2 x 2N strip
+    Each skipped point warns once.  Each profile is tabulated once, on all
+    the trajectory's times (:func:`~oscbath.profiles.tabulate`), and
+    A12 = nu L12 from ``coupling_layout_12``.  The diffusion is formed from
+    the 2 x 2N strip
 
         M = A12 (R22 - R21 R11^{-1} R12) = A12 R22 - (A12 R21 R11^{-1}) R12,
 
@@ -207,8 +209,8 @@ def extract_reduced(
             RuntimeWarning,
             stacklevel=2,
         )
-    w = spec.omega.values(ts)[usable]
-    nu = spec.bath.nu.values(ts)[usable]
+    w, nu = tabulate((spec.omega, spec.bath.nu), ts)
+    w, nu = w[usable], nu[usable]
     if not usable.all():
         ts, R = ts[usable], R[usable]
     R11, R12, R21 = R[:, :2, :2], R[:, :2, 2:], R[:, 2:, :2]

@@ -436,3 +436,24 @@ def test_nested_train_round_trip():
     q = profile_from_dict(d)
     assert isinstance(q, PulseTrain)
     assert q.integral(0.0, 100.0) == pytest.approx(tr.integral(0.0, 100.0), rel=1e-15)
+
+
+def test_tabulate_fills_an_exact_constant_without_evaluating_it(monkeypatch):
+    # An exact Constant is filled with its value; a subclass, which may
+    # override value as the benchmark's counting profile does, is still
+    # evaluated once per time.
+    class Subclass(Constant):
+        pass
+
+    calls = []
+    scalar = Constant.value
+    monkeypatch.setattr(
+        Constant, "value", lambda self, t: calls.append(t) or scalar(self, t))
+    ts = np.linspace(0.0, 1.0, 7)
+    exact = Constant(-0.3)
+    got = profiles.tabulate(
+        (exact, Subclass(-0.3), Affine(exact, scale=2.0)), ts)
+    assert len(calls) == ts.size
+    want = np.array([-0.3] * ts.size)
+    for table, ref in zip(got, (want, want, 2.0 * want)):
+        assert table.dtype == float and table.tolist() == ref.tolist()

@@ -299,16 +299,68 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _increments_both_ways(letters, h, values):
+    """Increments of B steps whose stage generators are sum_l h v_l X_l,
+    from the words of the letters and from the stages of _step_increments,
+    whose fill writes each stage's whole generator."""
+    k, d = letters.shape[:2]
+    c = values * h
+    W = propagate._words(letters).reshape(-1, d * d)
+    words = propagate._word_increments(
+        c, W, np.empty((len(W), h.size)), np.empty((h.size, d * d)))
+
+    def fill(j, out):
+        out[:] = np.einsum("lb,lmn->bmn", c[j], letters)
+
+    stages = propagate._step_increments(
+        h, np.zeros((d, d)), fill, np.empty((5, h.size, d, d)))
+    return words.reshape(h.size, d, d), stages
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 10),
+    k=st.integers(1, 3),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_word_increments_match_the_rk4_stages(d, k, steps, seed):
+    # A random T (value 1) and k - 1 random letters with random values at
+    # each of the four stages: the word expansion is the RK4 map.
+    rng = np.random.default_rng(seed)
+    letters = rng.uniform(-1.0, 1.0, (k, d, d))
+    h = rng.uniform(0.01, 0.5, steps)
+    values = rng.uniform(-2.0, 2.0, (4, k, steps))
+    values[:, 0] = 1.0
+    words, stages = _increments_both_ways(letters, h, values)
+    assert np.max(np.abs(words - stages)) <= 1e-14 * np.max(np.abs(stages))
+    # T and E block-diagonal, the coupling layout L only off the diagonal
+    # blocks, and nu = 0 at every node: every word with L has coefficient
+    # 0 and every other word is block-diagonal, so Q's off-diagonal
+    # blocks are exactly 0.
+    T = letters[0].copy()
+    T[:2, 2:] = T[2:, :2] = 0.0
+    E = np.zeros((d, d))
+    E[0, 1] = 1.0
+    L = rng.uniform(-1.0, 1.0, (d, d))
+    L[:2, :2] = L[2:, 2:] = 0.0
+    values = rng.uniform(-2.0, 2.0, (4, 3, steps))
+    values[:, 0], values[:, 2] = 1.0, 0.0
+    words, _ = _increments_both_ways(np.stack([T, E, L]), h, values)
+    assert not words[:, :2, 2:].any() and not words[:, 2:, :2].any()
+
+
 def test_equal_intervals_are_composed_run_by_run(monkeypatch):
     # closure's grid at N = 1: every interval takes 8 steps, so a block
-    # of 256 steps composes its head, its run of 8-step intervals and its
-    # tail, at most three _compose calls, not one per interval.
+    # of 256 steps, built by one _word_increments product, composes its
+    # head, its run of 8-step intervals and its tail, at most three
+    # _compose calls, not one per interval.
     fine = np.linspace(0.0, 5.0, 801)
     U, V, G, Z = random_couplings(1, scale=0.1, seed=9)
     bath = BathSpec(omegas=[1.0], U=U, V=V, G=G, Z=Z,
                     nu=GaussianPulse(1.0, 1.5, 0.3))
     spec = SystemSpec(omega=Constant(1.0), bath=bath, t_max=5.0)
-    calls = {"_compose": 0, "_step_increments": 0}
+    calls = {"_compose": 0, "_word_increments": 0}
     for name in calls:
         original = getattr(propagate, name)
 
@@ -318,8 +370,8 @@ def test_equal_intervals_are_composed_run_by_run(monkeypatch):
 
         monkeypatch.setattr(propagate, name, counting)
     integrate_R(spec, fine, dt=np.diff(fine).max() / 8.0)
-    assert calls["_step_increments"] == 6400 // 256
-    assert calls["_compose"] <= 3 * calls["_step_increments"]
+    assert calls["_word_increments"] == 6400 // 256
+    assert calls["_compose"] <= 3 * calls["_word_increments"]
 
 
 def _flat(value: float, t_max: float) -> PiecewiseLinear:
