@@ -1,18 +1,22 @@
 """Phase-space propagator R(t) for the oscillator-bath system.
 
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
-(2N+2)-dimensional generator, by fixed-step classical Runge-Kutta taken a
-block of steps at a time.  Every coupling shares the one profile nu(t), so
-A(t) = T - omega(t)^2 E + nu(t) L, with T constant, E the unit at the
-frequency entry (0, 1) and L the coupling layout; an exactly
-:class:`Constant` omega or nu is folded into T.  The RK4 increment
-Q = P - I of a step is then a sum over the products ("words") of 1 to 4
-of the remaining letters, each weighted by a product of the letters'
-values on the step's four stage nodes: the profiles are tabulated on the
-stage nodes of a whole block, and the block's increments are one product
-of its (B, 30 or 120) word coefficients with the words, formed once per
-run (:func:`_word_increments`).  The same RK4 map is taken in one of three
-forms:
+(2N+2)-dimensional generator, by fixed-step classical Runge-Kutta.  The
+steps are scheduled a pass of about 1,024 at a time (:func:`rk4_blocks`),
+and each pass is taken a block of steps at a time.  Every coupling shares
+the one profile nu(t), so A(t) = T - omega(t)^2 E + nu(t) L, with T
+constant, E the unit at the frequency entry (0, 1) and L the coupling
+layout; an exactly :class:`Constant` omega or nu is folded into T.  The
+RK4 increment Q = P - I of a step is then a sum over the products
+("words") of 1 to 4 of the remaining letters, each weighted by a product
+of the letters' values on the step's four stage nodes.  Everything that
+depends only on the nodes is formed once per pass: the profiles are
+tabulated on the stage nodes of the whole pass, and their values scaled
+by the step and turned into the (30 or 120, P) word coefficients of its
+P steps (:func:`_word_coefficients`).  A block's increments are then one
+product of its columns of those coefficients with the words, which are
+formed once per run (:func:`_word_increments`).  The same RK4 map is
+taken in one of three forms:
 
 - with T the only letter, one power of the step map per grid interval
   (:func:`_powered_flow`);
@@ -27,8 +31,8 @@ forms:
 
 Each form returns R at every grid point as one stacked array.  The
 symplectic defect || R^T J R - J ||_F of every grid point is then checked
-in one call, so a drifting integration is stepped to the end of its grid
-and fails at its first bad grid point.  With the coupling profile
+in one call, once the whole grid has been stepped, so a drifting
+integration fails at its first bad grid point.  With the coupling profile
 identically zero the off-diagonal blocks stay exactly zero in every form:
 every coupling term is a product with an exactly zero coefficient or
 block.
@@ -70,34 +74,40 @@ _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
 # at large d, and _BLOCK_STEPS bounds the block at small d.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_STEPS = 256
-# Steps whose schedule :func:`rk4_blocks` forms in one pass (rounded to
-# whole blocks), so its fixed cost per pass is shared by many small blocks.
+# Steps of one pass of :func:`rk4_blocks` (rounded to whole blocks): the
+# schedule, the profile tables, the stage values and the word coefficients
+# are formed once per pass, so their fixed cost per call is shared by
+# several blocks, which read views of them.
 _SCHEDULE_STEPS = 1024
 # From this dimension d = 2N + 2 on, steps apply the factored map (one
 # 10 x d x d product per step) instead of composing the block's (B, d, d)
 # word increments.  Time in the form, us per step, composed / factored, on
 # a 61-point grid at 8, 40 and 67 steps per interval (the step shapes of
 # closure, short-time-convergence and rwa-check), min of 7 alternating runs
-# on a 2-core host with OpenBLAS 0.3 (tools/form_crossover.py):
+# on a 2-core host with OpenBLAS 0.3 (tools/form_crossover.py), with the
+# word coefficients formed once per pass of the schedule:
 #
 #           letters T, L (constant omega)    letters T, E, L
 #    d    8 steps     40 steps    67 steps    8 steps     40 steps    67 steps
-#    26    6.1/10.1    4.9/ 8.7    4.7/ 8.8    8.8/12.8    7.0/ 9.8    6.8/ 9.8
-#    30    7.8/10.6    6.2/ 9.2    6.1/ 9.1   11.0/12.1    9.8/10.6   10.0/10.7
-#    34    9.2/10.9    7.4/ 9.6    7.2/ 9.3   13.0/12.6   11.6/10.7   11.8/10.7
-#    38   11.2/11.7    9.4/10.2    9.1/ 9.9   18.1/13.7   16.0/11.4   15.9/11.2
-#    40   12.0/12.0   10.5/10.4    9.9/10.1   19.2/14.0   21.3/18.5   21.6/18.0
-#    42   13.3/12.6   11.7/11.3   11.4/11.1   27.7/22.1   24.7/19.2   24.5/18.4
-#    44   13.2/12.9   12.0/11.5   11.9/11.0   29.7/22.5   26.1/19.6   21.7/13.5
-#    50   17.0/13.9   16.0/12.6   16.1/12.5   28.2/15.2   29.0/14.4   30.2/13.9
+#    26    7.5/13.4    4.5/ 9.9    4.7/11.0    8.5/12.8    6.7/10.9    6.2/10.9
+#    30    9.3/14.4    5.3/10.6    5.0/ 9.9   10.6/13.2    9.0/11.1    8.5/10.9
+#    34    8.2/11.6    6.5/10.4    6.1/10.1   11.8/13.9   10.2/11.3   10.5/12.2
+#    36    9.2/12.4    7.4/10.9    7.1/10.5   15.7/15.2   13.9/12.2   14.7/11.8
+#    38    9.0/12.2    7.6/10.6    7.5/10.7   17.2/13.4   17.0/12.8   17.0/12.6
+#    40    9.2/12.4    8.1/10.9    8.0/11.0   25.4/24.3   16.4/12.7   15.8/12.5
+#    42   11.1/13.6    9.3/11.4    9.8/11.6   20.4/16.2   18.4/13.5   17.7/13.6
+#    44   12.0/13.2   10.4/12.3   10.4/12.5   20.1/17.2   25.5/18.5   16.6/13.7
+#    46   13.2/13.2   11.8/12.7   12.1/12.5   24.5/16.7   21.3/14.3   21.3/14.1
+#    48   14.4/15.0   12.9/12.7   12.7/12.4   30.9/20.0   25.6/15.1   23.5/13.7
+#    50   14.7/14.4   14.1/13.4   14.0/13.8   29.4/17.6   25.4/14.7   25.2/14.1
 #
-# In three such sweeps, with two letters the composed form won every shape
-# up to d = 38, the two were within 2 % at d = 40, and the factored map won
-# every shape from d = 42 on; with three letters the factored map won
-# every shape from d = 34 on, by 3-10 % at d = 34.  42 is where the
-# two-letter forms cross; one switch keeps both of rwa-check's d = 34 runs
-# composed, its modulated-omega run (4,020 steps) at 3-5 ms more than
-# factored.
+# In three such sweeps, with two letters the composed form won or tied
+# every shape up to d = 46, and the factored map won most shapes from
+# d = 48 on, by at most 8 %; with three letters the composed form won
+# every shape up to d = 34 but one, and the factored map every shape from
+# d = 38 on.  The switch was set at 42, where the two-letter forms crossed
+# while each block formed its own coefficients; it keeps both of
+# rwa-check's d = 34 runs composed, now the faster form for both.
 _DIRECT_MIN_DIM = 42
 
 
@@ -249,27 +259,35 @@ def _schedule(ts: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return n_sub.astype(np.int64), spans / n_sub
 
 
+def _pass_steps(block_steps: int) -> int:
+    """Steps of one pass of :func:`rk4_blocks`: about _SCHEDULE_STEPS, in
+    whole blocks of block_steps."""
+    return block_steps * max(1, _SCHEDULE_STEPS // block_steps)
+
+
 def rk4_blocks(
     ts: np.ndarray, dt: float, fractions: tuple[float, ...], block_steps: int
 ):
-    """Runge-Kutta steps over the grid, in blocks of at most block_steps.
+    """Runge-Kutta steps over the grid, a pass of about _SCHEDULE_STEPS
+    steps at a time, cut into blocks of at most block_steps.
 
     Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
-    steps of length h, whose starts advance by t += h.  Each block is
-    yielded as arrays (hs, nodes, ends): the step lengths, the stage nodes
-    t + f h for every f in ``fractions`` of every step, flattened in step
-    order, and per step the index of the grid point it ends on, or -1 when
-    it ends inside an interval.  The starts of about _SCHEDULE_STEPS steps
-    at a time come from one ``np.add.accumulate`` along rows [t, h, h, ...],
-    one row per interval: the float additions of a sequential loop.
+    steps of length h, whose starts advance by t += h.  Each pass is
+    yielded as (hs, nodes, ends, blocks): the step lengths, the stage nodes
+    t + f h (steps, len(fractions)) for every f in ``fractions``, per step
+    the index of the grid point it ends on, or -1 when it ends inside an
+    interval, and the slices of the pass's blocks.  The starts of a pass
+    come from one ``np.add.accumulate`` along rows [t, h, h, ...], one row
+    per interval: the float additions of a sequential loop, so where the
+    passes fall changes no node.
     """
     ts = np.asarray(ts, dtype=float)
     n_sub, h_int = _schedule(ts, dt)
     past = np.cumsum(n_sub)  # one past each interval's last step
     total = int(past[-1]) if past.size else 0
     frac = np.asarray(fractions, dtype=float)
-    chunk = block_steps * max(1, _SCHEDULE_STEPS // block_steps)
-    t_next = 0.0  # start of the step after the previous chunk
+    chunk = _pass_steps(block_steps)
+    t_next = 0.0  # start of the step after the previous pass
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         i0 = int(np.searchsorted(past, lo, side="right"))
@@ -280,7 +298,7 @@ def rk4_blocks(
         cols = np.arange(1, int(m.max()) + 1)
         rows = np.zeros((m.size, cols.size + 1))
         rows[:, 0] = ts[i0:i1]
-        if skip[0]:  # the first interval began in the previous chunk
+        if skip[0]:  # the first interval began in the previous pass
             rows[0, 0] = t_next
         rows[:, 1:] = np.where(cols <= m[:, None], h_int[i0:i1, None], 0.0)
         np.add.accumulate(rows, axis=1, out=rows)
@@ -290,9 +308,9 @@ def rk4_blocks(
         ends = np.full(hi - lo, -1)
         done = skip + m == n_sub[i0:i1]
         ends[np.cumsum(m)[done] - 1] = np.arange(i0 + 1, i1 + 1)[done]
-        for b in range(0, hi - lo, block_steps):
-            e = b + block_steps
-            yield hs[b:e], nodes[b:e].ravel(), ends[b:e]
+        blocks = [slice(b, b + block_steps)
+                  for b in range(0, hi - lo, block_steps)]
+        yield hs, nodes, ends, blocks
 
 
 def _block_steps(n: int) -> int:
@@ -364,12 +382,10 @@ def _words(letters: np.ndarray) -> np.ndarray:
     return words
 
 
-def _word_increments(
-    c: np.ndarray, W: np.ndarray, C: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Increments Q = P - I, flattened, of the RK4 maps P of a block of B
-    steps of z' = A(t) z whose stage generators are h A(t_j) = a_j =
-    sum_l c[j, l] X_l, j = 0..3, for the (4, k, B) coefficients c.
+def _word_coefficients(c: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Coefficients of the words in the increments Q = P - I of the RK4
+    maps P of B steps of z' = A(t) z whose stage generators are h A(t_j) =
+    a_j = sum_l c[j, l] X_l, j = 0..3, for the (4, k, B) coefficients c.
 
     Expanding the stages K1..K4 of :func:`_step_increments`,
 
@@ -377,11 +393,9 @@ def _word_increments(
             + (a3 a2 a1 + a4 a3 a2) / 12 + a4 a3 a2 a1 / 24,
 
     so each word of the letters X_l (:func:`_words`) enters Q with a
-    product of stage coefficients, and the block's increments are one
-    product C^T W of the words' coefficients C (n_words, B) and the words
-    W, flattened to (n_words, size).  C is formed in the buffer ``C``
-    (n_words, B'), and Q in ``out`` (B', size), B' >= B, so that no large
-    array is allocated and faulted in at every block.
+    product of stage coefficients.  They are formed element-wise, per step,
+    as the first B columns of the buffer ``C`` (n_words, B'), B' >= B, so
+    that no large array is allocated and faulted in at every pass.
     """
     k, B = c.shape[1:]
     c1, c2, c3, c4 = c
@@ -408,7 +422,17 @@ def _word_increments(
     C3 /= 12.0
     np.multiply(c432, c1, out=C4)
     C4 /= 24.0
-    return np.matmul(C[:, :B].T, W, out=out[:B])
+    return C[:, :B]
+
+
+def _word_increments(
+    C: np.ndarray, W: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Increments Q = P - I, flattened, of a block of B steps: the one
+    product C^T W of the steps' word coefficients C (n_words, B) of
+    :func:`_word_coefficients` and the words W, flattened to (n_words,
+    size), formed in the buffer ``out`` (B', size), B' >= B."""
+    return np.matmul(C.T, W, out=out[: C.shape[1]])
 
 
 def _compose(Q: np.ndarray) -> np.ndarray:
@@ -431,9 +455,10 @@ def linear_flow(z, ts, dt, T, entries, coefficients, profiles):
     caller's array is not changed.
 
     A(t) is T with the entries (rows, cols) = ``entries`` set from
-    ``coefficients(nodes)``, one array per entry, tabulated over the nodes
-    t, t + h/2, t + h of every step of a block.  The block's
-    :func:`_step_increments` are composed by :func:`_composed_flow`.  When
+    ``coefficients(nodes)``, one array per entry, tabulated once per pass
+    of :func:`rk4_blocks` over the nodes t, t + h/2, t + h of its steps and
+    scaled by h there; each block's :func:`_step_increments` read a view
+    of that table and are composed by :func:`_composed_flow`.  When
     ``profiles``, those the coefficients read, are all exactly
     :class:`Constant`, A is constant: the coefficients at t = 0 are
     written into a copy of T and :func:`_powered_flow` powers the step map
@@ -446,44 +471,51 @@ def linear_flow(z, ts, dt, T, entries, coefficients, profiles):
         return _powered_flow(z, ts, dt, T)
     work = np.empty((5, _block_steps(len(T))) + T.shape)
 
-    def increments(h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    def increments(h: np.ndarray, nodes: np.ndarray, blocks):
         E = np.stack(coefficients(nodes.ravel()), axis=-1)
         E = E.reshape(*nodes.shape, -1)
         E *= h[:, None, None]
 
         def fill(j: int, out: np.ndarray) -> None:
             # the two midpoint stages share the middle node
-            out[:, rows, cols] = E[:, (0, 1, 1, 2)[j]]
+            out[:, rows, cols] = E_block[:, (0, 1, 1, 2)[j]]
 
-        return _step_increments(h, T, fill, work)
+        for s in blocks:
+            E_block = E[s]
+            yield _step_increments(h[s], T, fill, work)
 
     return _composed_flow(z, ts, dt, (0.0, 0.5, 1.0), increments)
 
 
 def _composed_flow(z, ts, dt, fractions, increments):
     """z at every grid point, as :func:`linear_flow` stacks it, from the
-    increments Q (B, n, n) that ``increments(h, nodes)`` gives for a
-    block's step lengths (B,) and stage nodes t + f h (B, len(fractions)),
-    f in ``fractions``: the increments are composed per grid interval and
-    z advances by z += Q z."""
+    increments that ``increments(h, nodes, blocks)`` yields for a pass of
+    :func:`rk4_blocks`, with its step lengths (P,), stage nodes t + f h
+    (P, len(fractions)), f in ``fractions``, and block slices: one stack Q
+    (B, n, n) per block, in order.  The node work is the pass's, and each
+    block's increments are composed per grid interval; z advances by
+    z += Q z."""
     Z = np.empty((len(ts),) + z.shape, z.dtype)
     Z[0] = z = z.copy()  # advanced in place
     n = z.shape[0]
-    for h, nodes, ends in rk4_blocks(ts, dt, fractions, _block_steps(n)):
-        Q = increments(h, nodes.reshape(h.size, -1))
-        # the block's part of each grid interval; a run of consecutive
-        # parts of m steps each is composed together, from the view
-        # Q[step, part] (a lone part too)
-        cuts = [0, *(np.flatnonzero(ends[:-1] >= 0) + 1).tolist(), h.size]
-        lo = 0
-        for m, run in itertools.groupby(np.diff(cuts).tolist()):
-            k = len(list(run))
-            parts = Q[lo : lo + k * m].reshape(k, m, n, n).swapaxes(0, 1)
-            for C in _compose(parts):
-                lo += m
-                z += C @ z
-                if ends[lo - 1] >= 0:
-                    Z[ends[lo - 1]] = z
+    for h, nodes, ends, blocks in rk4_blocks(
+            ts, dt, fractions, _block_steps(n)):
+        for s, Q in zip(blocks, increments(h, nodes, blocks)):
+            # the block's part of each grid interval; a run of consecutive
+            # parts of m steps each is composed together, from the view
+            # Q[step, part] (a lone part too)
+            ends_b = ends[s]
+            cuts = [0, *(np.flatnonzero(ends_b[:-1] >= 0) + 1).tolist(),
+                    len(Q)]
+            lo = 0
+            for m, run in itertools.groupby(np.diff(cuts).tolist()):
+                k = len(list(run))
+                parts = Q[lo : lo + k * m].reshape(k, m, n, n).swapaxes(0, 1)
+                for C in _compose(parts):
+                    lo += m
+                    z += C @ z
+                    if ends_b[lo - 1] >= 0:
+                        Z[ends_b[lo - 1]] = z
     return Z
 
 
@@ -522,13 +554,15 @@ def _word_flow(spec: SystemSpec, T, L, errs: dict, steps: int, rows=None):
     unless omega is exactly :class:`Constant`, and L unless nu is; an
     exactly Constant profile is folded into T instead.
 
-    Returns that T and, unless T is the only letter, the increments of a
-    block of at most ``steps`` RK4 steps, as ``increments(h, nodes)`` of
-    :func:`_composed_flow` on the stage nodes of ``_RK4_STAGES``: the
-    first ``rows`` rows of Q only, when given.  The words are formed once,
-    each block is one :func:`_word_increments`, and the profiles are
-    tabulated (:func:`~oscbath.profiles.tabulate`) under the floating-point
-    settings ``errs``.
+    Returns that T and, unless T is the only letter, the increments of
+    the blocks of at most ``steps`` RK4 steps of a pass, as
+    ``increments(h, nodes, blocks)`` of :func:`_composed_flow` on the stage
+    nodes of ``_RK4_STAGES``: the first ``rows`` rows of Q only, when
+    given.  The words are formed once per run.  Once per pass the profiles
+    are tabulated (:func:`~oscbath.profiles.tabulate`) under the
+    floating-point settings ``errs``, scaled by h and turned into the word
+    coefficients (:func:`_word_coefficients`); each block is then one
+    :func:`_word_increments` product.
     """
     T = T.copy()
     letters, profiles = [T], []
@@ -550,26 +584,31 @@ def _word_flow(spec: SystemSpec, T, L, errs: dict, steps: int, rows=None):
         return T, None
     W = _words(np.stack(letters))[:, :rows]
     W = W.reshape(len(W), -1)
-    C, out = np.empty((len(W), steps)), np.empty((steps, W.shape[1]))
-    c = np.empty((len(_RK4_STAGES), len(letters), steps))
+    per_pass = _pass_steps(steps)
+    C, out = np.empty((len(W), per_pass)), np.empty((steps, W.shape[1]))
+    c = np.empty((len(_RK4_STAGES), len(letters), per_pass))
 
-    def increments(h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    def increments(h: np.ndarray, nodes: np.ndarray, blocks):
         with np.errstate(**errs):
             v = np.stack(tabulate(profiles, nodes.ravel()))
         if stepped_omega:  # -omega^2
             v[0] *= -v[0]
-        cb = c[:, :, : h.size]
-        cb[:, 0] = h
+        cp = c[:, :, : h.size]
+        cp[:, 0] = h
         v = v.reshape(len(profiles), h.size, -1).transpose(2, 0, 1)
-        np.multiply(v, h, out=cb[:, 1:])
-        return _word_increments(cb, W, C, out).reshape(h.size, -1, len(T))
+        np.multiply(v, h, out=cp[:, 1:])
+        Cp = _word_coefficients(cp, C)
+        for s in blocks:
+            Q = _word_increments(Cp[:, s], W, out)
+            yield Q.reshape(len(Q), -1, len(T))
 
     return T, increments
 
 
 def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     """R at every grid point, stacked as :func:`linear_flow` stacks z, by
-    the factored RK4 map, a block of steps at a time.
+    the factored RK4 map, a block of steps at a time; the reduced system's
+    word coefficients are formed once per pass (:func:`_word_flow`).
 
     The bath block Omega is constant and every coupling is nu(t) times L12
     or L21.  Along the RK4 stages, the bath rows of a column (c, b) of R
@@ -626,27 +665,29 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     inc, rot = np.empty((2, dim - 2, dim))
     modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)  # views, as R is
     rot_modes = rot.reshape(2, n, -1).transpose(1, 0, 2)  # C-ordered
-    for hs, nodes, ends in rk4_blocks(ts, dt, _RK4_STAGES, steps):
-        Q = increments(hs, nodes.reshape(hs.size, -1))
-        Psi = maps[: hs.size]
-        Psi[:, :, :2] = Q[:, :, :2]
-        np.matmul(Q[:, :, 10:], Lstack, out=Psi[:, :, 2:])
-        # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]] on
-        # (p_k, x_k), applied to the (N, 2, d) views of the bath rows
-        z2 = hs[:, None] ** 2 * omega2
-        beta = hs[:, None] * (1.0 - z2 / 6.0)
-        am1 = z2 * (z2 / 24.0 - 0.5)
-        D = np.stack((am1, -beta * omega2, beta, am1), axis=-1)
-        D = D.reshape(hs.size, -1, 2, 2)
-        for k, end in enumerate(ends.tolist()):
-            Y = Psi[k] @ R
-            np.matmul(Mstack, Y[2:], out=inc)
-            np.matmul(D[k], modes, out=rot_modes)
-            inc += rot
-            R[2:] += inc
-            R[:2] += Y[:2]
-            if end >= 0:
-                Rs[end] = R
+    for h_pass, nodes, ends, blocks in rk4_blocks(
+            ts, dt, _RK4_STAGES, steps):
+        for s, Q in zip(blocks, increments(h_pass, nodes, blocks)):
+            hs = h_pass[s]
+            Psi = maps[: hs.size]
+            Psi[:, :, :2] = Q[:, :, :2]
+            np.matmul(Q[:, :, 10:], Lstack, out=Psi[:, :, 2:])
+            # per mode, p4 - 1 = [[alpha - 1, -beta w^2], [beta, alpha - 1]]
+            # on (p_k, x_k), applied to the (N, 2, d) views of the bath rows
+            z2 = hs[:, None] ** 2 * omega2
+            beta = hs[:, None] * (1.0 - z2 / 6.0)
+            am1 = z2 * (z2 / 24.0 - 0.5)
+            D = np.stack((am1, -beta * omega2, beta, am1), axis=-1)
+            D = D.reshape(hs.size, -1, 2, 2)
+            for k, end in enumerate(ends[s].tolist()):
+                Y = Psi[k] @ R
+                np.matmul(Mstack, Y[2:], out=inc)
+                np.matmul(D[k], modes, out=rot_modes)
+                inc += rot
+                R[2:] += inc
+                R[:2] += Y[:2]
+                if end >= 0:
+                    Rs[end] = R
     return Rs
 
 

@@ -62,7 +62,8 @@ def substeps(ts, dt):
 
 def rk4_blocks(ts, dt, fractions, block_steps):
     """The step schedule of :func:`oscbath.propagate.rk4_blocks`, step by
-    step: (hs, nodes, ends) per block of at most block_steps steps."""
+    step: (hs, nodes, ends) per block of at most block_steps steps, the
+    blocks of its passes in order."""
     hs, starts, ends = [], [], []
     frac = np.asarray(fractions, dtype=float)
 

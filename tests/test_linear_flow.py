@@ -36,10 +36,13 @@ from oscbath import (
     epsilon_solver,
     evolve_moments,
     free_central_R11,
+    integrate_R,
     profile_from_dict,
+    random_couplings,
+    uniform_bath_frequencies,
 )
 from oscbath import propagate
-from oscbath.propagate import _BLOCK_STEPS, rk4_blocks
+from oscbath.propagate import _BLOCK_STEPS, _pass_steps, rk4_blocks
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_counts",
@@ -342,7 +345,9 @@ def test_schedule_matches_sequential_loop(t0, spans, dt, block, fractions):
     ts = t0 + np.cumsum([0.0, *spans])
     assume(np.all(np.diff(ts) > 0.0))
     assume(counts.rk4_steps(ts, dt) <= 3000)
-    got = list(rk4_blocks(ts, dt, fractions, block))
+    got = [(h[s], nodes[s].ravel(), ends[s])
+           for h, nodes, ends, blocks in rk4_blocks(ts, dt, fractions, block)
+           for s in blocks]
     want = list(oracles.rk4_blocks(ts, dt, fractions, block))
     assert len(got) == len(want)
     for (h, nodes, ends), (h0, nodes0, ends0) in zip(got, want):
@@ -350,3 +355,85 @@ def test_schedule_matches_sequential_loop(t0, spans, dt, block, fractions):
         np.testing.assert_array_equal(nodes, nodes0)
         np.testing.assert_array_equal(ends, ends0)
     assert sum(len(b[0]) for b in got) == counts.rk4_steps(ts, dt)
+
+
+# ---------------------------------------------------------------------------
+# passes of the schedule: the node work of a pass, its blocks' products
+
+# Two grids of 2,500 and 3,001 steps of exactly PASS_DT (grid points on its
+# multiples), whose intervals hold the ends of the passes of 1,024 steps
+# (blocks of 256: R at d = 8, the moments, the amplitude) and of 1,014
+# (blocks of 78: the direct form at d = 42).
+PASS_DT = 2.0**-9
+PASS_GRIDS = [PASS_DT * np.cumsum([0.0, *steps])
+              for steps in ((700, 900, 900), (1100, 3, 897, 1001))]
+
+
+def test_pass_grids_cross_pass_boundaries():
+    for grid in PASS_GRIDS:
+        ends = np.cumsum(np.ceil(np.diff(grid) / PASS_DT)).tolist()
+        for block in (256, 78):
+            per_pass = _pass_steps(block)
+            cuts = range(per_pass, int(ends[-1]), per_pass)
+            assert len(cuts) >= 2 and not set(cuts) & set(ends)
+
+
+def _bath_spec(n: int, omega, nu) -> SystemSpec:
+    U, V, G, Z = random_couplings(n, scale=0.3, seed=4)
+    bath = BathSpec(omegas=uniform_bath_frequencies(n, 0.5, 2.5),
+                    U=U, V=V, G=G, Z=Z, nu=nu)
+    return SystemSpec(omega=omega, bath=bath, t_max=6.0)
+
+
+def _pass_runs(grid: np.ndarray) -> list[np.ndarray]:
+    """The stacks of every form that steps by passes, on ``grid``: R
+    composed from the words of two letters (T, L) and of three (T, E, L),
+    R by the direct form, the moments and the amplitude."""
+    omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
+    nu = GaussianPulse(0.8, 2.0, 0.5)
+    stacks = []
+    for n, w in ((3, Constant(1.0)), (3, omega), (20, omega)):
+        assert (2 * n + 2 < propagate._DIRECT_MIN_DIM) == (n == 3)
+        stacks.append(integrate_R(_bath_spec(n, w, nu), grid, dt=PASS_DT).R)
+    model = _model(0.5)
+    init = CentralGaussian(mean=np.array([0.8, -0.4]), cov=np.diag([0.7, 0.5]))
+    moments = evolve_moments(model, init, grid, dt=PASS_DT)
+    sol = epsilon_solver(model, grid, dt=PASS_DT)
+    return stacks + [moments.means, moments.covs, sol.eps, sol.eps_dot]
+
+
+@pytest.mark.parametrize("grid", PASS_GRIDS, ids=["2500", "3001"])
+def test_pass_boundaries_change_no_bits(grid, monkeypatch):
+    # Profiles, stage values and word coefficients are formed once per pass
+    # and read by its blocks; with every pass a single block the stacks are
+    # the same bits.
+    want = _pass_runs(grid)
+    monkeypatch.setattr(propagate, "_SCHEDULE_STEPS", 1)
+    assert _pass_steps(256) == 256
+    got = _pass_runs(grid)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", PASS_GRIDS, ids=["2500", "3001"])
+def test_step_counts_hold_across_passes(grid):
+    # counts.self_check counts within one pass; over several, a counting
+    # omega still sees 4 evaluations per step in integrate_R, in the
+    # composed form (d = 4) and the direct form (d = 42), and 3 per step in
+    # the moment and amplitude runs.
+    steps = counts.rk4_steps(grid, PASS_DT)
+    assert steps in (2500, 3001)
+    omega = counts._counting_constant(1.0)
+    calls = type(omega)
+    for n in (1, 20):
+        spec = _bath_spec(n, omega, Constant(0.2))
+        calls.calls = 0
+        integrate_R(spec, grid, dt=PASS_DT, defect_limit=1.0)
+        assert calls.calls == 4 * steps
+    model = LangevinModel(omega=omega, gamma=Constant(0.0))
+    calls.calls = 0
+    evolve_moments(model, CentralGaussian.vacuum(), grid, dt=PASS_DT)
+    assert calls.calls == 3 * steps
+    calls.calls = 0
+    epsilon_solver(model, grid, dt=PASS_DT, wronskian_tol=1.0)
+    assert calls.calls == 3 * steps

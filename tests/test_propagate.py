@@ -306,8 +306,8 @@ def _increments_both_ways(letters, h, values):
     k, d = letters.shape[:2]
     c = values * h
     W = propagate._words(letters).reshape(-1, d * d)
-    words = propagate._word_increments(
-        c, W, np.empty((len(W), h.size)), np.empty((h.size, d * d)))
+    C = propagate._word_coefficients(c, np.empty((len(W), h.size)))
+    words = propagate._word_increments(C, W, np.empty((h.size, d * d)))
 
     def fill(j, out):
         out[:] = np.einsum("lb,lmn->bmn", c[j], letters)
