@@ -35,10 +35,11 @@ TAC 23:395, 1978), and the amplitude as the complex z = (eps, eps') under
 the real generator [[0, 1], [-omega_ef^2, 0]].  The core returns z at
 every grid point as one stacked array, and each run checks its invariant
 (finite moments, the Wronskian) once, on the whole stack.  The
-coefficients are tabulated on the stage nodes of a pass of about 1,024
-steps, each profile once per node set; when omega and gamma are both
-exactly :class:`Constant` the generator is fixed and each grid interval is
-one power of the RK4 map.  Every coefficient is evaluated on an array of
+coefficients are tabulated on the stage nodes of a pass of 910 (moments)
+or 1,024 steps, each profile once per node set, and each pass is one block
+of stacked increments; when omega and gamma are both exactly
+:class:`Constant` the generator is fixed and each grid interval is one
+power of the RK4 map.  Every coefficient is evaluated on an array of
 times: :func:`effective_frequency_terms` gives (omega^2, delta', delta^2)
 at each time (a scalar counts as one time), and ``_drift_diffusion`` the
 drift and diffusion entries at each node.

@@ -3,7 +3,7 @@
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
 (2N+2)-dimensional generator, by fixed-step classical Runge-Kutta.  The
 steps are scheduled a pass of about 1,024 at a time (:func:`rk4_blocks`),
-and each pass is taken a block of steps at a time.  Every coupling shares
+cut into blocks only where memory forces it.  Every coupling shares
 the one profile nu(t), so A(t) = T - omega(t)^2 E + nu(t) L, with T
 constant, E the unit at the frequency entry (0, 1) and L the coupling
 layout; an exactly :class:`Constant` omega or nu is folded into T.  The
@@ -68,13 +68,11 @@ _STEPS_PER_TIMESCALE = 400
 # Stage nodes of a classical RK4 step, as fractions of the step: one node
 # per stage, so integrate_R evaluates the profiles four times per step.
 _RK4_STAGES = (0.0, 0.5, 0.5, 1.0)
-# A block of steps is built in (B, d, d) stacks of at most _BLOCK_BYTES
-# each (one of word products, or five of stages for the local model), or
-# on the direct path in one (B, 10, d) stack of maps.  That bounds memory
-# at large d, and _BLOCK_STEPS bounds the block at small d.
+# Stacks of a block of steps ((B, d, d) word products, five of stages for
+# the local model, (B, 10, d) direct maps) and chunks of the defect check
+# are at most this many bytes each (:func:`_block_steps`).
 _BLOCK_BYTES = 256 * 1024
-_BLOCK_STEPS = 256
-# Steps of one pass of :func:`rk4_blocks` (rounded to whole blocks): the
+# Most steps of one pass of :func:`rk4_blocks` (whole blocks of them): the
 # schedule, the profile tables, the stage values and the word coefficients
 # are formed once per pass, so their fixed cost per call is shared by
 # several blocks, which read views of them.
@@ -172,10 +170,10 @@ def _signed_columns(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
     """Symplectic defects || R^T J R - J ||_F of a (B, d, d) stack of R,
-    and whether each R is finite, a chunk of at most _BLOCK_BYTES at a
-    time; ``rows`` and ``vals`` are :func:`_signed_columns` of J."""
+    and whether each R is finite, a chunk of :func:`_block_steps` matrices
+    at a time; ``rows`` and ``vals`` are :func:`_signed_columns` of J."""
     out, finite = np.empty(len(Rs)), np.empty(len(Rs), dtype=bool)
-    step = max(1, _BLOCK_BYTES // (8 * J.size))
+    step = _block_steps(8 * J.size)
     for lo in range(0, len(Rs), step):
         R = Rs[lo : lo + step]
         finite[lo : lo + step] = np.isfinite(R).all(axis=(1, 2))
@@ -259,17 +257,11 @@ def _schedule(ts: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return n_sub.astype(np.int64), spans / n_sub
 
 
-def _pass_steps(block_steps: int) -> int:
-    """Steps of one pass of :func:`rk4_blocks`: about _SCHEDULE_STEPS, in
-    whole blocks of block_steps."""
-    return block_steps * max(1, _SCHEDULE_STEPS // block_steps)
-
-
 def rk4_blocks(
     ts: np.ndarray, dt: float, fractions: tuple[float, ...], block_steps: int
 ):
-    """Runge-Kutta steps over the grid, a pass of about _SCHEDULE_STEPS
-    steps at a time, cut into blocks of at most block_steps.
+    """Runge-Kutta steps over the grid in passes of as many whole blocks of
+    block_steps <= _SCHEDULE_STEPS steps as fit in _SCHEDULE_STEPS.
 
     Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
     steps of length h, whose starts advance by t += h.  Each pass is
@@ -286,7 +278,7 @@ def rk4_blocks(
     past = np.cumsum(n_sub)  # one past each interval's last step
     total = int(past[-1]) if past.size else 0
     frac = np.asarray(fractions, dtype=float)
-    chunk = _pass_steps(block_steps)
+    chunk = block_steps * (_SCHEDULE_STEPS // block_steps)
     t_next = 0.0  # start of the step after the previous pass
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
@@ -313,10 +305,11 @@ def rk4_blocks(
         yield hs, nodes, ends, blocks
 
 
-def _block_steps(n: int) -> int:
-    """Steps per block of an n x n system: a (B, n, n) stack of at most
-    _BLOCK_BYTES, and at most _BLOCK_STEPS steps."""
-    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * n * n)))
+def _block_steps(step_bytes: int) -> int:
+    """Steps (or matrices) per block at ``step_bytes`` each: a stack of at
+    most _BLOCK_BYTES, and 1 to _SCHEDULE_STEPS steps, so that a pass of an
+    n x n system with n <= 6 is one block."""
+    return max(1, min(_SCHEDULE_STEPS, _BLOCK_BYTES // step_bytes))
 
 
 def _step_increments(
@@ -469,7 +462,7 @@ def linear_flow(z, ts, dt, T, entries, coefficients, profiles):
         T = T.copy()
         T[rows, cols] = np.stack(coefficients(np.zeros(1)), axis=-1)[0]
         return _powered_flow(z, ts, dt, T)
-    work = np.empty((5, _block_steps(len(T))) + T.shape)
+    work = np.empty((5, _block_steps(8 * T.size)) + T.shape)
 
     def increments(h: np.ndarray, nodes: np.ndarray, blocks):
         E = np.stack(coefficients(nodes.ravel()), axis=-1)
@@ -499,7 +492,7 @@ def _composed_flow(z, ts, dt, fractions, increments):
     Z[0] = z = z.copy()  # advanced in place
     n = z.shape[0]
     for h, nodes, ends, blocks in rk4_blocks(
-            ts, dt, fractions, _block_steps(n)):
+            ts, dt, fractions, _block_steps(8 * n * n)):
         for s, Q in zip(blocks, increments(h, nodes, blocks)):
             # the block's part of each grid interval; a run of consecutive
             # parts of m steps each is composed together, from the view
@@ -584,9 +577,9 @@ def _word_flow(spec: SystemSpec, T, L, errs: dict, steps: int, rows=None):
         return T, None
     W = _words(np.stack(letters))[:, :rows]
     W = W.reshape(len(W), -1)
-    per_pass = _pass_steps(steps)
-    C, out = np.empty((len(W), per_pass)), np.empty((steps, W.shape[1]))
-    c = np.empty((len(_RK4_STAGES), len(letters), per_pass))
+    # buffers for a pass, at most _SCHEDULE_STEPS steps, and for a block
+    C, out = np.empty((len(W), _SCHEDULE_STEPS)), np.empty((steps, W.shape[1]))
+    c = np.empty((len(_RK4_STAGES), len(letters), _SCHEDULE_STEPS))
 
     def increments(h: np.ndarray, nodes: np.ndarray, blocks):
         with np.errstate(**errs):
@@ -659,7 +652,7 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     # a block's (B, 10, d) maps Psi within _BLOCK_BYTES; the maps, the
     # increments and two (d - 2, d) buffers are reused every block, so the
     # maps' product needs no stack of its own
-    steps = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (80 * dim)))
+    steps = _block_steps(80 * dim)
     increments = _word_flow(spec, T, N, errs, steps, rows=10)[1]
     maps = np.empty((steps, 10, dim))
     inc, rot = np.empty((2, dim - 2, dim))
@@ -736,7 +729,8 @@ def integrate_R(
             T[1, 0] = 1.0
             L[:2, 2:] = coupling_layout_12(bath)
             L[2:, :2] = coupling_layout_21(bath)
-            T, increments = _word_flow(spec, T, L, errs, _block_steps(dim))
+            T, increments = _word_flow(
+                spec, T, L, errs, _block_steps(8 * dim * dim))
             if increments is None:
                 Rs = _powered_flow(np.eye(dim), stepped, dt, T)
             else:

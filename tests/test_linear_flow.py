@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from oscbath import (
     uniform_bath_frequencies,
 )
 from oscbath import propagate
-from oscbath.propagate import _BLOCK_STEPS, _pass_steps, rk4_blocks
+from oscbath.propagate import _block_steps, rk4_blocks
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_counts",
@@ -52,18 +53,25 @@ counts = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(counts)
 
 # dt is a power of two and the grid points are multiples of it, so every
-# interval takes exactly the listed number of steps: 300 (more than one
-# block), then 212, 3, 185, 68, 232, so that grid points 2 and 5 fall on
-# the block boundaries 512 and 768.
+# interval takes exactly the listed number of steps: 300, 212, 3, 185, 68,
+# then 1,052 (more than one block), 228 and 52.  The blocks of the 6 x 6
+# moments (910 steps) end inside the long interval and on grid point 6
+# (1,820 steps); those of the 2 x 2 amplitude and R11 (1,024 steps) end
+# inside it and on grid point 7 (2,048 steps).
 DT = 2.0**-7
-GRID = DT * np.array([0.0, 300.0, 512.0, 515.0, 700.0, 768.0, 1000.0])
+GRID = DT * np.array(
+    [0.0, 300.0, 512.0, 515.0, 700.0, 768.0, 1820.0, 2048.0, 2100.0])
 
 
 def test_grid_straddles_blocks():
-    assert _BLOCK_STEPS == 256
-    steps = np.cumsum(np.ceil(np.diff(GRID) / DT))
-    assert steps.tolist() == [300, 512, 515, 700, 768, 1000]
-    assert counts.rk4_steps(GRID, DT) == 1000
+    steps = np.cumsum(np.ceil(np.diff(GRID) / DT)).astype(int).tolist()
+    assert steps == [300, 512, 515, 700, 768, 1820, 2048, 2100]
+    assert counts.rk4_steps(GRID, DT) == 2100
+    for n in (2, 6):
+        block = _block_steps(8 * n * n)
+        assert np.diff([0, *steps]).max() > block
+        cuts = set(range(block, steps[-1], block))
+        assert cuts & set(steps) and cuts - set(steps)
 
 
 def _model(y: float) -> LangevinModel:
@@ -361,20 +369,23 @@ def test_schedule_matches_sequential_loop(t0, spans, dt, block, fractions):
 # passes of the schedule: the node work of a pass, its blocks' products
 
 # Two grids of 2,500 and 3,001 steps of exactly PASS_DT (grid points on its
-# multiples), whose intervals hold the ends of the passes of 1,024 steps
-# (blocks of 256: R at d = 8, the moments, the amplitude) and of 1,014
-# (blocks of 78: the direct form at d = 42).
+# multiples), whose intervals hold the ends of the passes of R at d = 8
+# (blocks of 512, passes of 1,024), the direct form at d = 42 (blocks of
+# 78, passes of 1,014), the moments (a pass is one block of 910) and the
+# amplitude (one of 1,024): their blocks' bytes per step are PASS_BYTES.
 PASS_DT = 2.0**-9
 PASS_GRIDS = [PASS_DT * np.cumsum([0.0, *steps])
               for steps in ((700, 900, 900), (1100, 3, 897, 1001))]
+PASS_BYTES = (8 * 8**2, 80 * 42, 8 * 6**2, 8 * 2**2)
 
 
 def test_pass_grids_cross_pass_boundaries():
     for grid in PASS_GRIDS:
         ends = np.cumsum(np.ceil(np.diff(grid) / PASS_DT)).tolist()
-        for block in (256, 78):
-            per_pass = _pass_steps(block)
-            cuts = range(per_pass, int(ends[-1]), per_pass)
+        for step_bytes in PASS_BYTES:
+            block = _block_steps(step_bytes)
+            passes = rk4_blocks(grid, PASS_DT, (0.0,), block)
+            cuts = np.cumsum([h.size for h, *_ in passes])[:-1].tolist()
             assert len(cuts) >= 2 and not set(cuts) & set(ends)
 
 
@@ -386,9 +397,10 @@ def _bath_spec(n: int, omega, nu) -> SystemSpec:
 
 
 def _pass_runs(grid: np.ndarray) -> list[np.ndarray]:
-    """The stacks of every form that steps by passes, on ``grid``: R
-    composed from the words of two letters (T, L) and of three (T, E, L),
-    R by the direct form, the moments and the amplitude."""
+    """The stacks of the runs that step several blocks a pass once the
+    pass is long enough, on ``grid``: R composed from the words of two
+    letters (T, L) and of three (T, E, L), R by the direct form, and the
+    moments."""
     omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
     nu = GaussianPulse(0.8, 2.0, 0.5)
     stacks = []
@@ -398,18 +410,19 @@ def _pass_runs(grid: np.ndarray) -> list[np.ndarray]:
     model = _model(0.5)
     init = CentralGaussian(mean=np.array([0.8, -0.4]), cov=np.diag([0.7, 0.5]))
     moments = evolve_moments(model, init, grid, dt=PASS_DT)
-    sol = epsilon_solver(model, grid, dt=PASS_DT)
-    return stacks + [moments.means, moments.covs, sol.eps, sol.eps_dot]
+    return stacks + [moments.means, moments.covs]
 
 
 @pytest.mark.parametrize("grid", PASS_GRIDS, ids=["2500", "3001"])
 def test_pass_boundaries_change_no_bits(grid, monkeypatch):
     # Profiles, stage values and word coefficients are formed once per pass
-    # and read by its blocks; with every pass a single block the stacks are
-    # the same bits.
+    # and read by its blocks; with passes of 4,096 steps, each run one pass
+    # of the same blocks, the stacks are the same bits.  (The amplitude's
+    # block is its whole pass, so a longer pass would lengthen it.)
+    sizes = [_block_steps(b) for b in PASS_BYTES[:3]]
     want = _pass_runs(grid)
-    monkeypatch.setattr(propagate, "_SCHEDULE_STEPS", 1)
-    assert _pass_steps(256) == 256
+    monkeypatch.setattr(propagate, "_SCHEDULE_STEPS", 4096)
+    assert [_block_steps(b) for b in PASS_BYTES[:3]] == sizes
     got = _pass_runs(grid)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -437,3 +450,55 @@ def test_step_counts_hold_across_passes(grid):
     calls.calls = 0
     epsilon_solver(model, grid, dt=PASS_DT, wronskian_tol=1.0)
     assert calls.calls == 3 * steps
+
+
+def test_local_model_takes_one_block_per_pass(monkeypatch):
+    # The 2 x 2 amplitude and R11 (1,024 steps) and the 6 x 6 moments
+    # (910) fit a whole pass in one block, so no pass is cut: over 3,001
+    # steps, 3 passes of the first two and 4 of the moments.
+    assert [_block_steps(8 * n * n) for n in (2, 6)] == [1024, 910]
+    seen, original = [], rk4_blocks
+
+    def recording(*args):
+        for part in original(*args):
+            seen.append(len(part[3]))
+            yield part
+
+    monkeypatch.setattr(propagate, "rk4_blocks", recording)
+    grid = PASS_GRIDS[1]
+    model = _model(0.5)
+    evolve_moments(model, CentralGaussian.vacuum(), grid, dt=PASS_DT)
+    epsilon_solver(model, grid, dt=PASS_DT)
+    free_central_R11(_bath_spec(1, model.omega, Constant(0.0)), grid,
+                     dt=PASS_DT)
+    assert seen == [1] * 10
+
+
+def test_local_model_stays_within_memory():
+    # A pass of the local model holds five (B, n, n) work stacks of a
+    # block of at most one pass and _BLOCK_BYTES, and its tables over the
+    # 3 stage nodes of each step: here at most 40 floats per node, 0.98 MB
+    # a pass.  Bounds 2.29 and 1.15 MB; the moments and the amplitude peak
+    # at about 2.05 and 0.43 MB over 3,001 steps, and the amplitude at 1.98
+    # MB with blocks of 8,192 steps, as many as fit _BLOCK_BYTES, and its
+    # pass as long.
+    grid = PASS_GRIDS[1]
+    model = _model(0.5)
+    init = CentralGaussian(mean=np.array([0.8, -0.4]), cov=np.diag([0.7, 0.5]))
+    runs = (
+        (6, lambda: evolve_moments(model, init, grid, dt=PASS_DT),
+         lambda out: out.means.nbytes + out.covs.nbytes),
+        (2, lambda: epsilon_solver(model, grid, dt=PASS_DT),
+         lambda out: out.eps.nbytes + out.eps_dot.nbytes),
+    )
+    steps = propagate._SCHEDULE_STEPS
+    for n, run, output in runs:
+        run()  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = min(propagate._BLOCK_BYTES, 8 * n * n * steps)
+        assert peak - output(out) <= 5 * stack + 40 * 8 * 3 * steps

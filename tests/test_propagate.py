@@ -272,7 +272,7 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
     # interval ends and hold steps of different lengths; (b) N = 64, where
     # a stacked block would hold a single step; (c) and (d) the same kind
     # of run just below and at the switch to the direct steps, over
-    # several blocks; (e) blocks of 256 steps holding runs of 8-step
+    # several blocks; (e) blocks of 512 steps holding runs of 8-step
     # intervals broken by one of 3 steps, and an interval of 300 steps
     # that spans both blocks.
     omega = Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
@@ -280,7 +280,8 @@ def test_blocked_steps_match_per_step_reference(monkeypatch):
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
     assert _stacks(n_switch - 1) and not _stacks(n_switch)
     # dt a power of two and grid points on its multiples: exact step counts
-    runs = 2.0**-7 * np.cumsum([0] + [8] * 10 + [3] + [8] * 5 + [300] + [8] * 4)
+    runs = 2.0**-7 * np.cumsum([0] + [8] * 40 + [3] + [8] * 5 + [300] + [8] * 4)
+    assert propagate._block_steps(8 * 8**2) == 512  # inside the 300 steps
     cases = [
         (_coupled_spec(omega=omega), unequal, 3e-3),
         (_coupled_spec(omega=omega), runs, 2.0**-7),
@@ -352,9 +353,9 @@ def test_word_increments_match_the_rk4_stages(d, k, steps, seed):
 
 def test_equal_intervals_are_composed_run_by_run(monkeypatch):
     # closure's grid at N = 1: every interval takes 8 steps, so a block
-    # of 256 steps, built by one _word_increments product, composes its
-    # head, its run of 8-step intervals and its tail, at most three
-    # _compose calls, not one per interval.
+    # (here a whole pass of 1,024 steps), built by one _word_increments
+    # product, composes its head, its run of 8-step intervals and its
+    # tail, at most three _compose calls, not one per interval.
     fine = np.linspace(0.0, 5.0, 801)
     U, V, G, Z = random_couplings(1, scale=0.1, seed=9)
     bath = BathSpec(omegas=[1.0], U=U, V=V, G=G, Z=Z,
@@ -370,7 +371,9 @@ def test_equal_intervals_are_composed_run_by_run(monkeypatch):
 
         monkeypatch.setattr(propagate, name, counting)
     integrate_R(spec, fine, dt=np.diff(fine).max() / 8.0)
-    assert calls["_word_increments"] == 6400 // 256
+    block = propagate._block_steps(8 * 4**2)
+    assert block == 1024
+    assert calls["_word_increments"] == -(-6400 // block)
     assert calls["_compose"] <= 3 * calls["_word_increments"]
 
 
