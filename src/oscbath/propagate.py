@@ -6,7 +6,8 @@ steps are scheduled a pass of about 1,024 at a time (:func:`rk4_blocks`),
 cut into blocks only where memory forces it.  Every coupling shares
 the one profile nu(t), so A(t) = T - omega(t)^2 E + nu(t) L, with T
 constant, E the unit at the frequency entry (0, 1) and L the coupling
-layout; an exactly :class:`Constant` omega or nu is folded into T.  The
+layout; an exactly :class:`Constant` omega or nu is folded into T, and
+a zero L dropped, so that nu is not read without coupling.  The
 RK4 increment Q = P - I of a step is then a sum over the products
 ("words") of 1 to 4 of the remaining letters, each weighted by a product
 of the letters' values on the step's four stage nodes.  Everything that
@@ -19,7 +20,11 @@ formed once per run (:func:`_word_increments`).  The same RK4 map is
 taken in one of three forms:
 
 - with T the only letter, one power of the step map per grid interval
-  (:func:`_powered_flow`);
+  (:func:`_powered_flow`), each distinct step length and count built
+  once; when T is zero outside the N + 1 diagonal 2 x 2 blocks of the
+  central oscillator and each bath mode, as without coupling, those
+  blocks are powered as one stack and R is zero outside them
+  (:func:`_powered_R`);
 - otherwise below ``_DIRECT_MIN_DIM`` (d < 42, baths of up to 19 modes),
   the increments of a block's steps are composed per grid interval by
   :func:`_composed_flow`, the path that :func:`linear_flow` also steps
@@ -516,46 +521,72 @@ def _constant(profiles) -> bool:
     return bool(profiles) and all(map(is_exact_constant, profiles))
 
 
+def _powered_map(T, h: float, n: int, work: np.ndarray) -> np.ndarray:
+    """Increment Q_n = P^n - I of n RK4 steps of length h of z' = T z: the
+    one-step increment Q (:func:`_step_increments`, in ``work``) raised to
+    n by binary powering, Q_2m = 2 Q_m + Q_m Q_m and Q_(a+b) = Q_a + Q_b +
+    Q_b Q_a.  T may be a stack of generators, powered side by side."""
+    Q = _step_increments(np.array([h]), T, lambda *_: None, work)[0].copy()
+    Qn = None
+    for k, bit in enumerate(bin(n)[:1:-1]):  # lowest bit first
+        if k:
+            Q = 2.0 * Q + Q @ Q
+        if bit == "1":
+            Qn = Q if Qn is None else Qn + Q + Q @ Qn
+    return Qn
+
+
 def _powered_flow(z, ts, dt, T):
     """z' = T z at every grid point: over each grid interval of n steps of
-    length h, z becomes z + Q_n z.  The one-step increment
-    Q is raised to n by binary powering, Q_2m = 2 Q_m + Q_m Q_m and
-    Q_(a+b) = Q_a + Q_b + Q_b Q_a, and rebuilt only when (h, n) changes,
-    so one map is held at a time."""
+    length h, z becomes z + Q_n z (:func:`_powered_map`).  The step lengths
+    of a linspace grid differ in their last bits, so the (h, n) of the
+    intervals alternate among a few values: each distinct map is built
+    once and held until the last interval that takes it."""
     n_sub, h_int = _schedule(np.asarray(ts, dtype=float), dt)
+    keys = list(zip(h_int.tolist(), n_sub.tolist()))
+    last = {key: i for i, key in enumerate(keys)}
     Z = np.empty((len(ts),) + z.shape, z.dtype)
     Z[0] = z
     work = np.empty((5, 1) + T.shape)
-    key = None
-    for i, (h, n) in enumerate(zip(h_int.tolist(), n_sub.tolist())):
-        if (h, n) != key:
-            key = (h, n)
-            Q = _step_increments(np.array([h]), T, lambda *_: None, work)[0]
-            Qn = None
-            for k, bit in enumerate(bin(n)[:1:-1]):  # lowest bit first
-                if k:
-                    Q = 2.0 * Q + Q @ Q
-                if bit == "1":
-                    Qn = Q if Qn is None else Qn + Q + Q @ Qn
+    maps = {}
+    for i, key in enumerate(keys):
+        Qn = maps.pop(key) if key in maps else _powered_map(T, *key, work)
+        if last[key] > i:
+            maps[key] = Qn
         Z[i + 1] = Z[i] + Qn @ Z[i]
     return Z
 
 
-def _word_flow(spec: SystemSpec, T, L, errs: dict, steps: int, rows=None):
+def _powered_R(T, ts, dt):
+    """R of the constant generator T at every grid point by
+    :func:`_powered_flow`.  When T is zero outside its N + 1 diagonal 2 x 2
+    blocks, those of the central oscillator (p0, x0) and of each bath mode
+    (p_k, x_k), as without coupling, the blocks are powered as one
+    (N + 1, 2, 2) stack and R is zero outside them; otherwise T is powered
+    whole."""
+    n = len(T) // 2 - 1
+    pairs = np.stack((np.r_[0, 2 : n + 2], np.r_[1, n + 2 : 2 * n + 2]), axis=1)
+    rows, cols = pairs[:, :, None], pairs[:, None, :]
+    blocks = T[rows, cols]
+    if np.count_nonzero(T) > np.count_nonzero(blocks):
+        return _powered_flow(np.eye(len(T)), ts, dt, T)
+    Rs = np.zeros((len(ts),) + T.shape)
+    Rs[:, rows, cols] = _powered_flow(
+        np.broadcast_to(np.eye(2), blocks.shape), ts, dt, blocks)
+    return Rs
+
+
+def _letters(spec: SystemSpec, T, L, errs: dict):
     """R's generator T - omega(t)^2 E + nu(t) L, E the unit at (0, 1), as
     sum_l v_l(t) X_l over the letters X_l: T, whose value is 1, then E
-    unless omega is exactly :class:`Constant`, and L unless nu is; an
-    exactly Constant profile is folded into T instead.
+    unless omega is exactly :class:`Constant`, and L unless nu is or L is
+    exactly zero.  An exactly Constant profile is folded into T instead,
+    and a zero L dropped, so that nu is neither tabulated nor multiplied.
 
-    Returns that T and, unless T is the only letter, the increments of
-    the blocks of at most ``steps`` RK4 steps of a pass, as
-    ``increments(h, nodes, blocks)`` of :func:`_composed_flow` on the stage
-    nodes of ``_RK4_STAGES``: the first ``rows`` rows of Q only, when
-    given.  The words are formed once per run.  Once per pass the profiles
-    are tabulated (:func:`~oscbath.profiles.tabulate`) under the
-    floating-point settings ``errs``, scaled by h and turned into the word
-    coefficients (:func:`_word_coefficients`); each block is then one
-    :func:`_word_increments` product.
+    Returns the (k, n, n) letters and ``values(nodes)``, the (k - 1,
+    nodes) values of the letters after T, tabulated
+    (:func:`~oscbath.profiles.tabulate`) under the floating-point settings
+    ``errs``.
     """
     T = T.copy()
     letters, profiles = [T], []
@@ -570,32 +601,49 @@ def _word_flow(spec: SystemSpec, T, L, errs: dict, steps: int, rows=None):
         T[0, 1] = -(w * w)
     if is_exact_constant(nu):
         T += float(nu.value_const) * L
-    else:
+    elif L.any():
         letters.append(L)
         profiles.append(nu)
-    if not profiles:
-        return T, None
-    W = _words(np.stack(letters))[:, :rows]
+
+    def values(nodes: np.ndarray) -> np.ndarray:
+        with np.errstate(**errs):
+            v = np.stack(tabulate(profiles, nodes))
+        if stepped_omega:  # -omega^2
+            v[0] *= -v[0]
+        return v
+
+    return np.stack(letters), values
+
+
+def _word_flow(letters, values, steps: int, rows=None):
+    """The increments of the blocks of at most ``steps`` RK4 steps of a
+    pass of the generator sum_l v_l(t) X_l of :func:`_letters`, as
+    ``increments(h, nodes, blocks)`` of :func:`_composed_flow` on the stage
+    nodes of ``_RK4_STAGES``: the first ``rows`` rows of Q only, when
+    given.  The words are formed once per run.  Once per pass the letters'
+    values are tabulated, scaled by h and turned into the word
+    coefficients (:func:`_word_coefficients`); each block is then one
+    :func:`_word_increments` product.
+    """
+    k, n = letters.shape[:2]
+    W = _words(letters)[:, :rows]
     W = W.reshape(len(W), -1)
     # buffers for a pass, at most _SCHEDULE_STEPS steps, and for a block
     C, out = np.empty((len(W), _SCHEDULE_STEPS)), np.empty((steps, W.shape[1]))
-    c = np.empty((len(_RK4_STAGES), len(letters), _SCHEDULE_STEPS))
+    c = np.empty((len(_RK4_STAGES), k, _SCHEDULE_STEPS))
 
     def increments(h: np.ndarray, nodes: np.ndarray, blocks):
-        with np.errstate(**errs):
-            v = np.stack(tabulate(profiles, nodes.ravel()))
-        if stepped_omega:  # -omega^2
-            v[0] *= -v[0]
+        v = values(nodes.ravel())
         cp = c[:, :, : h.size]
         cp[:, 0] = h
-        v = v.reshape(len(profiles), h.size, -1).transpose(2, 0, 1)
+        v = v.reshape(k - 1, h.size, -1).transpose(2, 0, 1)
         np.multiply(v, h, out=cp[:, 1:])
         Cp = _word_coefficients(cp, C)
         for s in blocks:
             Q = _word_increments(Cp[:, s], W, out)
-            yield Q.reshape(len(Q), -1, len(T))
+            yield Q.reshape(len(Q), -1, n)
 
-    return T, increments
+    return increments
 
 
 def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
@@ -653,7 +701,7 @@ def _direct_steps(R, ts, dt, spec: SystemSpec, errs: dict):
     # increments and two (d - 2, d) buffers are reused every block, so the
     # maps' product needs no stack of its own
     steps = _block_steps(80 * dim)
-    increments = _word_flow(spec, T, N, errs, steps, rows=10)[1]
+    increments = _word_flow(*_letters(spec, T, N, errs), steps, rows=10)
     maps = np.empty((steps, 10, dim))
     inc, rot = np.empty((2, dim - 2, dim))
     modes = R[2:].reshape(2, n, -1).transpose(1, 0, 2)  # views, as R is
@@ -706,6 +754,12 @@ def integrate_R(
         Hard bound on the symplectic defect at grid points; exceeding it
         raises :class:`IntegrationError` naming the first such point, once
         the whole grid has been stepped.
+
+    The form follows the generator, at every d: constant (omega exactly
+    :class:`Constant`, and nu too or no coupling entry non-zero), it is
+    powered, on its 2 x 2 blocks when nothing couples the central
+    oscillator to the bath; otherwise its steps are composed below
+    ``_DIRECT_MIN_DIM`` and factored from there.
     """
     ts = _validate_grid(grid, spec.t_max)
     if dt is None:
@@ -723,20 +777,22 @@ def integrate_R(
     errs = np.geterr()  # for the profiles; the steps and checks ignore overflow
     stepped = ts[: reach + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        if dim < _DIRECT_MIN_DIM or _constant((spec.omega, bath.nu)):
-            T, L = np.zeros((2, dim, dim))
-            T[2:, 2:] = build_A22(bath)
-            T[1, 0] = 1.0
-            L[:2, 2:] = coupling_layout_12(bath)
-            L[2:, :2] = coupling_layout_21(bath)
-            T, increments = _word_flow(
-                spec, T, L, errs, _block_steps(8 * dim * dim))
-            if increments is None:
-                Rs = _powered_flow(np.eye(dim), stepped, dt, T)
-            else:
-                Rs = _composed_flow(
-                    np.eye(dim), stepped, dt, _RK4_STAGES, increments)
+        T, L = np.zeros((2, dim, dim))
+        T[2:, 2:] = build_A22(bath)
+        T[1, 0] = 1.0
+        L[:2, 2:] = coupling_layout_12(bath)
+        L[2:, :2] = coupling_layout_21(bath)
+        letters, values = _letters(spec, T, L, errs)
+        del T, L
+        if len(letters) == 1:
+            Rs = _powered_R(letters[0], stepped, dt)
+        elif dim < _DIRECT_MIN_DIM:
+            increments = _word_flow(
+                letters, values, _block_steps(8 * dim * dim))
+            Rs = _composed_flow(
+                np.eye(dim), stepped, dt, _RK4_STAGES, increments)
         else:
+            del letters  # the factored steps do not read them
             Rs = _direct_steps(np.eye(dim), stepped, dt, spec, errs)
         # none at R(0) = I; the points after a failing one may overflow
         defects = np.zeros(len(Rs))

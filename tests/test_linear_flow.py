@@ -215,6 +215,41 @@ def test_powered_flow_matches_composed_steps(
         _close(got, want, 1e-11)
 
 
+def test_powered_flow_builds_each_map_once(monkeypatch):
+    # np.diff of a linspace grid varies in its last bit: at 8 steps per
+    # interval, closure's 101- and 801-point grids change (h, n) at 60 and
+    # 468 intervals but hold only 8 and 11 distinct (h, n).  Each map is
+    # built once, and Z is bitwise what rebuilding at every interval gives,
+    # for one generator and for a stack of them.
+    build = propagate._powered_map
+    built = []
+
+    def counting(T, h, n, work):
+        built.append((h, n))
+        return build(T, h, n, work)
+
+    monkeypatch.setattr(propagate, "_powered_map", counting)
+    rng = np.random.default_rng(4)
+    for points in (101, 801):
+        ts = np.linspace(0.0, 5.0, points)
+        dt = np.diff(ts).max() / 8.0
+        n_sub, h_int = propagate._schedule(ts, dt)
+        keys = list(zip(h_int.tolist(), n_sub.tolist()))
+        assert 5 * len(set(keys)) < sum(a != b for a, b in zip(keys, keys[1:]))
+        for shape in ((6, 6), (3, 2, 2)):
+            T = rng.uniform(-0.5, 0.5, shape)
+            z = np.broadcast_to(np.eye(shape[-1]), shape)
+            built.clear()
+            Z = propagate._powered_flow(z, ts, dt, T)
+            assert sorted(built) == sorted(set(keys))
+            work = np.empty((5, 1) + shape)
+            want = [z]
+            for key in keys:
+                Qn = build(T, *key, work)
+                want.append(want[-1] + Qn @ want[-1])
+            np.testing.assert_array_equal(Z, want)
+
+
 def test_step_count_guard_holds_in_both_forms(monkeypatch):
     # ceil(span / dt) at dt = 1e-300 is far past 2^53 steps; its conversion
     # to an integer count would overflow, so both forms refuse it.

@@ -57,11 +57,11 @@ def _coupled_spec(n=3, seed=1, nu=None, omega=None, t_max=6.0):
     )
 
 
-def _uncoupled_spec(omegas, omega=None, t_max=10.0):
+def _uncoupled_spec(omegas, omega=None, t_max=10.0, nu=None):
     n = len(omegas)
     bath = BathSpec(
         omegas=omegas, U=[0.0] * n, V=[0.0] * n, G=[0.0] * n, Z=[0.0] * n,
-        nu=Constant(0.0),
+        nu=nu if nu is not None else Constant(0.0),
     )
     return SystemSpec(
         omega=omega if omega is not None else Constant(1.0), bath=bath, t_max=t_max
@@ -175,24 +175,40 @@ def test_grid_composition_consistency():
     assert two_leg.ts[1] == 2.5
 
 
-def test_zero_coupling_blocks_stay_exactly_zero():
-    # N = 2 takes the stacked steps, N = 64 the direct ones.
+def test_zero_coupling_blocks_stay_exactly_zero(monkeypatch):
+    # Zero coupling coefficients under Constant(0.0) are powered on the 2 x
+    # 2 blocks.  Non-zero coefficients under a profile that is identically
+    # zero but not a Constant keep their coupling letter: N = 2 takes the
+    # stacked steps, N = 64 the direct ones.
+    zero_nu = Affine(GaussianPulse(0.8, 2.0, 0.5), scale=0.0)
+    taken = _step_forms(monkeypatch)
     for omegas in ([0.7, 1.9], np.linspace(0.7, 1.9, 64)):
-        spec = _uncoupled_spec(omegas)
-        traj = integrate_R(spec, np.linspace(0.0, 5.0, 11), dt=5e-3)
-        for state in traj:
-            assert np.all(state.R12 == 0.0)
-            assert np.all(state.R21 == 0.0)
-        final = traj[-1]
-        np.testing.assert_allclose(
-            final.R22, expm_bath(np.asarray(omegas), 5.0), atol=1e-11
+        n = len(omegas)
+        U, V, G, Z = random_couplings(n, scale=0.6, seed=1)
+        coupled = SystemSpec(
+            omega=Constant(1.0), t_max=10.0,
+            bath=BathSpec(omegas=omegas, U=U, V=V, G=G, Z=Z, nu=zero_nu),
         )
-        # constant central frequency: plain rotation with momentum weighting
-        t = 5.0
-        want = np.array(
-            [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-        )
-        np.testing.assert_allclose(final.R11, want, atol=1e-11)
+        stepped = "_composed_flow" if _stacks(n) else "_direct_steps"
+        for spec, form in ((_uncoupled_spec(omegas), "_powered_flow"),
+                           (coupled, stepped)):
+            taken.clear()
+            traj = integrate_R(spec, np.linspace(0.0, 5.0, 11), dt=5e-3)
+            assert taken == [form]
+            for state in traj:
+                assert np.all(state.R12 == 0.0)
+                assert np.all(state.R21 == 0.0)
+            final = traj[-1]
+            np.testing.assert_allclose(
+                final.R22, expm_bath(np.asarray(omegas), 5.0), atol=1e-11
+            )
+            # constant central frequency: plain rotation with momentum
+            # weighting
+            t = 5.0
+            want = np.array(
+                [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+            )
+            np.testing.assert_allclose(final.R11, want, atol=1e-11)
 
 
 def test_quarter_period_rotation_frozen():
@@ -424,6 +440,78 @@ def test_powered_constant_generator_converges_at_fourth_order():
         assert 14.0 < coarse / fine < 18.0
 
 
+def _powered_generators(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of the generator each _powered_flow call powers:
+    (N + 1, 2, 2) for the diagonal blocks, (d, d) for a whole one."""
+    shapes = []
+    original = propagate._powered_flow
+
+    def recording(z, ts, dt, T):
+        shapes.append(T.shape)
+        return original(z, ts, dt, T)
+
+    monkeypatch.setattr(propagate, "_powered_flow", recording)
+    return shapes
+
+
+def test_uncoupled_runs_power_their_2x2_blocks(monkeypatch):
+    # Without coupling coefficients the generator is constant whatever nu
+    # does, and zero outside the N + 1 diagonal 2 x 2 blocks of (p0, x0)
+    # and of each (p_k, x_k): one _powered_flow call powers their stack,
+    # at every N.  The per-step oracle steps the dense generator.
+    grid, dt = np.linspace(0.0, 3.0, 13), 0.01
+    dense = propagate._powered_flow
+    taken = _step_forms(monkeypatch)
+    shapes = _powered_generators(monkeypatch)
+    for n in (4, 64):
+        spec = _uncoupled_spec(uniform_bath_frequencies(n, 0.5, 2.5),
+                               nu=GaussianPulse(0.8, 2.0, 0.5))
+        taken.clear()
+        shapes.clear()
+        traj = integrate_R(spec, grid, dt=dt)
+        assert taken == ["_powered_flow"]
+        assert shapes == [(n + 1, 2, 2)]
+        want = _reference_R(spec, grid, dt)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(traj.R - want)) <= 1e-13 * scale
+        # the power of the whole generator, to roundoff
+        whole = dense(np.eye(2 * n + 2), grid, dt, oracles.generator(spec, 0.0))
+        assert np.max(np.abs(traj.R - whole)) <= 1e-14 * scale
+        inside = np.zeros((2 * n + 2,) * 2, dtype=bool)
+        for pair in [(0, 1)] + [(2 + k, 2 + n + k) for k in range(n)]:
+            inside[np.ix_(pair, pair)] = True
+        assert not traj.R[:, ~inside].any()
+
+
+def test_one_coupling_keeps_the_coupled_forms(monkeypatch):
+    # A single non-zero G_k couples the central oscillator to mode k: a
+    # pulsed nu is stepped, a constant one powered as the whole d x d
+    # generator, and R12 and R21 grow.
+    grid, dt = np.array([0.0, 0.05, 0.12]), 0.01
+    taken = _step_forms(monkeypatch)
+    shapes = _powered_generators(monkeypatch)
+    for n in (4, 64):
+        zeros, G = np.zeros(n), np.zeros(n)
+        G[n // 2] = 0.3
+        d = 2 * n + 2
+        stepped = "_composed_flow" if _stacks(n) else "_direct_steps"
+        cases = ((GaussianPulse(0.8, 0.05, 0.5), stepped, []),
+                 (Constant(0.4), "_powered_flow", [(d, d)]))
+        for nu, form, powered in cases:
+            bath = BathSpec(omegas=uniform_bath_frequencies(n, 0.5, 2.5),
+                            U=zeros, V=zeros, G=G, Z=zeros, nu=nu)
+            spec = SystemSpec(omega=Constant(1.0), bath=bath, t_max=1.0)
+            taken.clear()
+            shapes.clear()
+            traj = integrate_R(spec, grid, dt=dt)
+            assert taken == [form]
+            assert shapes == powered
+            assert traj[-1].R12.any() and traj[-1].R21.any()
+            want = _reference_R(spec, grid, dt)
+            assert (np.max(np.abs(traj.R - want))
+                    <= 1e-13 * np.max(np.abs(want)))
+
+
 def test_constant_subclass_takes_the_stepped_form(monkeypatch):
     # A subclass may override value, as a counting profile does, and the
     # powered form never calls it; so only the exact type is powered.
@@ -546,12 +634,16 @@ def test_symplectic_defect_equals_dense_formula_bitwise():
 
 
 def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
-    # One case per form; at d = 28 the direct form checks several grid
-    # points per chunk and at d = 130 one.
+    # One case per form, and the uncoupled 2 x 2 blocks powered at d =
+    # 130; at d = 42 the direct form checks several grid points per chunk
+    # and at d = 130 one.
     grid = np.linspace(0.0, 3.0, 13)
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
+    uncoupled = _uncoupled_spec(
+        uniform_bath_frequencies(64, 0.5, 2.5), nu=GaussianPulse(0.8, 2.0, 0.5))
     cases = [
         (_coupled_spec(nu=Constant(0.4)), "_powered_flow"),
+        (uncoupled, "_powered_flow"),
         (_coupled_spec(), "_composed_flow"),
         (_coupled_spec(n=n_switch), "_direct_steps"),
         (_coupled_spec(n=64), "_direct_steps"),

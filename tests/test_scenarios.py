@@ -302,6 +302,24 @@ def test_closure_extracts_each_trajectory_once(monkeypatch):
         assert steps.tolist() == [8] * (points - 1)
 
 
+def test_closure_powers_its_uncoupled_run_on_2x2_blocks(monkeypatch):
+    # The uncoupled control has no coupling entries, so its pulsed nu is
+    # never read: its propagator is the one powered run, on the stack of
+    # the central oscillator's and the 4 bath modes' 2 x 2 blocks.
+    from oscbath import propagate
+
+    shapes = []
+
+    def powering(z, ts, dt, T):
+        shapes.append(T.shape)
+        return power(z, ts, dt, T)
+
+    power = propagate._powered_flow
+    monkeypatch.setattr(propagate, "_powered_flow", powering)
+    assert run_closure().passed
+    assert shapes == [(5, 2, 2)]
+
+
 def test_closure_validation():
     with pytest.raises(ValueError, match="descending"):
         run_closure(coupling_scales=(0.05, 0.1))
