@@ -37,10 +37,14 @@ taken in one of three forms:
 Each form returns R at every grid point as one stacked array.  The
 symplectic defect || R^T J R - J ||_F of every grid point is then checked
 in one call, once the whole grid has been stepped, so a drifting
-integration fails at its first bad grid point.  With the coupling profile
-identically zero the off-diagonal blocks stay exactly zero in every form:
-every coupling term is a product with an exactly zero coefficient or
-block.
+integration fails at its first bad grid point.  J pairs each p row of R
+with its x row, so R^T J R = M^T - M for M = P^T X, P and X those rows:
+the check is one (d x d/2)(d/2 x d) product per grid point
+(:func:`_defects`), and for R zero outside its 2 x 2 blocks B_k the
+closed form sqrt(2 sum_k (det B_k - 1)^2) (:func:`_block_defects`).  With
+the coupling profile identically zero the off-diagonal blocks stay
+exactly zero in every form: every coupling term is a product with an
+exactly zero coefficient or block.
 """
 from __future__ import annotations
 
@@ -162,36 +166,46 @@ class PropagatorTrajectory:
         return float(self.defects.max())
 
 
-def _signed_columns(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and value of the one non-zero of each column of the symplectic
-    unit J of :func:`symplectic_unit`.
-
-    J is a signed permutation, so R^T J is the columns of R^T picked by
-    ``rows`` and scaled by ``vals``.
-    """
-    rows = np.argmax(J != 0.0, axis=0)
-    return rows, J[rows, np.arange(J.shape[1])]
+def _pairs(n: int) -> np.ndarray:
+    """The (N + 1, 2) rows (p, x) of the central oscillator, (p0, x0), and
+    of each bath mode, (p_k, x_k): the pairs that the symplectic unit J
+    couples, J[p, x] = -1 and J[x, p] = 1."""
+    return np.stack((np.r_[0, 2 : n + 2], np.r_[1, n + 2 : 2 * n + 2]), axis=1)
 
 
-def _defects(Rs: np.ndarray, J: np.ndarray, rows, vals):
+def _defects(Rs: np.ndarray, J: np.ndarray):
     """Symplectic defects || R^T J R - J ||_F of a (B, d, d) stack of R,
     and whether each R is finite, a chunk of :func:`_block_steps` matrices
-    at a time; ``rows`` and ``vals`` are :func:`_signed_columns` of J."""
+    at a time.
+
+    With P and X the p and x rows of R (:func:`_pairs`) and M = P^T X,
+    R^T J R = M^T - M exactly: one (d x d/2)(d/2 x d) product per R.
+    """
+    p, x = _pairs(len(J) // 2 - 1).T
     out, finite = np.empty(len(Rs)), np.empty(len(Rs), dtype=bool)
     step = _block_steps(8 * J.size)
     for lo in range(0, len(Rs), step):
         R = Rs[lo : lo + step]
         finite[lo : lo + step] = np.isfinite(R).all(axis=(1, 2))
-        # R^T J by picking and scaling columns, at one d x d product
-        # instead of two.  C-ordered, as the dense R.T @ J is, so that the
-        # product rounds as the dense formula does; the norm is the dot
-        # product np.linalg.norm takes.
-        RtJ = np.multiply(np.swapaxes(R, 1, 2)[:, :, rows], vals, order="C")
-        M = np.matmul(RtJ, R) - J
-        M = M.reshape(len(R), -1)
-        out[lo : lo + step] = np.sqrt(np.vecdot(M, M))
-        del RtJ, M  # so that one chunk's arrays are held at a time
+        M = np.matmul(np.swapaxes(R[:, p], 1, 2), R[:, x])
+        D = np.subtract(np.swapaxes(M, 1, 2), M)
+        D -= J
+        D = D.reshape(len(R), -1)
+        out[lo : lo + step] = np.sqrt(np.vecdot(D, D))
+        del M, D  # so that one chunk's arrays are held at a time
     return out, finite
+
+
+def _block_defects(Bs: np.ndarray):
+    """The defects of :func:`_defects`, and finiteness, of a stack of R
+    that are zero outside their N + 1 diagonal 2 x 2 blocks, from the
+    (B, N + 1, 2, 2) stack Bs of those blocks: R^T J R - J is then block
+    diagonal, with blocks B^T J_2 B - J_2 = (det B - 1) J_2, so the defect
+    is sqrt(2 sum_k (det B_k - 1)^2)."""
+    det = Bs[..., 0, 0] * Bs[..., 1, 1] - Bs[..., 0, 1] * Bs[..., 1, 0]
+    det -= 1.0
+    finite = np.isfinite(Bs).all(axis=(1, 2, 3))
+    return np.sqrt(2.0 * np.vecdot(det, det)), finite
 
 
 def expm_bath(omegas: np.ndarray, t: float) -> np.ndarray:
@@ -274,8 +288,9 @@ def rk4_blocks(
     t + f h (steps, len(fractions)) for every f in ``fractions``, per step
     the index of the grid point it ends on, or -1 when it ends inside an
     interval, and the slices of the pass's blocks.  The starts of a pass
-    come from one ``np.add.accumulate`` along rows [t, h, h, ...], one row
-    per interval: the float additions of a sequential loop, so where the
+    come from ``np.add.accumulate`` along rows [t, h, h, ...], one row per
+    interval, one unpadded table per step count among the pass's
+    intervals: the float additions of a sequential loop, so where the
     passes fall changes no node.
     """
     ts = np.asarray(ts, dtype=float)
@@ -292,16 +307,20 @@ def rk4_blocks(
         first = past[i0:i1] - n_sub[i0:i1]
         skip = np.maximum(first, lo) - first
         m = np.minimum(past[i0:i1], hi) - first - skip
-        cols = np.arange(1, int(m.max()) + 1)
-        rows = np.zeros((m.size, cols.size + 1))
-        rows[:, 0] = ts[i0:i1]
+        t0 = ts[i0:i1].copy()
         if skip[0]:  # the first interval began in the previous pass
-            rows[0, 0] = t_next
-        rows[:, 1:] = np.where(cols <= m[:, None], h_int[i0:i1, None], 0.0)
-        np.add.accumulate(rows, axis=1, out=rows)
-        t_next = rows[-1, m[-1]]
-        hs = np.repeat(h_int[i0:i1], m)
-        nodes = rows[:, :-1][cols <= m[:, None]][:, None] + hs[:, None] * frac
+            t0[0] = t_next
+        hs, steps_of = np.repeat(h_int[i0:i1], m), np.repeat(m, m)
+        starts = np.empty(hi - lo)
+        for k in set(m.tolist()):  # the intervals of k steps each
+            sel = m == k
+            rows = np.empty((np.count_nonzero(sel), k))
+            rows[:, 0] = t0[sel]
+            rows[:, 1:] = h_int[i0:i1][sel, None]
+            np.add.accumulate(rows, axis=1, out=rows)
+            starts[steps_of == k] = rows.ravel()
+        t_next = starts[-1] + hs[-1]
+        nodes = starts[:, None] + hs[:, None] * frac
         ends = np.full(hi - lo, -1)
         done = skip + m == n_sub[i0:i1]
         ends[np.cumsum(m)[done] - 1] = np.arange(i0 + 1, i1 + 1)[done]
@@ -563,17 +582,17 @@ def _powered_R(T, ts, dt):
     blocks, those of the central oscillator (p0, x0) and of each bath mode
     (p_k, x_k), as without coupling, the blocks are powered as one
     (N + 1, 2, 2) stack and R is zero outside them; otherwise T is powered
-    whole."""
-    n = len(T) // 2 - 1
-    pairs = np.stack((np.r_[0, 2 : n + 2], np.r_[1, n + 2 : 2 * n + 2]), axis=1)
+    whole.  Returns R and the (T, N + 1, 2, 2) stack of its blocks, or
+    None when T was powered whole."""
+    pairs = _pairs(len(T) // 2 - 1)
     rows, cols = pairs[:, :, None], pairs[:, None, :]
     blocks = T[rows, cols]
     if np.count_nonzero(T) > np.count_nonzero(blocks):
-        return _powered_flow(np.eye(len(T)), ts, dt, T)
+        return _powered_flow(np.eye(len(T)), ts, dt, T), None
+    Bs = _powered_flow(np.broadcast_to(np.eye(2), blocks.shape), ts, dt, blocks)
     Rs = np.zeros((len(ts),) + T.shape)
-    Rs[:, rows, cols] = _powered_flow(
-        np.broadcast_to(np.eye(2), blocks.shape), ts, dt, blocks)
-    return Rs
+    Rs[:, rows, cols] = Bs
+    return Rs, Bs
 
 
 def _letters(spec: SystemSpec, T, L, errs: dict):
@@ -773,7 +792,6 @@ def integrate_R(
 
     bath = spec.bath
     dim = 2 * bath.n + 2
-    J = symplectic_unit(bath.n)
     errs = np.geterr()  # for the profiles; the steps and checks ignore overflow
     stepped = ts[: reach + 1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -784,8 +802,9 @@ def integrate_R(
         L[2:, :2] = coupling_layout_21(bath)
         letters, values = _letters(spec, T, L, errs)
         del T, L
+        blocks = None  # R's 2 x 2 blocks, when it is zero outside them
         if len(letters) == 1:
-            Rs = _powered_R(letters[0], stepped, dt)
+            Rs, blocks = _powered_R(letters[0], stepped, dt)
         elif dim < _DIRECT_MIN_DIM:
             increments = _word_flow(
                 letters, values, _block_steps(8 * dim * dim))
@@ -796,7 +815,9 @@ def integrate_R(
             Rs = _direct_steps(np.eye(dim), stepped, dt, spec, errs)
         # none at R(0) = I; the points after a failing one may overflow
         defects = np.zeros(len(Rs))
-        defects[1:], finite = _defects(Rs[1:], J, *_signed_columns(J))
+        defects[1:], finite = (
+            _defects(Rs[1:], symplectic_unit(bath.n)) if blocks is None
+            else _block_defects(blocks[1:]))
     bad = np.flatnonzero(~finite | (defects[1:] > defect_limit))
     if bad.size:
         i = 1 + int(bad[0])

@@ -168,8 +168,9 @@ def coupling_layout_21(bath: BathSpec) -> np.ndarray:
 
 def symplectic_unit(n_bath: int) -> np.ndarray:
     """Block-diagonal symplectic unit for the (p0, x0, p_k.., x_k..)
-    ordering: a signed permutation, one non-zero of +-1 per column, which
-    the propagator's defect check relies on."""
+    ordering: J[p, x] = -1 and J[x, p] = 1 for the pairs (p0, x0) and
+    (p_k, x_k), and zero elsewhere, which the propagator's defect check
+    relies on."""
     dim = 2 * n_bath + 2
     J = np.zeros((dim, dim))
     J[0, 1] = -1.0

@@ -424,6 +424,40 @@ def test_pass_grids_cross_pass_boundaries():
             assert len(cuts) >= 2 and not set(cuts) & set(ends)
 
 
+# One interval of 512 steps, then 512 of one step each: one pass of
+# intervals of very unequal step counts.
+MIXED_GRID = PASS_DT * np.cumsum([0.0, 512.0, *[1.0] * 512])
+
+
+@pytest.mark.parametrize("grid", [*PASS_GRIDS, MIXED_GRID],
+                         ids=["2500", "3001", "mixed"])
+def test_schedule_holds_no_padded_table(grid):
+    # A pass accumulates the step starts of its intervals of equal step
+    # count as one table each, so it holds no table padded to its longest
+    # interval: at most 0.18 MB here over 4 stage nodes, where the padded
+    # table of the mixed grid alone took 4.57 MB.  The nodes stay those of
+    # the sequential loop.
+    stages = (0.0, 0.5, 0.5, 1.0)
+    for block in map(_block_steps, PASS_BYTES):
+        got = [(h[s], nodes[s].ravel(), ends[s])
+               for h, nodes, ends, blocks in rk4_blocks(grid, PASS_DT, stages,
+                                                        block)
+               for s in blocks]
+        want = list(oracles.rk4_blocks(grid, PASS_DT, stages, block))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    tracemalloc.start()
+    try:
+        for _ in rk4_blocks(grid, PASS_DT, stages, _block_steps(8 * 2**2)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6
+
+
 def _bath_spec(n: int, omega, nu) -> SystemSpec:
     U, V, G, Z = random_couplings(n, scale=0.3, seed=4)
     bath = BathSpec(omegas=uniform_bath_frequencies(n, 0.5, 2.5),

@@ -43,6 +43,32 @@ def _dense_defect(R, J):
     return float(np.linalg.norm(R.T @ J @ R - J))
 
 
+def _pair_defect(R, J):
+    """The defect from M = P^T X, P and X the p and x rows of R: J pairs
+    them, J[p, x] = -1 and J[x, p] = 1, so R^T J R = M^T - M."""
+    n = len(R) // 2 - 1
+    M = R[np.r_[0, 2 : n + 2]].T @ R[np.r_[1, n + 2 : 2 * n + 2]]
+    return float(np.linalg.norm(M.T - M - J))
+
+
+def _block_defect(R):
+    """The defect of an R that is zero outside its 2 x 2 blocks B_k on the
+    pairs (p, x): R^T J R - J is then block diagonal, with blocks (det B_k
+    - 1) J_2, so the defect is sqrt(2 sum_k (det B_k - 1)^2)."""
+    n = len(R) // 2 - 1
+    p, x = np.r_[0, 2 : n + 2], np.r_[1, n + 2 : 2 * n + 2]
+    e = R[p, p] * R[x, x] - R[p, x] * R[x, p] - 1.0
+    return math.sqrt(2.0 * float(e @ e))
+
+
+def _assert_near_dense(defects, Rs, J):
+    """The defects within 1e-15 ||R||_F^2 of the dense formula, which
+    rounds differently: within 1.3e-16 ||R||_F^2 at d = 4 and 1.4e-17 at
+    d = 130 on random R."""
+    dense = np.array([_dense_defect(R, J) for R in Rs])
+    assert np.all(np.abs(defects - dense) <= 1e-15 * np.sum(Rs**2, axis=(1, 2)))
+
+
 def _coupled_spec(n=3, seed=1, nu=None, omega=None, t_max=6.0):
     omegas = uniform_bath_frequencies(n, 0.5, 2.5)
     U, V, G, Z = random_couplings(n, scale=0.6, seed=seed)
@@ -559,6 +585,34 @@ def test_non_finite_propagator_raises_with_failure_time():
         assert exc.value.t == grid[first]
 
 
+def test_uncoupled_runs_raise_at_the_first_failing_point(monkeypatch):
+    # The 2 x 2 block form reads finiteness and the defect from the
+    # blocks.  At h omega = 20 RK4's map of a mode grows about 6,600 times
+    # a step until R overflows; at h omega = 1/14 its determinant falls by
+    # about (h omega)^6 / 72 a step, past a limit set between two points.
+    shapes = _powered_generators(monkeypatch)
+    for n in (1, 64):
+        spec = _uncoupled_spec(np.linspace(40.0, 39.0, n), t_max=50.0)
+        grid = np.linspace(0.0, 50.0, 51)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_R(spec, grid, 0.5)
+        first = np.flatnonzero(~np.isfinite(want).all(axis=(1, 2)))[0]
+        assert 10 < first < 50
+        shapes.clear()
+        with pytest.raises(IntegrationError, match="non-finite") as exc:
+            integrate_R(spec, grid, dt=0.5, defect_limit=math.inf)
+        assert shapes == [(n + 1, 2, 2)]
+        assert exc.value.t == grid[first]
+        grid, dt = np.linspace(0.0, 0.5, 11), 0.05 / 28
+        J = symplectic_unit(n)
+        defects = [_dense_defect(R, J) for R in _reference_R(spec, grid, dt)]
+        assert defects[5] > 1.1 * defects[4]  # far from roundoff
+        with pytest.raises(IntegrationError, match="symplectic defect") as exc:
+            integrate_R(spec, grid, dt=dt,
+                        defect_limit=(defects[4] + defects[5]) / 2.0)
+        assert exc.value.t == grid[5]
+
+
 def _pulsed_stiff_spec(n: int, amplitude: float) -> SystemSpec:
     """Slow modes under a strong coupling pulse at t = 10: the defect
     grows past 1e-6 on the pulse's rise, and R overflows near its peak."""
@@ -617,44 +671,44 @@ def test_profile_warnings_reach_the_caller(monkeypatch):
     assert taken == ["_composed_flow", "_direct_steps"]
 
 
-def test_symplectic_defect_equals_dense_formula_bitwise():
-    # R^T J is formed by picking and negating columns; the norm must be
-    # the very float the two dense products give, one chunk of the stack
-    # at a time.  An F-ordered R^T J rounds differently in a few of these
-    # 735 matrices.
+def test_symplectic_defect_equals_pair_product_bitwise():
+    # The check forms the one half-size product M = P^T X, a chunk of the
+    # stack at a time; its norm must be the very float that the product of
+    # one matrix gives, and the dense formula's within its bound.
     rng = np.random.default_rng(5)
     for n in (1, 2, 4, 8, 16, 40, 64):
         J = symplectic_unit(n)
         for scale in (1e-6, 1.0, 1e6):
             Rs = scale * rng.standard_normal((35, 2 * n + 2, 2 * n + 2))
-            defects, finite = propagate._defects(
-                Rs, J, *propagate._signed_columns(J))
+            defects, finite = propagate._defects(Rs, J)
             assert finite.all()
-            assert defects.tolist() == [_dense_defect(R, J) for R in Rs]
+            assert defects.tolist() == [_pair_defect(R, J) for R in Rs]
+            _assert_near_dense(defects, Rs, J)
 
 
 def test_defects_are_the_symplectic_defect_bitwise(monkeypatch):
     # One case per form, and the uncoupled 2 x 2 blocks powered at d =
-    # 130; at d = 42 the direct form checks several grid points per chunk
-    # and at d = 130 one.
+    # 130, whose defect comes from the blocks' determinants; at d = 42 the
+    # direct form checks several grid points per chunk and at d = 130 one.
     grid = np.linspace(0.0, 3.0, 13)
     n_switch = propagate._DIRECT_MIN_DIM // 2 - 1
     uncoupled = _uncoupled_spec(
         uniform_bath_frequencies(64, 0.5, 2.5), nu=GaussianPulse(0.8, 2.0, 0.5))
     cases = [
-        (_coupled_spec(nu=Constant(0.4)), "_powered_flow"),
-        (uncoupled, "_powered_flow"),
-        (_coupled_spec(), "_composed_flow"),
-        (_coupled_spec(n=n_switch), "_direct_steps"),
-        (_coupled_spec(n=64), "_direct_steps"),
+        (_coupled_spec(nu=Constant(0.4)), "_powered_flow", _pair_defect),
+        (uncoupled, "_powered_flow", lambda R, J: _block_defect(R)),
+        (_coupled_spec(), "_composed_flow", _pair_defect),
+        (_coupled_spec(n=n_switch), "_direct_steps", _pair_defect),
+        (_coupled_spec(n=64), "_direct_steps", _pair_defect),
     ]
     taken = _step_forms(monkeypatch)
-    for spec, form in cases:
+    for spec, form, defect in cases:
         taken.clear()
         traj = integrate_R(spec, grid, dt=0.01)
         assert set(taken) == {form}
         J = symplectic_unit(spec.bath.n)
-        assert traj.defects.tolist() == [_dense_defect(R, J) for R in traj.R]
+        assert traj.defects.tolist() == [defect(R, J) for R in traj.R]
+        _assert_near_dense(traj.defects, traj.R, J)
 
 
 def test_direct_form_roundoff_stays_at_the_stacked_forms(monkeypatch):
@@ -708,17 +762,16 @@ def test_defect_checks_stay_within_memory():
 
 def test_defects_hold_one_chunk_at_a_time():
     # At d = 130 a chunk is one matrix.  A call on several peaks as a call
-    # on one does; holding one chunk's R^T J and difference while building
-    # the next read 1.65 times the one-matrix peak.
+    # on one does; holding one chunk's product M and difference M^T - M - J
+    # while building the next read 1.60 times the one-matrix peak.
     J = symplectic_unit(64)
-    cols = propagate._signed_columns(J)
     Rs = np.random.default_rng(3).standard_normal((6, 130, 130))
     peaks = []
     for stack in (Rs[:1], Rs):
-        propagate._defects(stack, J, *cols)  # first-call allocations
+        propagate._defects(stack, J)  # first-call allocations
         tracemalloc.start()
         try:
-            propagate._defects(stack, J, *cols)
+            propagate._defects(stack, J)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
