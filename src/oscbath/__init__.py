@@ -68,14 +68,12 @@ from .perturb import (
 from .langevin import (
     EpsilonSolution,
     LangevinModel,
-    SampledMoments,
     diffusion_matrix,
     drift_matrix,
     effective_frequency_terms,
     epsilon_solver,
     evolve_moments,
     evolve_moments_tabulated,
-    sample_trajectories,
     stationary_covariance,
 )
 from .scenarios import (

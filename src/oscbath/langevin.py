@@ -43,10 +43,6 @@ power of the RK4 map.  Every coefficient is evaluated on an array of
 times: :func:`effective_frequency_terms` gives (omega^2, delta', delta^2)
 at each time (a scalar counts as one time), and ``_drift_diffusion`` the
 drift and diffusion entries at each node.
-
-The trajectory sampler is Euler-Maruyama driven by counter-based random
-substreams, one per trajectory, so results are bit-reproducible for a
-given seed.  No scenario runs it yet.
 """
 
 from __future__ import annotations
@@ -65,14 +61,12 @@ from .reduced import CentralGaussian, MomentTrajectory
 __all__ = [
     "LangevinModel",
     "EpsilonSolution",
-    "SampledMoments",
     "drift_matrix",
     "diffusion_matrix",
     "evolve_moments",
     "evolve_moments_tabulated",
     "effective_frequency_terms",
     "epsilon_solver",
-    "sample_trajectories",
     "stationary_covariance",
 ]
 
@@ -83,9 +77,6 @@ _MOMENT_ENTRIES = (
     (0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4),
     (0, 1, 0, 1, 2, 3, 5, 2, 3, 4, 5, 3, 4, 5),
 )
-# Trajectories are simulated and summed in blocks of this size, the block
-# sums added in trajectory order.
-_SUM_BLOCK = 64
 
 
 def _probe_times(profile: TimeProfile) -> np.ndarray:
@@ -306,108 +297,6 @@ def epsilon_solver(
             f" at t={ts[i]:.6g}", t=float(ts[i]))
     return EpsilonSolution(
         ts=ts, eps=eps, eps_dot=deps, wronskian_drift=float(drift.max())
-    )
-
-
-@dataclass(frozen=True)
-class SampledMoments:
-    """Sample statistics over stochastic trajectories, with standard errors."""
-
-    ts: np.ndarray
-    mean: np.ndarray      # (M, 2)
-    cov: np.ndarray       # (M, 2, 2)
-    mean_se: np.ndarray   # (M, 2)
-    cov_se: np.ndarray    # (M, 2, 2)
-    count: int
-    seed: int
-
-
-def _chol_2x2(C: np.ndarray) -> np.ndarray:
-    c11, c12, c22 = C[0, 0], C[0, 1], C[1, 1]
-    out = np.zeros((2, 2))
-    if c11 > 0.0:
-        out[0, 0] = math.sqrt(c11)
-        out[1, 0] = c12 / out[0, 0]
-        rem = c22 - out[1, 0] ** 2
-        out[1, 1] = math.sqrt(max(rem, 0.0))
-    else:
-        out[1, 1] = math.sqrt(max(c22, 0.0))
-    return out
-
-
-def sample_trajectories(
-    model: LangevinModel,
-    initial: CentralGaussian,
-    grid: np.ndarray,
-    count: int,
-    seed: int,
-) -> SampledMoments:
-    """Euler-Maruyama ensemble of the Langevin equations.
-
-    Each trajectory draws from its own counter-based substream keyed by
-    (seed, trajectory index), and sums are accumulated over fixed-size
-    blocks in trajectory order, so the ensemble statistics are
-    bit-identical for a given seed.  Only the symmetric diffusion enters
-    the stochastic term; the antisymmetric (commutator) part of the noise
-    has no classical counterpart.
-    """
-    ts = _check_grid(grid)
-    if count < 2:
-        raise ValueError(f"need at least two trajectories, got {count}")
-    n_steps = ts.size - 1
-    hs = np.diff(ts)
-
-    # Per-step drift and noise amplitude, tabulated once; D is diagonal,
-    # so its Cholesky factor is sqrt(2 D) on the diagonal.
-    a11, a12, a21, a22, d11, _, d22 = _drift_diffusion(model, ts[:-1])
-    As = np.stack((a11, a12, a21, a22), axis=-1).reshape(-1, 2, 2)
-    Bs = np.zeros_like(As)
-    Bs[:, 0, 0] = np.sqrt(np.maximum(2.0 * d11, 0.0))
-    Bs[:, 1, 1] = np.sqrt(np.maximum(2.0 * d22, 0.0))
-    B0 = _chol_2x2(initial.cov)
-    mean0 = initial.mean
-
-    sum_mean = np.zeros((ts.size, 2))
-    sum_outer = np.zeros((ts.size, 2, 2))
-    for lo in range(0, count, _SUM_BLOCK):
-        m = min(_SUM_BLOCK, count - lo)
-        noise = np.empty((m, n_steps + 1, 2))
-        for j in range(m):
-            rng = np.random.Generator(
-                np.random.Philox(key=np.array([seed, lo + j], dtype=np.uint64))
-            )
-            noise[j] = rng.standard_normal((n_steps + 1, 2))
-        Q = mean0[:, None] + B0 @ noise[:, 0, :].T  # (2, m)
-        s_mean = np.empty((ts.size, 2))
-        s_outer = np.empty((ts.size, 2, 2))
-        s_mean[0] = Q.sum(axis=1)
-        s_outer[0] = Q @ Q.T
-        for i in range(n_steps):
-            h = hs[i]
-            Q = Q + h * (As[i] @ Q) + math.sqrt(h) * (Bs[i] @ noise[:, i + 1, :].T)
-            s_mean[i + 1] = Q.sum(axis=1)
-            s_outer[i + 1] = Q @ Q.T
-        sum_mean += s_mean
-        sum_outer += s_outer
-
-    n = float(count)
-    mean = sum_mean / n
-    outer_mean = np.einsum("ti,tj->tij", mean, mean)
-    cov = (sum_outer - n * outer_mean) / (n - 1.0)
-    var = np.stack([cov[:, 0, 0], cov[:, 1, 1]], axis=1)
-    mean_se = np.sqrt(np.clip(var, 0.0, None) / n)
-    # Gaussian estimator variance: Var(C_ij) ~ (C_ii C_jj + C_ij^2)/(n-1).
-    cov_se = np.sqrt(
-        (np.einsum("ti,tj->tij", var, var) + cov**2) / (n - 1.0)
-    )
-    return SampledMoments(
-        ts=ts,
-        mean=mean,
-        cov=cov,
-        mean_se=mean_se,
-        cov_se=cov_se,
-        count=count,
-        seed=seed,
     )
 
 

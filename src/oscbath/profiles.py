@@ -9,9 +9,9 @@ Every kind implements ``values(ts)`` and ``derivatives(ts)`` on arrays of
 times, so the integrators tabulate a profile on a whole block of stage
 nodes in one call, and ``integral(t0, t1)`` in closed form (an
 antiderivative difference, so a reversed interval negates it).  The scalar
-``value(t)`` and ``derivative(t)`` are their one-element forms, defined
-once on :class:`TimeProfile`, so a time gives the same number whichever
-form asks.  ``Constant`` alone keeps a scalar ``value``, which its
+``value(t)`` is the one-element form of ``values``, defined once on
+:class:`TimeProfile`, so a time gives the same number whichever form
+asks.  ``Constant`` alone keeps a scalar ``value``, which its
 ``values`` calls once per time; ``tabulate`` fills an exact ``Constant``
 with its value instead.
 
@@ -88,9 +88,6 @@ class TimeProfile:
 
     def value(self, t: float) -> float:
         return float(self.values(np.array([float(t)]))[0])
-
-    def derivative(self, t: float) -> float:
-        return float(self.derivatives(np.array([float(t)]))[0])
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,6 @@ class PropagatorTrajectory:
     def __len__(self) -> int:
         return self.ts.size
 
-    def __getitem__(self, i: int) -> PropagatorState:
-        return PropagatorState(self.ts[i], self.R[i])
-
     def __iter__(self):
         return map(PropagatorState, self.ts, self.R)
 
@@ -818,6 +815,9 @@ def integrate_R(
         defects[1:], finite = (
             _defects(Rs[1:], symplectic_unit(bath.n)) if blocks is None
             else _block_defects(blocks[1:]))
+    # a finite R whose products overflow has the defect inf - inf = NaN,
+    # which passes any comparison: it counts as inf
+    defects[1:][finite & ~np.isfinite(defects[1:])] = math.inf
     bad = np.flatnonzero(~finite | (defects[1:] > defect_limit))
     if bad.size:
         i = 1 + int(bad[0])

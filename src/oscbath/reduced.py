@@ -91,18 +91,11 @@ def photon_number(state: CentralGaussian) -> float:
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Moments on a grid, stacked: ``means`` (T, 2) and ``covs`` (T, 2, 2).
-    Indexing and iteration give the :class:`CentralGaussian` at a time."""
+    """Moments on a grid, stacked: ``means`` (T, 2) and ``covs`` (T, 2, 2)."""
 
     ts: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-
-    def __len__(self) -> int:
-        return self.ts.size
-
-    def __getitem__(self, i: int) -> CentralGaussian:
-        return CentralGaussian(mean=self.means[i], cov=self.covs[i])
 
     @property
     def photons(self) -> np.ndarray:
@@ -197,7 +190,7 @@ def extract_reduced(
 
     never from the 2N x 2N core.  Raises :class:`IntegrationError` naming
     the time of the first point whose two diffusion terms disagree beyond
-    roundoff.
+    roundoff; a NaN disagreement counts.
     """
     ts, R = traj.ts, traj.R
     cond = _condition_numbers(R[:, :2, :2])
@@ -238,7 +231,7 @@ def extract_reduced(
     two_D += R12F @ M.transpose(0, 2, 1)
     skew = np.abs(two_D[:, 0, 1] - two_D[:, 1, 0])
     scale = np.maximum(1.0, np.abs(two_D).max(axis=(1, 2)))
-    bad = np.flatnonzero(skew > _SKEW_TOL * scale)
+    bad = np.flatnonzero(~(skew <= _SKEW_TOL * scale))
     if bad.size:
         k = bad[0]
         raise IntegrationError(

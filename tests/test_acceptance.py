@@ -240,7 +240,7 @@ def test_criterion_07_thermal_stationarity():
     out = evolve_moments(
         model, CentralGaussian.vacuum(), np.array([0.0, horizon])
     )
-    final = out[-1]
+    final = CentralGaussian(out.means[-1], out.covs[-1])
     target = 0.5 * G * np.eye(2)
     cov_gap = float(np.max(np.abs(final.cov - target)))
     photon_gap = abs(photon_number(final) - 0.5 * (G - 1.0))
@@ -332,7 +332,7 @@ def test_criterion_10_conservation_sanity():
         driven, CentralGaussian.vacuum(), grid, dt=4e-3
     )
     pure_drift = max(
-        abs(float(np.linalg.det(s.cov)) - 0.25) for s in out
+        abs(float(np.linalg.det(cov)) - 0.25) for cov in out.covs
     )
     damped = LangevinModel(
         omega=Affine(pulse, scale=-1e-2, offset=1.0),
@@ -340,7 +340,7 @@ def test_criterion_10_conservation_sanity():
     )
     out_d = evolve_moments(damped, CentralGaussian.vacuum(), grid, dt=4e-3)
     floor_margin = min(
-        float(np.linalg.det(s.cov)) - 0.25 for s in out_d
+        float(np.linalg.det(cov)) - 0.25 for cov in out_d.covs
     )
     heating_ok = train.tables["photons"]["photons_y=0"][-1] > 0.0
     ok = (

@@ -1,9 +1,7 @@
-"""Local damped-oscillator model: moments, amplitude solution, sampling.
+"""Local damped-oscillator model: moments and amplitude solution.
 
-solve_ivp at tight tolerance is the oracle for the deterministic paths and
-scipy's Lyapunov solver for the stationary covariance; the
-stochastic ensemble is checked against the moment equations within its own
-standard errors and for exact reproducibility for a given seed.
+solve_ivp at tight tolerance is the oracle for the moments and the
+amplitude, and scipy's Lyapunov solver for the stationary covariance.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from oscbath import (
     evolve_moments,
     evolve_moments_tabulated,
     photon_number,
-    sample_trajectories,
     stationary_covariance,
 )
 from oscbath.profiles import tabulate
@@ -132,7 +129,7 @@ def test_effective_frequency_derivative_term():
     m = LangevinModel(omega=Constant(1.0), gamma=gam, y=0.5)
     t = 0.8
     w2, ddot, d2 = effective_frequency_terms(m, t)
-    assert ddot == pytest.approx(-0.5 * gam.derivative(t), rel=1e-6)
+    assert ddot == pytest.approx(-0.5 * gam.derivatives([t])[0], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -352,71 +349,20 @@ def test_epsilon_wronskian_violation_raises():
     assert exc.value.t is not None
 
 
-# ---------------------------------------------------------------------------
-# stochastic ensemble
-
-
-def test_sampled_moments_match_exact_within_errors():
-    model = LangevinModel(omega=Constant(1.0), gamma=Constant(0.3), G=1.4)
-    init = CentralGaussian(mean=np.array([0.8, -0.4]), cov=np.diag([0.7, 0.5]))
-    grid = np.linspace(0.0, 2.0, 401)
-    exact = evolve_moments(model, init, grid)
-    s = sample_trajectories(model, init, grid, count=4000, seed=77)
-    # z-scores stay O(1); the Euler bias at this step size is well below
-    # the sampling error
-    for k in (100, 250, 400):
-        assert np.all(np.abs(s.cov[k] - exact.covs[k]) <= 4.0 * s.cov_se[k])
-        assert np.all(np.abs(s.mean[k] - exact.means[k]) <= 4.0 * s.mean_se[k])
-
-
-def test_sampling_bit_reproducible_across_partitions():
-    model = LangevinModel(omega=Constant(1.0), gamma=Constant(0.3), G=1.4)
-    init = CentralGaussian.vacuum()
-    grid = np.linspace(0.0, 1.0, 101)
-    a = sample_trajectories(model, init, grid, count=500, seed=9)
-    b = sample_trajectories(model, init, grid, count=500, seed=9)
-    np.testing.assert_array_equal(a.mean, b.mean)
-    np.testing.assert_array_equal(a.cov, b.cov)
-    np.testing.assert_array_equal(a.cov_se, b.cov_se)
-    e = sample_trajectories(model, init, grid, count=500, seed=10)
-    assert not np.array_equal(a.mean, e.mean)
-
-
-def test_sampler_step_bias_is_first_order():
-    # no damping, no noise: the ensemble mean follows the Euler polygon of
-    # a pure rotation, whose error halves with the step
-    m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.0))
-    init = CentralGaussian(mean=np.array([1.0, 0.0]), cov=np.zeros((2, 2)))
-    errs = []
-    for n in (100, 200):
-        grid = np.linspace(0.0, 1.0, n + 1)
-        s = sample_trajectories(m, init, grid, count=2, seed=1)
-        want = np.array([math.cos(1.0), math.sin(1.0)])
-        errs.append(np.abs(s.mean[-1] - want).max())
-    assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.25)
-
-
 def test_non_finite_grids_are_rejected():
     # NaN and inf pass a check of np.diff(ts) > 0 alone; the grid check
-    # rejects them before any step is scheduled.
+    # rejects them, and a grid that turns back, before any step is
+    # scheduled.
     m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.1))
     init = CentralGaussian.vacuum()
-    for grid in ([0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]):
-        with pytest.raises(ValueError, match="finite"):
+    for grid, match in (([0.0, math.nan], "finite"),
+                        ([math.nan, 1.0], "finite"),
+                        ([0.0, math.inf], "finite"),
+                        ([0.0, 1.0, 0.5], "increasing")):
+        with pytest.raises(ValueError, match=match):
             evolve_moments(m, init, np.array(grid))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=match):
             epsilon_solver(m, np.array(grid))
-
-
-def test_sampler_input_validation():
-    m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.1))
-    init = CentralGaussian.vacuum()
-    with pytest.raises(ValueError, match="two trajectories"):
-        sample_trajectories(m, init, np.linspace(0.0, 1.0, 11), count=1, seed=0)
-    with pytest.raises(ValueError, match="increasing"):
-        sample_trajectories(
-            m, init, np.array([0.0, 1.0, 0.5]), count=10, seed=0
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +373,10 @@ def test_photon_trajectory_consistent_with_states():
     m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.2), G=1.5)
     out = evolve_moments(m, CentralGaussian.vacuum(), np.linspace(0.0, 5.0, 6))
     np.testing.assert_allclose(
-        out.photons, [photon_number(s) for s in out], atol=0.0
+        out.photons,
+        [photon_number(CentralGaussian(m, c))
+         for m, c in zip(out.means, out.covs)],
+        atol=0.0,
     )
     assert out.photons[0] == pytest.approx(0.0, abs=1e-15)
     assert np.all(np.diff(out.photons) > 0.0)  # heating toward G > 1
@@ -439,8 +388,9 @@ def test_photons_count_the_displacement():
     m = LangevinModel(omega=Constant(1.0), gamma=Constant(0.2), G=1.5)
     init = CentralGaussian(np.array([0.8, -0.3]), 0.6 * np.eye(2))
     out = evolve_moments(m, init, np.linspace(0.0, 5.0, 11))
-    assert len(out) == 11
+    assert len(out.means) == len(out.covs) == 11
     assert np.abs(out.means).max() > 0.3
-    want = [photon_number(s) for s in out]
+    want = [photon_number(CentralGaussian(m, c))
+            for m, c in zip(out.means, out.covs)]
     assert len(want) == 11
     np.testing.assert_array_equal(out.photons, want)

@@ -40,7 +40,7 @@ def test_constant_basics():
     assert c.value(0.0) == 2.5
     assert c.value(-3.0) == 2.5
     assert c.integral(1.0, 4.0) == pytest.approx(7.5, abs=0.0)
-    assert c.derivative(0.3) == 0.0
+    assert c.derivatives([0.3])[0] == 0.0
     assert c.is_continuous
 
 
@@ -148,8 +148,8 @@ def test_piecewise_linear_values_and_integrals():
     assert pl.value(0.5) == pytest.approx(1.0, abs=0.0)
     assert pl.integral(0.0, 3.0) == pytest.approx(4.0, abs=1e-14)
     assert pl.integral(0.5, 2.5) == pytest.approx(3.1875, abs=1e-14)
-    assert pl.derivative(0.5) == pytest.approx(2.0, abs=0.0)
-    assert pl.derivative(2.0) == pytest.approx(-0.5, abs=1e-15)
+    assert pl.derivatives([0.5])[0] == pytest.approx(2.0, abs=0.0)
+    assert pl.derivatives([2.0])[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_piecewise_linear_outside_domain_raises():
@@ -159,7 +159,7 @@ def test_piecewise_linear_outside_domain_raises():
     with pytest.raises(ProfileDomainError):
         pl.integral(0.0, 2.0)
     with pytest.raises(ProfileDomainError):
-        pl.derivative(-0.1)
+        pl.derivatives([-0.1])
 
 
 def test_piecewise_linear_values_match_interp():
@@ -230,7 +230,7 @@ def test_derivative_matches_central_difference():
                 if min(abs(t - k) for k in p.times) < 1e-3:
                     continue
             fd = (p.value(t + h) - p.value(t - h)) / (2.0 * h)
-            assert p.derivative(t) == pytest.approx(fd, abs=5e-6)
+            assert p.derivatives([t])[0] == pytest.approx(fd, abs=5e-6)
 
 
 def _closed_form(p, t: float) -> tuple[float, float]:
@@ -312,7 +312,6 @@ def test_scalar_forms_are_one_element_arrays():
         for t in np.linspace(0.0, 6.0, 49):
             t = float(t)
             assert p.value(t) == p.values([t])[0]
-            assert p.derivative(t) == p.derivatives([t])[0]
 
 
 def test_only_the_base_and_constant_define_scalar_forms():
@@ -322,7 +321,6 @@ def test_only_the_base_and_constant_define_scalar_forms():
     for cls in kinds:
         if cls not in (TimeProfile, Constant):
             assert "value" not in cls.__dict__, cls
-            assert "derivative" not in cls.__dict__, cls
 
 
 def test_pulse_train_block_evaluates_each_pulse_offset_once():
