@@ -37,7 +37,14 @@ every grid point as one stacked array, and each run checks its invariant
 (finite moments, the Wronskian) once, on the whole stack.  The
 coefficients are tabulated on the stage nodes of a pass of 910 (moments)
 or 1,024 steps, each profile once per node set, and each pass is one block
-of stacked increments; when omega and gamma are both exactly
+of stacked increments.  Every profile value a run reads, the amplitude
+run's omega at y = 0 and the model's sign probe of gamma too, comes
+through :func:`oscbath.profiles.tabulate`, so within a scenario run (one
+:func:`oscbath.profiles.shared_tables` scope) runs on the same nodes
+share one evaluation: mir-pulse-train's three moment runs share their
+grid and step, and so do its two amplitude runs.  Only gamma's
+derivative, which the y != 0 amplitude run reads, is evaluated per call.
+When omega and gamma are both exactly
 :class:`Constant` the generator is fixed and each grid interval is one
 power of the RK4 map.  Every coefficient is evaluated on an array of
 times: :func:`effective_frequency_terms` gives (omega^2, delta', delta^2)
@@ -118,7 +125,7 @@ class LangevinModel:
                 " (finite rise time) first"
             )
         probes = _probe_times(self.gamma)
-        g = self.gamma.values(probes)
+        (g,) = tabulate((self.gamma,), probes)
         if np.any(g < 0.0):
             t = probes[np.argmax(g < 0.0)]
             raise ValueError(f"gamma(t) must be non-negative; fails near t={t}")
@@ -274,7 +281,7 @@ def epsilon_solver(
 
     def coefficients(nodes: np.ndarray) -> tuple:
         if model.y == 0.0:
-            w = model.omega.values(nodes)
+            (w,) = tabulate((model.omega,), nodes)
             return (-(w * w),)
         w2, delta_dot, delta2 = effective_frequency_terms(model, nodes)
         return (-(w2 + delta_dot - delta2),)

@@ -15,6 +15,15 @@ asks.  ``Constant`` alone keeps a scalar ``value``, which its
 ``values`` calls once per time; ``tabulate`` fills an exact ``Constant``
 with its value instead.
 
+Every scenario run is one ``shared_tables`` scope: within it ``tabulate``
+evaluates each profile (by identity) once per exact node set and hands
+later requests the kept table, read-only.  A table is kept only once its
+evaluation has returned, and only while the scope's tables and node keys
+stay within ``_SHARED_BYTES`` (8 MiB; the 50-pulse mir-pulse-train default
+keeps about 3.8 MB); past it a table is computed and not kept.  The scope
+ends with the run, so no table outlives it.  Outside a scope, as in direct
+calls of the integrators, every request is evaluated.
+
 ``lambda_factor`` builds the memory factor nu(t) * int_0^t nu that controls
 every short-time damping and diffusion coefficient downstream.
 
@@ -26,7 +35,9 @@ train's base must have finite support: not a non-zero constant.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -45,6 +56,7 @@ __all__ = [
     "PROFILE_KINDS",
     "lambda_factor",
     "tabulate",
+    "shared_tables",
     "profile_from_dict",
     "profile_to_dict",
 ]
@@ -425,19 +437,75 @@ def is_exact_constant(p: TimeProfile) -> bool:
     return type(p) is Constant
 
 
+# Bytes of node keys and tables that one scenario run keeps shared
+# (:func:`shared_tables`); past it a table is computed and not kept.  The
+# 50-pulse mir-pulse-train default keeps about 3.8 MB, its node keys
+# included; the other default scenarios at most 1.1 MB.
+_SHARED_BYTES = 8 * 2**20
+
+
+class _Store:
+    """Tables kept by one :func:`shared_tables` scope: per exact node set
+    (shape and bytes), each profile's table by identity, next to the
+    profile itself, so that its ``id`` is not reused while kept."""
+
+    def __init__(self):
+        self.used = 0
+        self.tables: dict[tuple, dict[int, tuple[TimeProfile, np.ndarray]]] = {}
+
+    def values(self, p: TimeProfile, ts) -> np.ndarray:
+        nodes = np.asarray(ts, dtype=float)
+        key = (nodes.shape, nodes.tobytes())
+        kept = self.tables.get(key, {})
+        if id(p) in kept:
+            return kept[id(p)][1]
+        table = p.values(ts)
+        cost = table.nbytes + (0 if kept else len(key[1]))
+        if self.used + cost <= _SHARED_BYTES:
+            table.flags.writeable = False
+            self.tables.setdefault(key, kept)[id(p)] = (p, table)
+            self.used += cost
+        return table
+
+
+# the store of the innermost open scope, per thread
+_store: ContextVar[_Store | None] = ContextVar("profile_tables", default=None)
+
+
+@contextlib.contextmanager
+def shared_tables():
+    """Scope in which :func:`tabulate` evaluates each profile once per
+    exact node set: a later request for the same profile (by identity) on
+    the same node values returns the kept table, which is read-only.  A
+    table is kept only once its evaluation has returned, and only while
+    the scope's tables stay within ``_SHARED_BYTES``.  Every scenario run
+    is one scope, dropped when it returns; outside a scope each request is
+    evaluated."""
+    store = _Store()
+    token = _store.set(store)
+    try:
+        yield store
+    finally:
+        _store.reset(token)
+
+
 def tabulate(profiles: Sequence[TimeProfile], ts: np.ndarray) -> list:
     """``values(ts)`` of each profile.  Each distinct profile (by identity)
     is evaluated once, and an :class:`Affine` is formed from its base's
     table as ``offset + scale * base``, the arithmetic of its ``values``:
     profiles derived from one pulse train share one evaluation of it.  An
-    exact :class:`Constant` is filled with its value, not evaluated."""
+    exact :class:`Constant` is filled with its value, not evaluated.
+    Within :func:`shared_tables` the other tables are shared across calls
+    on the same nodes."""
     tables: dict[int, np.ndarray] = {}
+    store = _store.get()
 
     def table(p: TimeProfile) -> np.ndarray:
         if id(p) not in tables:
             tables[id(p)] = (
                 np.full(np.shape(ts), p.value_const, dtype=float)
-                if is_exact_constant(p) else p.values(ts))
+                if is_exact_constant(p)
+                else p.values(ts) if store is None else store.values(p, ts))
         return tables[id(p)]
 
     return [p.offset + p.scale * table(p.base) if isinstance(p, Affine)

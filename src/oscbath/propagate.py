@@ -16,7 +16,8 @@ tabulated on the stage nodes of the whole pass, and their values scaled
 by the step and turned into the (30 or 120, P) word coefficients of its
 P steps (:func:`_word_coefficients`).  A block's increments are then one
 product of its columns of those coefficients with the words, which are
-formed once per run (:func:`_word_increments`).  The same RK4 map is
+formed once per run, without the words that are exactly zero (45 of the
+120) (:func:`_word_increments`).  The same RK4 map is
 taken in one of three forms:
 
 - with T the only letter, one power of the step map per grid interval
@@ -92,29 +93,33 @@ _SCHEDULE_STEPS = 1024
 # a 61-point grid at 8, 40 and 67 steps per interval (the step shapes of
 # closure, short-time-convergence and rwa-check), min of 7 alternating runs
 # on a 2-core host with OpenBLAS 0.3 (tools/form_crossover.py), with the
-# word coefficients formed once per pass of the schedule:
+# word coefficients formed once per pass of the schedule; the three-letter
+# columns are measured with the zero words dropped:
 #
 #           letters T, L (constant omega)    letters T, E, L
 #    d    8 steps     40 steps    67 steps    8 steps     40 steps    67 steps
-#    26    7.5/13.4    4.5/ 9.9    4.7/11.0    8.5/12.8    6.7/10.9    6.2/10.9
-#    30    9.3/14.4    5.3/10.6    5.0/ 9.9   10.6/13.2    9.0/11.1    8.5/10.9
-#    34    8.2/11.6    6.5/10.4    6.1/10.1   11.8/13.9   10.2/11.3   10.5/12.2
-#    36    9.2/12.4    7.4/10.9    7.1/10.5   15.7/15.2   13.9/12.2   14.7/11.8
-#    38    9.0/12.2    7.6/10.6    7.5/10.7   17.2/13.4   17.0/12.8   17.0/12.6
-#    40    9.2/12.4    8.1/10.9    8.0/11.0   25.4/24.3   16.4/12.7   15.8/12.5
-#    42   11.1/13.6    9.3/11.4    9.8/11.6   20.4/16.2   18.4/13.5   17.7/13.6
-#    44   12.0/13.2   10.4/12.3   10.4/12.5   20.1/17.2   25.5/18.5   16.6/13.7
-#    46   13.2/13.2   11.8/12.7   12.1/12.5   24.5/16.7   21.3/14.3   21.3/14.1
-#    48   14.4/15.0   12.9/12.7   12.7/12.4   30.9/20.0   25.6/15.1   23.5/13.7
-#    50   14.7/14.4   14.1/13.4   14.0/13.8   29.4/17.6   25.4/14.7   25.2/14.1
+#    26    7.5/13.4    4.5/ 9.9    4.7/11.0    8.0/12.2    6.0/ 9.7    5.6/ 9.6
+#    30    9.3/14.4    5.3/10.6    5.0/ 9.9    9.6/14.4    9.0/13.6    7.7/10.5
+#    34    8.2/11.6    6.5/10.4    6.1/10.1   10.5/12.9    8.9/10.5    7.9/10.3
+#    36    9.2/12.4    7.4/10.9    7.1/10.5   11.8/13.1    9.5/11.0    9.1/10.5
+#    38    9.0/12.2    7.6/10.6    7.5/10.7   12.7/13.4   10.5/11.2   10.2/10.8
+#    40    9.2/12.4    8.1/10.9    8.0/11.0   13.4/13.8   11.1/11.5   10.7/11.5
+#    42   11.1/13.6    9.3/11.4    9.8/11.6   13.5/14.3   12.1/12.0   11.8/11.8
+#    44   12.0/13.2   10.4/12.3   10.4/12.5   14.8/14.5   12.9/12.5   12.2/12.4
+#    46   13.2/13.2   11.8/12.7   12.1/12.5   15.9/15.5   14.4/12.5   14.3/12.1
+#    48   14.4/15.0   12.9/12.7   12.7/12.4   19.3/16.0   15.2/12.1   15.3/12.0
+#    50   14.7/14.4   14.1/13.4   14.0/13.8   18.1/16.0   16.9/13.0   16.5/12.8
 #
 # In three such sweeps, with two letters the composed form won or tied
 # every shape up to d = 46, and the factored map won most shapes from
-# d = 48 on, by at most 8 %; with three letters the composed form won
-# every shape up to d = 34 but one, and the factored map every shape from
-# d = 38 on.  The switch was set at 42, where the two-letter forms crossed
-# while each block formed its own coefficients; it keeps both of
-# rwa-check's d = 34 runs composed, now the faster form for both.
+# d = 48 on, by at most 8 %.  With three letters the composed form won
+# every shape up to d = 36, and won or tied within 5 % up to d = 42; the
+# factored map won the 40- and 67-step shapes from d = 46 on.  Before the
+# 45 zero words of the 120 were dropped, the factored map won every
+# three-letter shape from d = 38 on.  The switch was set at 42, where the
+# two-letter forms crossed while each block formed its own coefficients;
+# it keeps both of rwa-check's d = 34 runs composed, the faster form for
+# both.
 _DIRECT_MIN_DIM = 42
 
 
@@ -636,7 +641,11 @@ def _word_flow(letters, values, steps: int, rows=None):
     pass of the generator sum_l v_l(t) X_l of :func:`_letters`, as
     ``increments(h, nodes, blocks)`` of :func:`_composed_flow` on the stage
     nodes of ``_RK4_STAGES``: the first ``rows`` rows of Q only, when
-    given.  The words are formed once per run.  Once per pass the letters'
+    given.  The words are formed once per run, and those that are exactly
+    zero are dropped with their coefficients.  E is the unit at (0, 1), so
+    a word X E Y is zero when X's column 0 or Y's row 1 is: with the
+    letters T, E, L, 45 of the 120 (every word with E E, and T T E, E T T,
+    E L E, ...); with T, L none of the 30.  Once per pass the letters'
     values are tabulated, scaled by h and turned into the word
     coefficients (:func:`_word_coefficients`); each block is then one
     :func:`_word_increments` product.
@@ -644,9 +653,21 @@ def _word_flow(letters, values, steps: int, rows=None):
     k, n = letters.shape[:2]
     W = _words(letters)[:, :rows]
     W = W.reshape(len(W), -1)
+    # the words that are not exactly zero, and their coefficients, move to
+    # the front rows in place: row live[i] >= i is read before row i is
+    # written, so neither is copied
+    live = np.flatnonzero(W.any(axis=1)).tolist()
+    moves = [(i, j) for i, j in enumerate(live) if i != j]
+
+    def front(A: np.ndarray) -> np.ndarray:
+        for i, j in moves:
+            A[i] = A[j]
+        return A[: len(live)]
+
     # buffers for a pass, at most _SCHEDULE_STEPS steps, and for a block
     C, out = np.empty((len(W), _SCHEDULE_STEPS)), np.empty((steps, W.shape[1]))
     c = np.empty((len(_RK4_STAGES), k, _SCHEDULE_STEPS))
+    W = front(W)
 
     def increments(h: np.ndarray, nodes: np.ndarray, blocks):
         v = values(nodes.ravel())
@@ -654,7 +675,7 @@ def _word_flow(letters, values, steps: int, rows=None):
         cp[:, 0] = h
         v = v.reshape(k - 1, h.size, -1).transpose(2, 0, 1)
         np.multiply(v, h, out=cp[:, 1:])
-        Cp = _word_coefficients(cp, C)
+        Cp = front(_word_coefficients(cp, C))
         for s in blocks:
             Q = _word_increments(Cp[:, s], W, out)
             yield Q.reshape(len(Q), -1, n)

@@ -54,6 +54,7 @@ from .profiles import (
     TimeProfile,
     profile_from_dict,
     profile_to_dict,
+    shared_tables,
 )
 from .propagate import integrate_R
 from .reduced import CentralGaussian, evolve_gaussian, extract_reduced
@@ -241,8 +242,9 @@ def scenario(name: str, *table: Param):
             params = bind_params(name, bound.arguments)
             t0 = time.perf_counter()
             # a quantity that vanishes reaches its verdict as inf or NaN,
-            # which fails it, rather than as a warning or an exception
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # which fails it, rather than as a warning or an exception; the
+            # run's profile tables are shared within it, and dropped after
+            with np.errstate(divide="ignore", invalid="ignore"), shared_tables():
                 report = ScenarioReport(
                     name, config_digest(name, params, seed), seed,
                     *body(**params, seed=seed),

@@ -455,3 +455,76 @@ def test_tabulate_fills_an_exact_constant_without_evaluating_it(monkeypatch):
     want = np.array([-0.3] * ts.size)
     for table, ref in zip(got, (want, want, 2.0 * want)):
         assert table.dtype == float and table.tolist() == ref.tolist()
+
+
+class _Counting(GaussianPulse):
+    """A pulse that counts its evaluations, and raises on the first one
+    when ``fail_first`` is set."""
+
+    calls = 0
+    fail_first = False
+
+    def values(self, ts):
+        type(self).calls += 1
+        if type(self).fail_first and type(self).calls == 1:
+            raise FloatingPointError("overflow")
+        return super().values(ts)
+
+
+def test_shared_tables_evaluate_once_per_node_set():
+    p, q = _Counting(1.0, 0.5, 0.2), _Counting(1.0, 0.5, 0.2)
+    _Counting.calls = 0
+    ts = np.linspace(0.0, 1.0, 9)
+    with profiles.shared_tables() as store:
+        (a,) = profiles.tabulate((p,), ts)
+        # equal node values in another array, and an Affine of p: kept
+        (b, c) = profiles.tabulate((p, Affine(p, scale=2.0)), ts.copy())
+        assert b is a and c.tolist() == (2.0 * a).tolist()
+        assert _Counting.calls == 1
+        # another profile, even an equal one, or other nodes: evaluated
+        profiles.tabulate((q,), ts)
+        profiles.tabulate((p,), ts[:-1])
+        profiles.tabulate((p,), -ts)
+        assert _Counting.calls == 4
+        assert store.used == 4 * a.nbytes + 3 * ts.nbytes - 2 * 8
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # outside a scope every request is evaluated, into a fresh array
+    (d,) = profiles.tabulate((p,), ts)
+    assert _Counting.calls == 5 and d is not a and d.flags.writeable
+    assert d.tolist() == a.tolist()
+
+
+def test_shared_tables_keep_nothing_past_the_cap(monkeypatch):
+    p = _Counting(1.0, 0.5, 0.2)
+    _Counting.calls = 0
+    ts = np.linspace(0.0, 1.0, 9)
+    want = p.values(ts)
+    # room for the node key and one table, not for a second table
+    monkeypatch.setattr(profiles, "_SHARED_BYTES", 2 * ts.nbytes)
+    with profiles.shared_tables() as store:
+        profiles.tabulate((p,), ts)
+        (q,) = profiles.tabulate((_Counting(2.0, 0.5, 0.2),), ts)
+        assert q.flags.writeable and store.used == 2 * ts.nbytes
+    monkeypatch.setattr(profiles, "_SHARED_BYTES", 0)
+    _Counting.calls = 0
+    with profiles.shared_tables() as store:
+        got = [profiles.tabulate((p,), ts)[0] for _ in range(3)]
+        assert _Counting.calls == 3 and store.used == 0 and not store.tables
+    assert all(g.tolist() == want.tolist() and g.flags.writeable for g in got)
+
+
+def test_shared_tables_keep_no_failed_evaluation():
+    p = _Counting(1.0, 0.5, 0.2)
+    _Counting.calls, _Counting.fail_first = 0, True
+    ts = np.linspace(0.0, 1.0, 9)
+    try:
+        with profiles.shared_tables() as store:
+            with pytest.raises(FloatingPointError):
+                profiles.tabulate((p,), ts)
+            assert store.used == 0 and not store.tables
+            (a,) = profiles.tabulate((p,), ts)
+            (b,) = profiles.tabulate((p,), ts)
+            assert _Counting.calls == 2 and b is a
+    finally:
+        _Counting.fail_first = False

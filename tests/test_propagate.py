@@ -420,6 +420,49 @@ def test_equal_intervals_are_composed_run_by_run(monkeypatch):
     assert calls["_compose"] <= 3 * calls["_word_increments"]
 
 
+@pytest.mark.parametrize("modulated, words, live", [
+    (True, 120, 75),   # letters T, E, L: every word with E E, T T E, ...
+    (False, 30, 30),   # letters T, L: no word is zero
+])
+def test_zero_words_leave_the_basis(monkeypatch, modulated, words, live):
+    # R's composed form takes only the words that are not exactly zero, and
+    # a pass's increments from them equal those of the full basis.
+    omega = (Affine(GaussianPulse(1.0, 3.0, 0.4), scale=0.04, offset=1.0)
+             if modulated else Constant(1.0))
+    spec, grid, dt = _coupled_spec(omega=omega), np.linspace(0.0, 6.0, 31), 0.01
+    flow, product = propagate._word_flow, propagate._word_increments
+    seen, rows = {}, []
+
+    def capture(letters, values, steps, rows=None):
+        seen.update(letters=letters, values=values, steps=steps)
+        return flow(letters, values, steps, rows)
+
+    monkeypatch.setattr(propagate, "_word_flow", capture)
+    integrate_R(spec, grid, dt=dt)
+    letters, values, steps = seen["letters"], seen["values"], seen["steps"]
+    k, d = letters.shape[:2]
+    W = propagate._words(letters).reshape(-1, d * d)
+    assert len(W) == words and np.count_nonzero(W.any(axis=1)) == live
+
+    def counting(C, W, out):
+        rows.append((len(C), len(W)))
+        return product(C, W, out)
+
+    monkeypatch.setattr(propagate, "_word_increments", counting)
+    h, nodes, _, blocks = next(
+        propagate.rk4_blocks(grid, dt, propagate._RK4_STAGES, steps))
+    got = np.concatenate(
+        [Q.copy() for Q in flow(letters, values, steps)(h, nodes, blocks)])
+    assert set(rows) == {(live, live)}
+    c = np.empty((4, k, h.size))
+    c[:, 0] = h
+    c[:, 1:] = values(nodes.ravel()).reshape(k - 1, h.size, 4).transpose(2, 0, 1)
+    c[:, 1:] *= h
+    C = propagate._word_coefficients(c, np.empty((words, h.size)))
+    want = product(C, W, np.empty((h.size, d * d))).reshape(got.shape)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def _flat(value: float, t_max: float) -> PiecewiseLinear:
     """A profile equal to ``value`` over [0, t_max] that is not a Constant,
     so integrate_R steps it instead of powering."""

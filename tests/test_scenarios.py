@@ -14,10 +14,13 @@ import yaml
 from oscbath import (
     Affine,
     Constant,
+    ExpPulse,
+    PulseTrain,
     SystemSpec,
     bath_from_rwa,
     uniform_bath_frequencies,
 )
+from oscbath import profiles
 from oscbath.cli import config_echo, main
 from oscbath.profiles import PROFILE_KINDS
 from oscbath.propagate import _schedule
@@ -259,6 +262,55 @@ def test_mir_override_changes_digest():
     a = run_mir_pulse_train(count=6)
     b = run_mir_pulse_train(count=6, gamma_profile=Constant(0.001))
     assert a.digest != b.digest
+
+
+class _CountingTrain(PulseTrain):
+    """A pulse train that records the node values of every evaluation in a
+    scenario run's body, not those of its parameter checks."""
+
+    evaluated: list = []
+
+    def values(self, ts):
+        if profiles._store.get() is not None:
+            type(self).evaluated.append(np.asarray(ts, dtype=float).tobytes())
+        return super().values(ts)
+
+
+def _counted_mir_run(monkeypatch, cap=None):
+    """A 3-pulse mir run with one counting train as omega and gamma: the
+    node sets it evaluated the train on, the report, and the table stores
+    its runs opened."""
+    if cap is not None:
+        monkeypatch.setattr(profiles, "_SHARED_BYTES", cap)
+    stores = []
+
+    class Recorded(profiles._Store):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    monkeypatch.setattr(profiles, "_Store", Recorded)
+    base = ExpPulse(1.0, center=0.4, decay=0.47, rise=0.05)
+    train = _CountingTrain(base, period=np.pi / 2, count=3)
+    _CountingTrain.evaluated = []
+    rep = run_mir_pulse_train(count=3, omega_profile=train, gamma_profile=train)
+    return _CountingTrain.evaluated, rep, stores
+
+
+def test_mir_run_evaluates_its_train_once_per_node_set(monkeypatch):
+    # The moment runs share their nodes, and so do the amplitude runs:
+    # within one scenario run the train is evaluated once per node set.
+    evaluated, rep, stores = _counted_mir_run(monkeypatch)
+    assert len(stores) == 1 and stores[0].used > 0
+    assert 0 < len(evaluated) == len(set(evaluated))
+    # a second run opens its own store and evaluates the train again
+    again, rep_again, _ = _counted_mir_run(monkeypatch)
+    assert again == evaluated and rep_again.tables == rep.tables
+    # with nothing kept, the same tables from more evaluations
+    unshared, rep_unshared, stores = _counted_mir_run(monkeypatch, cap=0)
+    assert stores[0].used == 0 and not stores[0].tables
+    assert set(unshared) == set(evaluated) and len(unshared) > len(evaluated)
+    assert rep_unshared.tables == rep.tables
 
 
 def test_closure_small():
