@@ -1,7 +1,9 @@
 """Phase-space propagator R(t) for the oscillator-bath system.
 
 R solves dR/dt = A(t) R from the identity, where A(t) is the full
-(2N+2)-dimensional generator, by fixed-step classical Runge-Kutta.  The
+(2N+2)-dimensional generator, by fixed-step classical Runge-Kutta.  Grid
+interval [t_lo, t_hi] takes n equal steps of length h; step k has the
+stage nodes t_lo + (k + f) h, and the last one ends on t_hi itself.  The
 steps are scheduled a pass of about 1,024 at a time (:func:`rk4_blocks`),
 cut into blocks only where memory forces it.  Every coupling shares
 the one profile nu(t), so A(t) = T - omega(t)^2 E + nu(t) L, with T
@@ -268,12 +270,13 @@ def _validate_grid(grid: np.ndarray, t_max: float) -> np.ndarray:
 
 def _schedule(ts: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Steps n = max(1, ceil(span / dt)) and length span / n per interval,
-    refusing dt <= 0 and 2^53 steps or more (counts no longer exact)."""
+    refusing dt <= 0 and 2^52 steps or more (a node's k + f no longer
+    exact)."""
     spans = np.diff(ts)
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n_sub = np.maximum(1.0, np.ceil(spans / dt))
-    if not n_sub.sum() < 2.0**53:
+    if not n_sub.sum() < 2.0**52:
         raise ValueError(f"dt={dt} needs too many steps over the grid")
     return n_sub.astype(np.int64), spans / n_sub
 
@@ -284,16 +287,15 @@ def rk4_blocks(
     """Runge-Kutta steps over the grid in passes of as many whole blocks of
     block_steps <= _SCHEDULE_STEPS steps as fit in _SCHEDULE_STEPS.
 
-    Grid interval [t_lo, t_hi] is split into max(1, ceil(span / dt)) equal
-    steps of length h, whose starts advance by t += h.  Each pass is
-    yielded as (hs, nodes, ends, blocks): the step lengths, the stage nodes
-    t + f h (steps, len(fractions)) for every f in ``fractions``, per step
-    the index of the grid point it ends on, or -1 when it ends inside an
-    interval, and the slices of the pass's blocks.  The starts of a pass
-    come from ``np.add.accumulate`` along rows [t, h, h, ...], one row per
-    interval, one unpadded table per step count among the pass's
-    intervals: the float additions of a sequential loop, so where the
-    passes fall changes no node.
+    Grid interval [t_lo, t_hi] is split into n = max(1, ceil(span / dt))
+    equal steps of length h = span / n.  Step k = 0..n-1 has the stage
+    nodes t_lo + (k + f) h for every f in ``fractions``, except that the
+    node where the last step ends is t_hi itself: a step ends bitwise where
+    the next starts, across grid points too, and no node passes its
+    interval's end.  Each pass is yielded as (hs, nodes, ends, blocks): the
+    step lengths, the nodes (steps, len(fractions)), per step the index of
+    the grid point it ends on, or -1 when it ends inside an interval, and
+    the slices of the pass's blocks.
     """
     ts = np.asarray(ts, dtype=float)
     n_sub, h_int = _schedule(ts, dt)
@@ -301,33 +303,17 @@ def rk4_blocks(
     total = int(past[-1]) if past.size else 0
     frac = np.asarray(fractions, dtype=float)
     chunk = block_steps * (_SCHEDULE_STEPS // block_steps)
-    t_next = 0.0  # start of the step after the previous pass
     for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        i0 = int(np.searchsorted(past, lo, side="right"))
-        i1 = int(np.searchsorted(past, hi - 1, side="right")) + 1
-        first = past[i0:i1] - n_sub[i0:i1]
-        skip = np.maximum(first, lo) - first
-        m = np.minimum(past[i0:i1], hi) - first - skip
-        t0 = ts[i0:i1].copy()
-        if skip[0]:  # the first interval began in the previous pass
-            t0[0] = t_next
-        hs, steps_of = np.repeat(h_int[i0:i1], m), np.repeat(m, m)
-        starts = np.empty(hi - lo)
-        for k in set(m.tolist()):  # the intervals of k steps each
-            sel = m == k
-            rows = np.empty((np.count_nonzero(sel), k))
-            rows[:, 0] = t0[sel]
-            rows[:, 1:] = h_int[i0:i1][sel, None]
-            np.add.accumulate(rows, axis=1, out=rows)
-            starts[steps_of == k] = rows.ravel()
-        t_next = starts[-1] + hs[-1]
-        nodes = starts[:, None] + hs[:, None] * frac
-        ends = np.full(hi - lo, -1)
-        done = skip + m == n_sub[i0:i1]
-        ends[np.cumsum(m)[done] - 1] = np.arange(i0 + 1, i1 + 1)[done]
+        j = np.arange(lo, min(lo + chunk, total))
+        i = np.searchsorted(past, j, side="right")  # each step's interval
+        n = n_sub[i]
+        kf = (j - past[i] + n)[:, None] + frac  # k + f, exact
+        hs = h_int[i]
+        nodes = ts[i, None] + kf * hs[:, None]
+        nodes = np.where(kf == n[:, None], ts[i + 1, None], nodes)
+        ends = np.where(j + 1 == past[i], i + 1, -1)
         blocks = [slice(b, b + block_steps)
-                  for b in range(0, hi - lo, block_steps)]
+                  for b in range(0, j.size, block_steps)]
         yield hs, nodes, ends, blocks
 
 
@@ -475,7 +461,7 @@ def linear_flow(z, ts, dt, T, entries, coefficients, profiles):
 
     A(t) is T with the entries (rows, cols) = ``entries`` set from
     ``coefficients(nodes)``, one array per entry, tabulated once per pass
-    of :func:`rk4_blocks` over the nodes t, t + h/2, t + h of its steps and
+    of :func:`rk4_blocks` over the three stage nodes of its steps and
     scaled by h there; each block's :func:`_step_increments` read a view
     of that table and are composed by :func:`_composed_flow`.  When
     ``profiles``, those the coefficients read, are all exactly
@@ -509,11 +495,11 @@ def linear_flow(z, ts, dt, T, entries, coefficients, profiles):
 def _composed_flow(z, ts, dt, fractions, increments):
     """z at every grid point, as :func:`linear_flow` stacks it, from the
     increments that ``increments(h, nodes, blocks)`` yields for a pass of
-    :func:`rk4_blocks`, with its step lengths (P,), stage nodes t + f h
-    (P, len(fractions)), f in ``fractions``, and block slices: one stack Q
-    (B, n, n) per block, in order.  The node work is the pass's, and each
-    block's increments are composed per grid interval; z advances by
-    z += Q z."""
+    :func:`rk4_blocks`, with its step lengths (P,), stage nodes
+    (P, len(fractions)) at the fractions in ``fractions``, and block
+    slices: one stack Q (B, n, n) per block, in order.  The node work is
+    the pass's, and each block's increments are composed per grid
+    interval; z advances by z += Q z."""
     Z = np.empty((len(ts),) + z.shape, z.dtype)
     Z[0] = z = z.copy()  # advanced in place
     n = z.shape[0]

@@ -5,7 +5,9 @@ Scalar Runge-Kutta loops: the per-step references of the stepping core.
 Each loop takes the classical RK4 step of one equation on Python floats,
 one step at a time, with its coefficients called at every stage node, on
 the sub-step rule of the package: grid interval [t_lo, t_hi] is split into
-max(1, ceil(span / dt)) equal steps and the step start advances by t += h.
+n = max(1, ceil(span / dt)) equal steps of length h = span / n, step
+k = 0..n-1 has the stage nodes t_lo + (k + f) h, and the node where the
+last step ends is t_hi itself (:func:`substeps`).
 The package steps the same equations as stacked increments composed per
 grid interval (:func:`oscbath.propagate.linear_flow`), so it must agree
 with these loops to roundoff.
@@ -48,39 +50,33 @@ from oscbath.system import (
 )
 
 
-def substeps(ts, dt):
-    """(t, h, grid index or -1) of every step, in order."""
+def interval_steps(t_lo, t_hi, n, fractions=(0.0, 0.5, 1.0)):
+    """(h, stage nodes) of the n equal steps of [t_lo, t_hi], in order:
+    t_lo + (k + f) h for f in ``fractions`` at step k, and t_hi where the
+    last step ends."""
+    h = (t_hi - t_lo) / n
+    for k in range(n):
+        yield h, tuple(t_hi if k + f == n else t_lo + (k + f) * h
+                       for f in fractions)
+
+
+def substeps(ts, dt, fractions=(0.0, 0.5, 1.0)):
+    """(h, stage nodes, grid index or -1) of every step, in order."""
     for i, (t_lo, t_hi) in enumerate(zip(ts[:-1].tolist(), ts[1:].tolist())):
-        span = t_hi - t_lo
-        n_sub = max(1, math.ceil(span / dt))
-        h = span / n_sub
-        t = t_lo
-        for k in range(n_sub):
-            yield t, h, (i + 1 if k == n_sub - 1 else -1)
-            t += h
+        n = max(1, math.ceil((t_hi - t_lo) / dt))
+        for k, (h, nodes) in enumerate(
+                interval_steps(t_lo, t_hi, n, fractions)):
+            yield h, nodes, (i + 1 if k == n - 1 else -1)
 
 
 def rk4_blocks(ts, dt, fractions, block_steps):
     """The step schedule of :func:`oscbath.propagate.rk4_blocks`, step by
     step: (hs, nodes, ends) per block of at most block_steps steps, the
     blocks of its passes in order."""
-    hs, starts, ends = [], [], []
-    frac = np.asarray(fractions, dtype=float)
-
-    def block():
-        h = np.array(hs)
-        nodes = np.array(starts)[:, None] + h[:, None] * frac
-        return h, nodes.ravel(), np.array(ends)
-
-    for t, h, end in substeps(np.asarray(ts, dtype=float), dt):
-        hs.append(h)
-        starts.append(t)
-        ends.append(end)
-        if len(hs) == block_steps:
-            yield block()
-            hs, starts, ends = [], [], []
-    if hs:
-        yield block()
+    steps = list(substeps(np.asarray(ts, dtype=float), dt, fractions))
+    for lo in range(0, len(steps), block_steps):
+        hs, nodes, ends = zip(*steps[lo : lo + block_steps])
+        yield np.array(hs), np.array(nodes).ravel(), np.array(ends)
 
 
 def _moment_rhs(ad, mp, mx, cpp, cpx, cxx):
@@ -127,10 +123,8 @@ def integrate_moments(drift_fn, diffusion_fn, initial, grid, dt):
     means = np.empty((ts.size, 2))
     covs = np.empty((ts.size, 2, 2))
     means[0], covs[0] = initial.mean, initial.cov
-    for t, h, end in substeps(ts, dt):
-        state = _rk4_moments(
-            state, h, ad_at(t), ad_at(t + 0.5 * h), ad_at(t + h)
-        )
+    for h, nodes, end in substeps(ts, dt):
+        state = _rk4_moments(state, h, *map(ad_at, nodes))
         if end < 0:
             continue
         if not all(map(math.isfinite, state)):
@@ -156,8 +150,8 @@ def epsilon(w2_fn, omega0, grid, dt, wronskian_tol):
     deps = np.empty(ts.size, dtype=complex)
     eps[0], deps[0] = e, de
     max_drift = 0.0
-    for t, h, end in substeps(ts, dt):
-        w2_0, w2_h, w2_1 = w2_fn(t), w2_fn(t + 0.5 * h), w2_fn(t + h)
+    for h, nodes, end in substeps(ts, dt):
+        w2_0, w2_h, w2_1 = map(w2_fn, nodes)
         k1e, k1d = de, -w2_0 * e
         k2e, k2d = de + 0.5 * h * k1d, -w2_h * (e + 0.5 * h * k1e)
         k3e, k3d = de + 0.5 * h * k2d, -w2_h * (e + 0.5 * h * k2e)
@@ -191,20 +185,20 @@ def free_R11(omega_value, grid, dt):
         w2 = w * w
         return (-w2 * c, -w2 * d, a, b)
 
-    for t, h, end in substeps(ts, dt):
-        a1, b1, c1, d1 = rhs(t, r11, r12, r21, r22)
+    for h, (t0, t_half, t1), end in substeps(ts, dt):
+        a1, b1, c1, d1 = rhs(t0, r11, r12, r21, r22)
         a2, b2, c2, d2 = rhs(
-            t + 0.5 * h,
+            t_half,
             r11 + 0.5 * h * a1, r12 + 0.5 * h * b1,
             r21 + 0.5 * h * c1, r22 + 0.5 * h * d1,
         )
         a3, b3, c3, d3 = rhs(
-            t + 0.5 * h,
+            t_half,
             r11 + 0.5 * h * a2, r12 + 0.5 * h * b2,
             r21 + 0.5 * h * c2, r22 + 0.5 * h * d2,
         )
         a4, b4, c4, d4 = rhs(
-            t + h, r11 + h * a3, r12 + h * b3, r21 + h * c3, r22 + h * d3
+            t1, r11 + h * a3, r12 + h * b3, r21 + h * c3, r22 + h * d3
         )
         s = h / 6.0
         r11 += s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -279,7 +273,6 @@ def R21_first_order(spec, t, steps=2000):
     with the dense bath rotation exp(-A22 tau) built at every stage."""
     bath = spec.bath
     L21 = coupling_layout_21(bath)
-    h = t / steps
 
     def f_pair(tau, R11):
         dR11 = central_block(spec.omega.value(tau)) @ R11
@@ -288,11 +281,11 @@ def R21_first_order(spec, t, steps=2000):
 
     R11 = np.eye(2)
     Y = np.zeros((2 * bath.n, 2))
-    for tau in np.linspace(0.0, t, steps + 1)[:-1]:
-        k1R, k1Y = f_pair(tau, R11)
-        k2R, k2Y = f_pair(tau + 0.5 * h, R11 + 0.5 * h * k1R)
-        k3R, k3Y = f_pair(tau + 0.5 * h, R11 + 0.5 * h * k2R)
-        k4R, k4Y = f_pair(tau + h, R11 + h * k3R)
+    for h, (t0, t_half, t1) in interval_steps(0.0, t, steps):
+        k1R, k1Y = f_pair(t0, R11)
+        k2R, k2Y = f_pair(t_half, R11 + 0.5 * h * k1R)
+        k3R, k3Y = f_pair(t_half, R11 + 0.5 * h * k2R)
+        k4R, k4Y = f_pair(t1, R11 + h * k3R)
         R11 = R11 + (h / 6.0) * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
         Y = Y + (h / 6.0) * (k1Y + 2.0 * k2Y + 2.0 * k3Y + k4Y)
     return expm_bath(bath.omegas, t) @ Y

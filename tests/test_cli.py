@@ -827,6 +827,22 @@ def test_check_agrees_with_the_run(tmp_path, capsys, text, args, field):
     assert not out.exists()
 
 
+def test_profile_on_exactly_the_window_runs(tmp_path, capsys):
+    # omega is defined on exactly [0, t_max]; stage nodes formed by running
+    # sums t + h + ... landed past the window's end, and the run failed
+    # with exit 2 after --check had passed
+    text = (
+        "scenario: mir-pulse-train\n"
+        "params:\n  count: 2\n"
+        "model:\n  omega: {kind: piecewise-linear,"
+        " times: [0.0, 7.853981633974483], values: [1.0, 1.01]}\n"
+    )
+    cfg = write(tmp_path, text)
+    for extra in (["--check"], ["--out", str(tmp_path / "run")]):
+        assert main(["run", str(cfg), *extra]) in (0, 1)
+        assert "outside profile domain" not in capsys.readouterr().err
+
+
 # Any YAML value: NaN and inf among the floats, integers beyond the float
 # range, lists and nested mappings.
 _ANY = st.recursive(

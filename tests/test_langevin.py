@@ -274,9 +274,7 @@ def test_tabulated_moments_match_callable_reference():
     init = CentralGaussian.vacuum()
     dt = 4e-3
     got = evolve_moments(model, init, grid, dt=dt)
-    nodes = sorted(
-        {s for t, h, _ in substeps(grid, dt) for s in (t, t + 0.5 * h, t + h)}
-    )
+    nodes = sorted({t for _, nodes, _ in substeps(grid, dt) for t in nodes})
     w, g = tabulate((model.omega, model.gamma), np.array(nodes))
     gamma_p, gamma_x = model.chi.split(g)
     d_pp, d_xx = model.chi.diffusion_of(g)

@@ -12,6 +12,7 @@ power of the step map, checked here against the composed steps.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -252,14 +253,17 @@ def test_powered_flow_builds_each_map_once(monkeypatch):
 
 def test_step_count_guard_holds_in_both_forms(monkeypatch):
     # ceil(span / dt) at dt = 1e-300 is far past 2^53 steps; its conversion
-    # to an integer count would overflow, so both forms refuse it.
+    # to an integer count would overflow.  About 1.5 * 2^52 steps fit in an
+    # integer, but from k = 2^52 on the node fraction k + 1/2 is not a
+    # double.  Both forms refuse both before taking a step.
     taken = _flow_forms(monkeypatch)
     forms = ((Constant, "_powered_flow"), (_Stepped, "rk4_blocks"))
-    for kind, form in forms:
+    for (kind, form), dt in itertools.product(
+            forms, (1e-300, GRID[-1] / 1.5 / 2.0**52)):
         model = LangevinModel(omega=kind(1.0), gamma=kind(0.1))
         taken.clear()
         with pytest.raises(ValueError, match="needs too many steps"):
-            evolve_moments(model, CentralGaussian.vacuum(), GRID, dt=1e-300)
+            evolve_moments(model, CentralGaussian.vacuum(), GRID, dt=dt)
         assert taken == [form]
 
 
@@ -388,9 +392,9 @@ def test_schedule_matches_sequential_loop(t0, spans, dt, block, fractions):
     ts = t0 + np.cumsum([0.0, *spans])
     assume(np.all(np.diff(ts) > 0.0))
     assume(counts.rk4_steps(ts, dt) <= 3000)
+    passes = list(rk4_blocks(ts, dt, fractions, block))
     got = [(h[s], nodes[s].ravel(), ends[s])
-           for h, nodes, ends, blocks in rk4_blocks(ts, dt, fractions, block)
-           for s in blocks]
+           for h, nodes, ends, blocks in passes for s in blocks]
     want = list(oracles.rk4_blocks(ts, dt, fractions, block))
     assert len(got) == len(want)
     for (h, nodes, ends), (h0, nodes0, ends0) in zip(got, want):
@@ -398,6 +402,13 @@ def test_schedule_matches_sequential_loop(t0, spans, dt, block, fractions):
         np.testing.assert_array_equal(nodes, nodes0)
         np.testing.assert_array_equal(ends, ends0)
     assert sum(len(b[0]) for b in got) == counts.rk4_steps(ts, dt)
+    # no node lies past its interval's end, and each interval's last node
+    # is its grid point
+    nodes = np.concatenate([p[1] for p in passes])
+    ends = np.concatenate([p[2] for p in passes])
+    interval = np.cumsum(np.r_[0, ends[:-1] >= 0])
+    assert (nodes <= ts[interval + 1, None]).all()
+    np.testing.assert_array_equal(nodes[ends >= 0, -1], ts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +443,9 @@ MIXED_GRID = PASS_DT * np.cumsum([0.0, 512.0, *[1.0] * 512])
 @pytest.mark.parametrize("grid", [*PASS_GRIDS, MIXED_GRID],
                          ids=["2500", "3001", "mixed"])
 def test_schedule_holds_no_padded_table(grid):
-    # A pass accumulates the step starts of its intervals of equal step
-    # count as one table each, so it holds no table padded to its longest
-    # interval: at most 0.18 MB here over 4 stage nodes, where the padded
-    # table of the mixed grid alone took 4.57 MB.  The nodes stay those of
-    # the sequential loop.
+    # A pass holds no table padded to its longest interval: at most
+    # 0.18 MB here over 4 stage nodes, where the padded table of the mixed
+    # grid alone took 4.57 MB.  The nodes stay those of the per-step rule.
     stages = (0.0, 0.5, 0.5, 1.0)
     for block in map(_block_steps, PASS_BYTES):
         got = [(h[s], nodes[s].ravel(), ends[s])

@@ -96,12 +96,12 @@ def _uncoupled_spec(omegas, omega=None, t_max=10.0, nu=None):
     )
 
 
-def _rk4_matrix(R, t, h, spec):
-    A = oracles.generator
-    k1 = A(spec, t) @ R
-    k2 = A(spec, t + 0.5 * h) @ (R + 0.5 * h * k1)
-    k3 = A(spec, t + 0.5 * h) @ (R + 0.5 * h * k2)
-    k4 = A(spec, t + h) @ (R + h * k3)
+def _rk4_matrix(R, h, nodes, spec):
+    A0, A_half, A1 = (oracles.generator(spec, t) for t in nodes)
+    k1 = A0 @ R
+    k2 = A_half @ (R + 0.5 * h * k1)
+    k3 = A_half @ (R + 0.5 * h * k2)
+    k4 = A1 @ (R + h * k3)
     return R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -111,14 +111,10 @@ def _reference_R(spec, grid, dt):
     integrate_R must reproduce."""
     R = np.eye(2 * spec.bath.n + 2)
     out = [R]
-    for t_lo, t_hi in zip(grid[:-1], grid[1:]):
-        n_sub = max(1, math.ceil((t_hi - t_lo) / dt))
-        h = (t_hi - t_lo) / n_sub
-        t = t_lo
-        for _ in range(n_sub):
-            R = _rk4_matrix(R, t, h, spec)
-            t += h
-        out.append(R)
+    for h, nodes, end in oracles.substeps(np.asarray(grid, dtype=float), dt):
+        R = _rk4_matrix(R, h, nodes, spec)
+        if end >= 0:
+            out.append(R)
     return np.array(out)
 
 
